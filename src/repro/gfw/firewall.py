@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from ..net import Direction, Link, Middlebox, Packet, Verdict
 from ..sim import Simulator, TraceLog
-from ..transport.tcp import ACK_SIZE, Segment
+from ..transport.tcp import ACK_SIZE, RST_FLAGS, Segment
 from .active_probing import ActiveProber
 from .blocklist import BlockPolicy
 from .dns_poisoning import DnsPoisoner
@@ -139,8 +139,8 @@ class GreatFirewall(Middlebox):
         if at < self.sim.now:
             raise SimulationError(
                 f"schedule_policy(at={at}) is in the past (now={self.sim.now})")
-        return self.sim.schedule(
-            at - self.sim.now, lambda: self.apply_policy(mutation, label))
+        return self.sim.schedule(at - self.sim.now, self.apply_policy,
+                                 mutation, label)
 
     # -- middlebox entry point ---------------------------------------------------------
 
@@ -160,16 +160,15 @@ class GreatFirewall(Middlebox):
             if self.poisoner.injections > before:
                 self.stats.dns_injections += 1
 
-        src, dst = str(packet.src), str(packet.dst)
         if self.config.keyword_filtering:
-            if self.flows.penalized(src, dst, self.sim.now):
+            if self.flows.penalized(packet.src, packet.dst, self.sim.now):
                 self._reset_both_ways(packet, link)
                 return Verdict.DROP
             keyword = self.policy.keyword_hit(packet.features.plaintext)
             if keyword is not None:
                 self.stats.keyword_resets += 1
-                self.flows.penalize(
-                    src, dst, self.sim.now + self.config.reset_penalty_seconds)
+                self.flows.penalize(packet.src, packet.dst,
+                                    self.sim.now + self.config.reset_penalty_seconds)
                 self._trace("gfw.keyword", packet, keyword=keyword)
                 self._reset_both_ways(packet, link)
                 return Verdict.DROP
@@ -239,12 +238,12 @@ class GreatFirewall(Middlebox):
         to_receiver = Packet(
             src=packet.src, dst=packet.dst, protocol="tcp",
             payload=Segment(segment.sport, segment.dport, seq=segment.seq,
-                            ack=segment.ack, flags=frozenset({"RST"})),
+                            ack=segment.ack, flags=RST_FLAGS),
             size=ACK_SIZE, flow=packet.flow)
         to_sender = Packet(
             src=packet.dst, dst=packet.src, protocol="tcp",
             payload=Segment(segment.dport, segment.sport, seq=segment.ack,
-                            ack=segment.seq, flags=frozenset({"RST"})),
+                            ack=segment.seq, flags=RST_FLAGS),
             size=ACK_SIZE, flow=packet.flow)
         link.inject(to_receiver, toward=self._node_toward(link, packet.dst))
         link.inject(to_sender, toward=self._node_toward(link, packet.src))

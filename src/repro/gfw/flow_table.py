@@ -13,6 +13,8 @@ import typing as t
 from collections import deque
 from dataclasses import dataclass, field
 
+from ..net import IPv4Address
+
 FlowKey = t.Tuple[t.Any, ...]
 
 #: Cap on per-flow timing samples.  The meek poll detector only ever
@@ -61,8 +63,9 @@ class FlowTable:
         self.idle_timeout = idle_timeout
         self.max_flows = max_flows
         self._flows: t.Dict[FlowKey, FlowState] = {}
-        #: (src, dst) pairs under a temporary reset penalty, with expiry.
-        self._penalties: t.Dict[t.Tuple[str, str], float] = {}
+        #: (src, dst) address pairs under a temporary reset penalty,
+        #: with expiry.
+        self._penalties: t.Dict[t.Tuple[IPv4Address, IPv4Address], float] = {}
 
     def __len__(self) -> int:
         return len(self._flows)
@@ -117,12 +120,12 @@ class FlowTable:
 
     # -- penalty window ----------------------------------------------------------
 
-    def penalize(self, src: str, dst: str, until: float) -> None:
+    def penalize(self, src: IPv4Address, dst: IPv4Address, until: float) -> None:
         """All (src, dst) traffic is reset until ``until`` (keyword hit)."""
         self._penalties[(src, dst)] = until
         self._penalties[(dst, src)] = until
 
-    def penalized(self, src: str, dst: str, now: float) -> bool:
+    def penalized(self, src: IPv4Address, dst: IPv4Address, now: float) -> bool:
         expiry = self._penalties.get((src, dst))
         if expiry is None:
             return False

@@ -80,6 +80,11 @@ class Link:
         self.bytes_sent: t.Dict[str, int] = {a.name: 0, b.name: 0}
         self.packets_sent: t.Dict[str, int] = {a.name: 0, b.name: 0}
         self.packets_dropped: t.Dict[str, int] = {a.name: 0, b.name: 0}
+        # Sender -> (receiver, direction), built once per direction.
+        self._ends: t.Dict["Node", t.Tuple["Node", Direction]] = {
+            a: (b, Direction(a.name, b.name)),
+            b: (a, Direction(b.name, a.name)),
+        }
         a._attach(self)
         b._attach(self)
 
@@ -131,8 +136,10 @@ class Link:
 
     def transmit(self, packet: Packet, sender: "Node") -> None:
         """Send ``packet`` from ``sender`` toward the other endpoint."""
-        receiver = self.peer_of(sender)
-        direction = Direction(sender.name, receiver.name)
+        end = self._ends.get(sender)
+        if end is None:
+            raise NetworkError(f"{sender.name} is not attached to {self.name}")
+        receiver, direction = end
         self.bytes_sent[sender.name] += packet.size
         self.packets_sent[sender.name] += 1
 
@@ -162,7 +169,7 @@ class Link:
         if toward not in (self.a, self.b):
             raise NetworkError(f"{toward.name} is not attached to {self.name}")
         delay = self.latency / 2.0
-        self.sim.schedule(delay, lambda: toward.receive(packet, self))
+        self.sim.schedule(delay, toward.receive, packet, self)
         if self.trace is not None:
             self.trace.emit(
                 "link.inject", link=self.name, toward=toward.name,
@@ -174,7 +181,7 @@ class Link:
         start = max(now, self._busy_until[sender.name])
         self._busy_until[sender.name] = start + serialization
         arrival_delay = (start - now) + serialization + self.latency
-        self.sim.schedule(arrival_delay, lambda: receiver.receive(packet, self))
+        self.sim.schedule(arrival_delay, receiver.receive, packet, self)
 
     def _record_drop(self, packet: Packet, direction: Direction, reason: str) -> None:
         self.packets_dropped[direction.sender] += 1

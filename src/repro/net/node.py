@@ -31,6 +31,7 @@ class Node:
         self.name = name
         self.trace = trace
         self.addresses: t.List[IPv4Address] = []
+        self._owned: t.Set[IPv4Address] = set()
         self.links: t.List[Link] = []
         # Next-hop routing: exact destination -> link, prefix routes in
         # longest-prefix-first order, and an optional default link.
@@ -46,6 +47,7 @@ class Node:
     def add_address(self, address: t.Union[str, IPv4Address]) -> IPv4Address:
         addr = IPv4Address(address)
         self.addresses.append(addr)
+        self._owned.add(addr)
         return addr
 
     @property
@@ -89,7 +91,7 @@ class Node:
     # -- data path -------------------------------------------------------------
 
     def owns(self, address: IPv4Address) -> bool:
-        return address in self.addresses
+        return address in self._owned
 
     def send(self, packet: Packet) -> None:
         """Originate or forward ``packet`` out of this node."""
@@ -114,19 +116,26 @@ class Node:
         self.forward(packet)
 
     def forward(self, packet: Packet) -> None:
-        """Forward a transit packet toward its destination."""
+        """Forward a transit packet toward its destination.
+
+        The packet moves on as the same object, its ``ttl`` lowered in
+        place.  That is safe because a packet object is on only one
+        link at a time: every sender builds a fresh :class:`Packet`,
+        and tunnels, NAT and GFW injections build new ones rather than
+        re-sending one they hold.
+        """
         if packet.ttl <= 0:
             return  # silently drop expired packets
         self.packets_forwarded += 1
-        forwarded = packet.copy(ttl=packet.ttl - 1, packet_id=packet.packet_id)
+        packet.ttl -= 1
         try:
-            link = self.route_for(forwarded.dst)
+            link = self.route_for(packet.dst)
         except RoutingError:
             if self.trace is not None:
                 self.trace.emit("node.no-route", node=self.name,
-                                dst=str(forwarded.dst))
+                                dst=str(packet.dst))
             return
-        link.transmit(forwarded, self)
+        link.transmit(packet, self)
 
     def deliver(self, packet: Packet) -> None:
         """Packet addressed to this node; routers drop silently."""

@@ -2,9 +2,10 @@
 
 :class:`Network` is the container a scenario assembles: add hosts and
 routers, connect them with links, then call :meth:`build_routes` to
-install latency-weighted shortest-path next hops everywhere.  The
-topologies in this reproduction are small (tens of nodes), so
-all-pairs Dijkstra is plenty.
+install latency-weighted shortest-path next hops everywhere.  Stub
+nodes (one link) get a default route only; Dijkstra runs from each
+node with two or more links, so route building scales with the few
+routers and multi-homed hosts, not with the client population.
 """
 
 from __future__ import annotations
@@ -139,20 +140,24 @@ class Network:
     def build_routes(self) -> None:
         """Install latency-weighted shortest-path next hops on all nodes.
 
-        Stub nodes (single link) also get a default route over that
-        link, so traffic to unknown destinations (e.g. addresses forged
-        by DNS poisoning) is carried toward the core and blackholed
-        there rather than erroring at the sender — matching how real
-        hosts behave behind a default gateway.
+        A stub node (single link) gets only a default route over that
+        link: every first hop it could have is that link, so per-host
+        routes would add nothing.  Traffic to unknown destinations
+        (e.g. addresses forged by DNS poisoning) is carried toward the
+        core and blackholed there rather than erroring at the sender —
+        matching how real hosts behave behind a default gateway.  Nodes
+        with two or more links get a host route to every address they
+        can reach, from one Dijkstra run each.
         """
         for origin in self.nodes.values():
             origin.clear_routes()
+            if len(origin.links) == 1:
+                origin.set_default_route(origin.links[0])
+                continue
             first_hop = self._dijkstra_first_hops(origin)
             for target, link in first_hop.items():
                 for address in target.addresses:
                     origin.add_host_route(address, link)
-            if len(origin.links) == 1:
-                origin.set_default_route(origin.links[0])
 
     def _dijkstra_first_hops(self, origin: Node) -> t.Dict[Node, Link]:
         """Map every reachable node to the first link out of ``origin``."""

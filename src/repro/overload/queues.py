@@ -196,7 +196,7 @@ class ConcurrencyLimiter:
         self._waiters.append(waiter)
         if self.max_wait is not None:
             waiter.timer = self.sim.schedule(
-                self.max_wait, lambda w=waiter: self._on_wait_expired(w))
+                self.max_wait, self._on_wait_expired, waiter)
         return event
 
     def release(self) -> None:

@@ -315,7 +315,7 @@ class FluidRegistry:
                 or gfw.policy.ip_blocked(conn.remote_addr)):
             return False
         if gfw.config.keyword_filtering and gfw.flows.penalized(
-                str(conn.local_addr), str(conn.remote_addr), now):
+                conn.local_addr, conn.remote_addr, now):
             return False
         if not gfw.config.dpi:
             return True
@@ -382,7 +382,7 @@ class FluidRegistry:
         if transport is None:
             return None
         peer = transport._connections.get(
-            (conn.remote_port, str(conn.local_addr), conn.local_port))
+            (conn.remote_port, conn.local_addr, conn.local_port))
         if peer is None:
             return None
         firewalls: t.List[t.Tuple[GreatFirewall, PathHop]] = []

@@ -102,8 +102,7 @@ class IcpRegistry:
         for domain in domains:
             self._by_domain[domain] = registration
         registration.status = UNDER_REVIEW
-        self.sim.schedule(self.review_days * DAY,
-                          lambda: self._decide(registration))
+        self.sim.schedule(self.review_days * DAY, self._decide, registration)
         return registration
 
     def _decide(self, registration: IcpRegistration) -> None:

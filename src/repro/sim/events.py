@@ -174,6 +174,38 @@ class Timeout(Event):
         super()._run_callbacks()
 
 
+class Call(Timeout):
+    """A :class:`Timeout` that runs ``fn(*args)`` when it fires.
+
+    This is what :meth:`~repro.sim.kernel.Simulator.schedule` returns:
+    the call is stored on the event itself, so scheduling a packet
+    delivery or a protocol timer allocates one event and no closure.
+    ``fn`` runs before any callback added to the event.
+    """
+
+    __slots__ = ("_fn", "_args")
+
+    def __init__(self, sim: "Simulator", delay: float,
+                 fn: t.Callable[..., t.Any], args: t.Tuple[t.Any, ...]) -> None:
+        super().__init__(sim, delay)
+        self._fn = fn
+        self._args = args
+
+    def _run_callbacks(self) -> None:
+        self._decided = True
+        self._ok = True
+        callbacks, self._callbacks = self._callbacks, None
+        self._processed = True
+        self._fn(*self._args)
+        if callbacks is None:
+            return
+        if type(callbacks) is list:
+            for callback in callbacks:
+                callback(self)
+        else:
+            callbacks(self)
+
+
 class FlowEvent(Timeout):
     """A coarse-grained flow-level event (fluid fast path).
 

@@ -24,7 +24,7 @@ import heapq
 import typing as t
 
 from ..errors import ProcessKilled, SimulationError
-from .events import AllOf, AnyOf, Event, FlowEvent, Timeout, PRIORITY_URGENT
+from .events import AllOf, AnyOf, Call, Event, FlowEvent, Timeout, PRIORITY_URGENT
 from .rng import RngRegistry
 
 ProcessGenerator = t.Generator[Event, t.Any, t.Any]
@@ -178,15 +178,15 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
 
-    def schedule(
-        self,
-        delay: float,
-        callback: t.Callable[[], None],
-    ) -> Event:
-        """Run a plain callback after ``delay`` seconds; returns its event."""
-        timer = self.timeout(delay)
-        timer.add_callback(lambda _event: callback())
-        return timer
+    def schedule(self, delay: float, fn: t.Callable[..., t.Any],
+                 *args: t.Any) -> Timeout:
+        """Run ``fn(*args)`` after ``delay`` seconds; returns its timer.
+
+        The timer is one event, queued once like any :class:`Timeout`;
+        ``fn`` runs before callbacks added to it, and processes may
+        wait on it.
+        """
+        return Call(self, delay, fn, args)
 
     # -- execution -----------------------------------------------------------
 

@@ -13,7 +13,7 @@ import typing as t
 from ..errors import TransportError
 from ..net import Host, IP_HEADER, IPv4Address, Packet, WireFeatures
 from ..sim import Event, Simulator
-from .tcp import ACK_SIZE, Segment, TcpConnection
+from .tcp import ACK_SIZE, RST_FLAGS, Segment, TcpConnection
 
 #: ICMP echo packet size (IP header + ICMP header + payload).
 PING_SIZE = IP_HEADER + 8 + 56
@@ -54,7 +54,8 @@ class TransportLayer:
         self.host = host
         host.transport = self
         self._tcp_listeners: t.Dict[int, Acceptor] = {}
-        self._connections: t.Dict[t.Tuple[int, str, int], TcpConnection] = {}
+        #: (local port, remote address, remote port) -> connection.
+        self._connections: t.Dict[t.Tuple[int, IPv4Address, int], TcpConnection] = {}
         self._udp_handlers: t.Dict[int, UdpHandler] = {}
         self._ephemeral = itertools.count(49152)
         self._echo_waiters: t.Dict[int, t.Tuple[float, Event]] = {}
@@ -85,7 +86,7 @@ class TransportLayer:
         conn = TcpConnection(
             self, local_addr or self.host.address, local_port,
             remote, remote_port, features=features)
-        self._connections[(local_port, str(remote), remote_port)] = conn
+        self._connections[(local_port, remote, remote_port)] = conn
         return conn.start_connect(timeout=timeout)
 
     def _on_established(self, conn: TcpConnection) -> None:
@@ -96,7 +97,7 @@ class TransportLayer:
 
     def _forget(self, conn: TcpConnection) -> None:
         self._connections.pop(
-            (conn.local_port, str(conn.remote_addr), conn.remote_port), None)
+            (conn.local_port, conn.remote_addr, conn.remote_port), None)
 
     # -- crash/restart (fault injection) ------------------------------------------
 
@@ -183,7 +184,7 @@ class TransportLayer:
 
     def _demux_tcp(self, packet: Packet) -> None:
         segment: Segment = packet.payload
-        key = (segment.dport, str(packet.src), segment.sport)
+        key = (segment.dport, packet.src, segment.sport)
         conn = self._connections.get(key)
         if conn is not None:
             conn.handle_segment(segment)
@@ -203,7 +204,7 @@ class TransportLayer:
     def _refuse(self, packet: Packet, segment: Segment) -> None:
         """No listener: answer with a RST, as real stacks do."""
         rst = Segment(segment.dport, segment.sport, seq=0, ack=0,
-                      flags=frozenset({"RST"}))
+                      flags=RST_FLAGS)
         reply = Packet(
             src=packet.dst, dst=packet.src, protocol="tcp",
             payload=rst, size=ACK_SIZE,

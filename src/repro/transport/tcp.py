@@ -55,6 +55,13 @@ SYN_RETRIES = 6
 #: FIN retransmissions before giving up on confirming EOF delivery.
 FIN_RETRIES = 6
 
+#: Segment flag sets, shared by every segment that carries them.
+ACK_FLAGS = frozenset({"ACK"})
+SYN_FLAGS = frozenset({"SYN"})
+SYN_ACK_FLAGS = frozenset({"SYN", "ACK"})
+FIN_ACK_FLAGS = frozenset({"FIN", "ACK"})
+RST_FLAGS = frozenset({"RST"})
+
 
 @dataclass
 class Message:
@@ -83,11 +90,21 @@ class Segment:
 
 
 class _SendBuffer:
-    """Outgoing byte stream with message boundaries."""
+    """Outgoing byte stream with message boundaries.
+
+    Only boundaries past the oldest unacknowledged byte are kept:
+    :meth:`acked` drops the rest, so the state is bounded by the bytes
+    in flight or still queued, not by everything the connection ever
+    sent.  Every (re)transmission starts at or above ``snd_una``, so a
+    dropped boundary can never fall inside a segment still to be sent.
+    """
 
     def __init__(self) -> None:
         self.length = 0  # total bytes ever enqueued
-        self._boundaries: t.List[t.Tuple[int, t.Any]] = []  # (end_offset, meta)
+        # (end_offset, meta) and (end_offset, features), ascending.
+        # Lists, not deques: they hold a few entries, and every
+        # connection ever opened keeps its buffer.
+        self._boundaries: t.List[t.Tuple[int, t.Any]] = []
         self._features: t.List[t.Tuple[int, WireFeatures]] = []
 
     def enqueue(self, message: Message) -> None:
@@ -96,9 +113,19 @@ class _SendBuffer:
         if message.features is not None:
             self._features.append((self.length, message.features))
 
+    def acked(self, snd_una: int) -> None:
+        """Forget boundaries at or below ``snd_una`` (now acknowledged)."""
+        _drop_through(self._boundaries, snd_una)
+        _drop_through(self._features, snd_una)
+
     def ends_in(self, start: int, end: int) -> t.Tuple[t.Tuple[int, t.Any], ...]:
-        return tuple((off, meta) for off, meta in self._boundaries
-                     if start < off <= end)
+        ends = []
+        for entry in self._boundaries:
+            if entry[0] > end:
+                break
+            if entry[0] > start:
+                ends.append(entry)
+        return tuple(ends)
 
     def features_for(self, start: int) -> t.Optional[WireFeatures]:
         for end_offset, features in self._features:
@@ -113,6 +140,16 @@ class _SendBuffer:
         meta directly, so the packet machinery must never see it.
         """
         self.length += length
+
+
+def _drop_through(entries: t.List[t.Tuple[int, t.Any]], offset: int) -> None:
+    """Delete the leading entries whose end offset is at most ``offset``."""
+    count = 0
+    for end_offset, _value in entries:
+        if end_offset > offset:
+            break
+        count += 1
+    del entries[:count]
 
 
 @dataclass
@@ -147,6 +184,10 @@ class TcpConnection:
         self.local_port = local_port
         self.remote_addr = remote_addr
         self.remote_port = remote_port
+        #: The 5-tuple every packet of this connection carries; the
+        #: addresses and ports never change after construction.
+        self.flow: t.Tuple[t.Any, ...] = (
+            "tcp", str(local_addr), local_port, str(remote_addr), remote_port)
         #: Default wire features for data segments of this connection.
         self.features = features or WireFeatures()
         self.state = self.CLOSED
@@ -202,11 +243,6 @@ class TcpConnection:
         self._fluid_path: t.Optional[t.Any] = None
 
     # -- public API --------------------------------------------------------------
-
-    @property
-    def flow(self) -> t.Tuple[t.Any, ...]:
-        return ("tcp", str(self.local_addr), self.local_port,
-                str(self.remote_addr), self.remote_port)
 
     def send_message(self, length: int, meta: t.Any = None,
                      features: t.Optional[WireFeatures] = None) -> None:
@@ -266,7 +302,7 @@ class TcpConnection:
             self.retransmissions += 1
         fin = Segment(self.local_port, self.remote_port,
                       seq=self._fin_seq, ack=self._rcv_nxt,
-                      flags=frozenset({"FIN", "ACK"}))
+                      flags=FIN_ACK_FLAGS)
         self._emit(fin, ACK_SIZE, self.features)
         backoff = min(self._rto * (2 ** (self._fin_tries - 1)), MAX_RTO)
         self.sim.schedule(backoff, self._emit_fin)
@@ -277,7 +313,7 @@ class TcpConnection:
             return
         rst = Segment(self.local_port, self.remote_port,
                       seq=self._snd_nxt, ack=self._rcv_nxt,
-                      flags=frozenset({"RST"}))
+                      flags=RST_FLAGS)
         self._emit(rst, ACK_SIZE, self.features)
         self._enter_reset(local=True)
 
@@ -306,14 +342,14 @@ class TcpConnection:
         self._syn_tries += 1
         self._syn_sent_at = self.sim.now
         syn = Segment(self.local_port, self.remote_port, seq=0, ack=0,
-                      flags=frozenset({"SYN"}))
+                      flags=SYN_FLAGS)
         self._emit(syn, SYN_SIZE,
                    WireFeatures(protocol_tag=self.features.protocol_tag,
                                 sni=self.features.sni, handshake=True,
                                 entropy=0.5))
         backoff = INITIAL_RTO * (2 ** (self._syn_tries - 1))
         version = self._bump_timer()
-        self.sim.schedule(backoff, lambda: self._on_syn_timer(version))
+        self.sim.schedule(backoff, self._on_syn_timer, version)
 
     def _on_syn_timer(self, version: int) -> None:
         if version != self._rto_timer_version or self.state != self.SYN_SENT:
@@ -331,7 +367,7 @@ class TcpConnection:
         """Server side: a SYN arrived; reply SYN+ACK."""
         self.state = self.SYN_RCVD
         synack = Segment(self.local_port, self.remote_port, seq=0, ack=0,
-                         flags=frozenset({"SYN", "ACK"}))
+                         flags=SYN_ACK_FLAGS)
         self._emit(synack, SYN_SIZE,
                    WireFeatures(protocol_tag=self.features.protocol_tag,
                                 handshake=True, entropy=0.5))
@@ -344,7 +380,7 @@ class TcpConnection:
             self._enter_reset(local=False)
             return
         if self.state == self.SYN_SENT:
-            if segment.flags >= {"SYN", "ACK"}:
+            if segment.flags >= SYN_ACK_FLAGS:
                 self._establish_client(segment)
             return
         if self.state == self.SYN_RCVD:
@@ -374,7 +410,7 @@ class TcpConnection:
                 # lost FIN-ack.
                 fin_ack = Segment(self.local_port, self.remote_port,
                                   seq=self._snd_nxt, ack=segment.seq + 1,
-                                  flags=frozenset({"ACK"}))
+                                  flags=ACK_FLAGS)
                 self._emit(fin_ack, ACK_SIZE, self.features)
 
     def _establish_client(self, segment: Segment) -> None:
@@ -407,7 +443,7 @@ class TcpConnection:
         segment = Segment(
             self.local_port, self.remote_port,
             seq=start, ack=self._rcv_nxt,
-            flags=frozenset({"ACK"}),
+            flags=ACK_FLAGS,
             length=length,
             message_ends=self._send_buffer.ends_in(start, start + length),
         )
@@ -447,6 +483,7 @@ class TcpConnection:
                 # timestamps give real stacks.
                 self._update_rtt(min(samples))
             self._snd_una = ack
+            self._send_buffer.acked(ack)
             self._dup_acks = 0
             # Forward progress cancels exponential RTO backoff (RFC 6298
             # §5.7 behaviour): re-derive the timeout from the estimator.
@@ -473,7 +510,7 @@ class TcpConnection:
         version = self._bump_timer()
         if not self._in_flight:
             return
-        self.sim.schedule(self._rto, lambda: self._on_rto(version))
+        self.sim.schedule(self._rto, self._on_rto, version)
 
     def _on_rto(self, version: int) -> None:
         if version != self._rto_timer_version or not self._in_flight:
@@ -529,7 +566,7 @@ class TcpConnection:
         else:
             self._delack_version += 1
             version = self._delack_version
-            self.sim.schedule(0.04, lambda: self._on_delack_timer(version))
+            self.sim.schedule(0.04, self._on_delack_timer, version)
 
     def _on_delack_timer(self, version: int) -> None:
         if version != self._delack_version or self._unacked_segments == 0:
@@ -556,7 +593,7 @@ class TcpConnection:
         self._delack_version += 1
         ack = Segment(self.local_port, self.remote_port,
                       seq=self._snd_nxt, ack=self._rcv_nxt,
-                      flags=frozenset({"ACK"}))
+                      flags=ACK_FLAGS)
         self._emit(ack, ACK_SIZE, self.features)
 
     # -- plumbing ---------------------------------------------------------------------------

@@ -1,0 +1,266 @@
+"""Cross-commit golden fingerprints of short seeded simulations.
+
+Each scenario runs a few simulated minutes at one seed and hashes what
+the simulation did: every PLT sample at full precision (or the load's
+error), the border link's per-direction byte, packet and drop counters,
+the firewall's :class:`~repro.gfw.GfwStats`, and every trace record
+(time, category and fields).  The expected digests were recorded before
+the packet hot path was reworked (in-place forwarding, direct timer
+callbacks, address-keyed demux, stub default routes); any change that
+alters a single simulated event, drop or timing changes a digest.
+
+``packet_id`` is left out everywhere: it comes from a process-global
+counter, so it already differs between two same-seed runs in one
+process, and no result depends on it.
+
+The scenarios reach the code the benchmark workloads never do: VPN
+tunnels and NAT, Tor, a fault script (brownout, proxy crash, policy
+escalation, IP-block burst, DNS-poison burst), the firewall's DNS and
+RST injection, keyword penalties, active probing, ICMP and UDP, the
+fluid fast path, and the edge cache with admission control.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import typing as t
+
+import pytest
+
+from repro.cache import CacheConfig, ZipfSampler, query_corpus
+from repro.dns.records import DnsRecord
+from repro.dns.resolver import _CacheEntry
+from repro.errors import ReproError
+from repro.faults import standard_fault_script
+from repro.http import Browser, scholar_pdf
+from repro.measure.scenarios import METHOD_NAMES, prepare
+from repro.measure.testbed import CONTROL_SITE_ADDR, REMOTE_VM_ADDR, SCHOLAR_ADDR
+from repro.middleware import NativeVpn
+from repro.net import OPAQUE_STREAM, WireFeatures
+from repro.overload import OverloadConfig
+
+SEED = 5
+
+#: blake2b-96 digests recorded on the code before the hot-path rework.
+EXPECTED: t.Dict[str, str] = {
+    "cache-admission": "5a92a0f274832cbdfce7f8d6",
+    "censorship": "10bd2b0a397473d47367aea9",
+    "faults-native-vpn": "b045e01de9ca3924bdde1444",
+    "faults-openvpn": "5e2fb3af4d0feaf6ffd3457f",
+    "faults-scholarcloud": "49e7e0682c611092638fc6f3",
+    "faults-shadowsocks": "873fa41bb8f48aa3b74cd440",
+    "faults-tor": "a21d3056ca7090042ed2fd73",
+    "hybrid-pdf": "a77bdc9e49cd55b2874d6d18",
+}
+
+
+def _outcome(result) -> t.Any:
+    return result.plt if result.succeeded else result.error
+
+
+def fingerprint(testbed, plts: t.Sequence[t.Any],
+                extra: t.Sequence[t.Any] = ()) -> str:
+    """Digest of one finished scenario (``packet_id`` excluded)."""
+    link = testbed.border_link
+    border = [(name, link.bytes_sent[name], link.packets_sent[name],
+               link.packets_dropped[name]) for name in sorted(link.bytes_sent)]
+    trace = [(record.time, record.category,
+              sorted((key, value) for key, value in record.fields.items()
+                     if key != "packet_id"))
+             for record in testbed.trace.records]
+    parts = [list(plts), border,
+             sorted(dataclasses.asdict(testbed.gfw.stats).items()),
+             trace, list(extra)]
+    return hashlib.blake2b(repr(parts).encode(), digest_size=12).hexdigest()
+
+
+def run_clients(world, pages: t.Callable[[t.Any], t.List[t.Any]],
+                clients: int, cycles: int) -> t.List[t.Any]:
+    """Closed-loop clients: warm up on the home page, then ``cycles``
+    rounds of ``pages(rng)`` 60 s apart; returns each measured load's
+    outcome in completion order."""
+    testbed = world.testbed
+    sim = testbed.sim
+    rng = testbed.rng.stream("golden.workload")
+    outcomes: t.List[t.Any] = []
+
+    def client(index, host, offset):
+        connector = yield from world.method.attach_client(host)
+        browser = Browser(sim, connector, name=f"browser-{host.name}")
+        yield sim.timeout(offset)
+        yield sim.process(browser.load(testbed.scholar_page))
+        for _ in range(cycles):
+            yield sim.timeout(60.0)
+            for page in pages(rng):
+                result = yield sim.process(browser.load(page))
+                outcomes.append((index, _outcome(result)))
+
+    processes = [sim.process(client(index, host, 2.0 * index))
+                 for index, host in enumerate(testbed.extra_clients[:clients])]
+    sim.run(until=sim.all_of(processes))
+    return outcomes
+
+
+# -- scenarios -----------------------------------------------------------------------------
+
+def method_under_faults(method: str) -> str:
+    """One method's page loads, with background traffic (and native
+    VPN keepalives) under the standard fault script."""
+    world = prepare(method, seed=SEED, remote_replicas=1)
+    testbed = world.testbed
+    testbed.start_background_traffic()
+    if isinstance(world.method, NativeVpn):
+        world.method.start_keepalives()
+    browser = Browser(testbed.sim, world.method.connector(),
+                      name=f"golden-{method}", retries=1, read_timeout=20.0)
+    injector = standard_fault_script(
+        testbed.rng.stream("faults.schedule")).install(testbed)
+    plts: t.List[t.Any] = []
+
+    def driver(sim):
+        for _ in range(18):
+            result = yield sim.process(browser.load(testbed.scholar_page))
+            plts.append(_outcome(result))
+            yield sim.timeout(30.0)
+
+    testbed.run_process(driver(testbed.sim))
+    return fingerprint(testbed, plts, [injector.timeline])
+
+
+def censorship() -> str:
+    """Direct access meeting every firewall weapon in turn."""
+    world = prepare("direct", seed=SEED)
+    testbed = world.testbed
+    testbed.gfw_config.active_probing = True
+    sim = testbed.sim
+    transport = testbed.transport_of(testbed.client)
+    outcomes: t.List[t.Any] = []
+
+    # A Shadowsocks-looking server on the remote VM that swallows
+    # probes, so the prober confirms it and the IP gets blocked.
+    def acceptor(conn):
+        def server(sim, conn):
+            while (yield conn.recv_message()) is not None:
+                pass
+        sim.process(server(sim, conn))
+    testbed.transport_of(testbed.remote_vm).listen_tcp(8388, acceptor)
+    testbed.transport_of(testbed.control_site).listen_udp(
+        9000, lambda payload, size, src, sport: testbed.transport_of(
+            testbed.control_site).send_udp(src, sport, payload, size))
+    transport.listen_udp(9001, lambda *args: outcomes.append(("udp", sim.now)))
+
+    def attempt(generator):
+        try:
+            return (yield from generator)
+        except ReproError as exc:
+            return type(exc).__name__
+
+    def keyword(sim):
+        conn = yield transport.connect_tcp(CONTROL_SITE_ADDR, 80)
+        conn.send_message(200, meta="query", features=WireFeatures(
+            protocol_tag="plain-http", plaintext="search falun news"))
+        return (yield conn.recv_message())
+
+    def dial(sim, address, port):
+        conn = yield transport.connect_tcp(address, port, timeout=20.0)
+        conn.close()
+        return conn.state
+
+    def shadowsocks_like(sim):
+        conn = yield transport.connect_tcp(REMOTE_VM_ADDR, 8388,
+                                           features=OPAQUE_STREAM)
+        conn.send_message(83, meta="ss-request", features=WireFeatures(
+            protocol_tag="unknown-stream", entropy=8.0, length_signature=83))
+        for _ in range(5):
+            conn.send_message(600, meta="data", features=OPAQUE_STREAM)
+            yield sim.timeout(0.2)
+        yield sim.timeout(60.0)
+        conn.close()
+        return "sent"
+
+    def body(sim):
+        browser = world.browser
+        # DNS poisoning blackholes the first load.
+        outcomes.append(_outcome((yield sim.process(
+            browser.load(testbed.scholar_page)))))
+        # A hosts-file bypass meets the SNI reset.
+        testbed.resolver.cache["scholar.google.com"] = _CacheEntry(
+            (DnsRecord("scholar.google.com", "A", SCHOLAR_ADDR, 1e9),),
+            1e9, "NOERROR")
+        outcomes.append(_outcome((yield sim.process(
+            browser.load(testbed.scholar_page)))))
+        # A keyword hit resets the flow and opens a penalty window ...
+        outcomes.append((yield from attempt(keyword(sim))))
+        outcomes.append((yield from attempt(dial(sim, CONTROL_SITE_ADDR, 80))))
+        # ... which expires.
+        yield sim.timeout(120.0)
+        outcomes.append(_outcome((yield sim.process(
+            browser.load(testbed.control_page)))))
+        outcomes.append((yield transport.ping(CONTROL_SITE_ADDR)))
+        transport.send_udp(CONTROL_SITE_ADDR, 9000, "hello", 64, sport=9001)
+        yield sim.timeout(1.0)
+        # A Shadowsocks-shaped flow draws an active probe.
+        outcomes.append((yield from attempt(shadowsocks_like(sim))))
+        outcomes.append((yield from attempt(dial(sim, REMOTE_VM_ADDR, 8388))))
+
+    testbed.run_process(body(sim))
+    return fingerprint(testbed, outcomes,
+                       [[(result.address, result.confirmed)
+                         for result in testbed.prober.results]])
+
+
+def hybrid_pdf() -> str:
+    """ScholarCloud in hybrid mode: pdf downloads on the fluid path."""
+    world = prepare("scholarcloud", seed=SEED, extra_clients=6, fluid="hybrid")
+    page = scholar_pdf()
+    world.testbed.scholar_server.add_page(page)
+    outcomes = run_clients(world, lambda rng: [page], clients=6, cycles=2)
+    stats = world.testbed.fluid.stats
+    return fingerprint(world.testbed, outcomes,
+                       [sorted(dataclasses.asdict(stats).items())])
+
+
+def cache_and_admission() -> str:
+    """ScholarCloud with a small edge cache (it evicts) and an admission
+    limit below the client count (it sheds), under Zipf query bursts."""
+    world = prepare(
+        "scholarcloud", seed=SEED, extra_clients=10,
+        cache=CacheConfig(capacity_bytes=150_000),
+        overload=OverloadConfig(max_sessions=6, max_waiting=2,
+                                queue_delay_threshold=1.0))
+    corpus = query_corpus(12)
+    for page in corpus:
+        world.testbed.scholar_server.add_page(page)
+    sampler = ZipfSampler(len(corpus))
+
+    def burst(rng):
+        return [corpus[sampler.sample(rng)]
+                for _ in range(sampler.burst_length(rng))]
+
+    outcomes = run_clients(world, burst, clients=10, cycles=2)
+    domestic = world.method.domestic
+    admission = domestic.admission
+    report = world.method.cache.report()
+    return fingerprint(world.testbed, outcomes, [
+        list(admission.decisions), admission.offered, admission.shed,
+        domestic.deadline_drops, dataclasses.astuple(report)])
+
+
+SCENARIOS: t.Dict[str, t.Callable[[], str]] = {
+    **{f"faults-{method}": (lambda method=method: method_under_faults(method))
+       for method in METHOD_NAMES},
+    "censorship": censorship,
+    "hybrid-pdf": hybrid_pdf,
+    "cache-admission": cache_and_admission,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_simulation_matches_recorded_fingerprint(name):
+    assert SCENARIOS[name]() == EXPECTED[name]
+
+
+if __name__ == "__main__":  # print the current digests
+    for scenario in sorted(SCENARIOS):
+        print(f"    {scenario!r}: {SCENARIOS[scenario]()!r},")

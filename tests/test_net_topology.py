@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NetworkError, RoutingError
-from repro.net import Network, Packet, PacketCapture, WireFeatures
+from repro.net import IPv4Address, Network, Packet, PacketCapture, WireFeatures
 from repro.sim import Simulator
 from repro.units import Mbps, ms
 
@@ -140,6 +140,41 @@ def test_ttl_expiry_drops_packet():
                        protocol="udp", payload=None, size=64, ttl=1))
     sim.run()
     assert received == []
+
+
+def test_forwarding_moves_the_same_packet_object():
+    """Routers lower the TTL in place; the id survives every hop."""
+    sim, _net, client, server = build_line()
+    received = []
+    server.deliver = lambda packet: received.append(packet)
+    packet = Packet(src=client.address, dst=server.address,
+                    protocol="udp", payload=None, size=64, ttl=10)
+    packet_id = packet.packet_id
+    client.send(packet)
+    sim.run()
+    assert len(received) == 1
+    assert received[0] is packet
+    assert packet.ttl == 10 - 2  # r1 and r2
+    assert packet.packet_id == packet_id
+
+
+def test_transmit_from_a_node_off_the_link_raises():
+    _sim, net, client, server = build_line()
+    link = net.link_between("r1", "r2")
+    with pytest.raises(NetworkError):
+        link.transmit(Packet(src=client.address, dst=server.address,
+                             protocol="udp", payload=None, size=64), client)
+    assert link.packets_sent == {"r1": 0, "r2": 0}
+
+
+def test_stub_routes_every_destination_over_its_one_link():
+    _sim, net, client, server = build_line()
+    for stub in (client, server):
+        (only,) = stub.links
+        for node in net.nodes.values():
+            for address in node.addresses:
+                assert stub.route_for(address) is only
+        assert stub.route_for(IPv4Address("192.0.2.77")) is only
 
 
 def test_packet_capture_records_flows():

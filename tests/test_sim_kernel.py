@@ -44,6 +44,45 @@ def test_simultaneous_events_fire_in_insertion_order():
     assert fired == ["a", "b", "c"]
 
 
+def test_schedule_passes_args_in_scheduling_order():
+    """Same-time calls run in the order scheduled, interleaved with
+    plain timeouts exactly as their scheduling order says."""
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, fired.append, "a")
+    sim.timeout(1.0, value="t1").add_callback(lambda ev: fired.append(ev.value))
+    sim.schedule(1.0, lambda tag, n: fired.append(tag * n), "b", 2)
+    sim.schedule(0.5, fired.append, "early")
+    sim.timeout(1.0, value="t2").add_callback(lambda ev: fired.append(ev.value))
+    sim.schedule(1.0, lambda: fired.append("no-args"))
+    sim.run()
+    assert fired == ["early", "a", "t1", "bb", "t2", "no-args"]
+    assert sim.now == 1.0
+
+
+def test_schedule_runs_fn_before_callbacks_added_to_its_timer():
+    sim = Simulator()
+    fired = []
+    timer = sim.schedule(2.0, fired.append, "fn")
+    assert not timer.triggered
+    timer.add_callback(lambda ev: fired.append(("callback", ev.value)))
+    sim.run()
+    assert fired == ["fn", ("callback", None)]
+    assert timer.processed and timer.ok
+
+
+def test_process_can_wait_on_a_scheduled_call():
+    sim = Simulator()
+    calls = []
+
+    def body(sim):
+        value = yield sim.schedule(1.5, calls.append, sim.now)
+        return (sim.now, value)
+
+    assert sim.run(until=sim.process(body(sim))) == (1.5, None)
+    assert calls == [0.0]
+
+
 def test_process_returns_value():
     sim = Simulator()
 

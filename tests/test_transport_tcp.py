@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConnectionReset, ConnectionTimeout, TransportError
-from repro.net import Network, Verdict
+from repro.net import Network, Verdict, WireFeatures
 from repro.net.middlebox import Middlebox
 from repro.sim import Simulator
 from repro.transport import install_transport
@@ -112,6 +112,42 @@ def test_large_transfer_is_complete_and_ordered():
 
     sim.run(until=sim.process(client(sim)))
     assert got == list(range(10))
+
+
+def test_send_state_stays_bounded_over_many_messages():
+    """Acknowledged message boundaries are dropped, so a long-lived
+    connection's send state follows its window, not its history."""
+    sim, _net, ta, tb, _link = two_hosts(loss=0.01)
+    got = []
+
+    def acceptor(conn):
+        def server(sim, conn):
+            while True:
+                meta = yield conn.recv_message()
+                if meta is None:
+                    return
+                got.append(meta)
+        sim.process(server(sim, conn))
+    tb.listen_tcp(80, acceptor)
+    features = WireFeatures(protocol_tag="tls", entropy=7.9)
+
+    def client(sim):
+        conn = yield ta.connect_tcp("203.0.113.1", 80)
+        buffer = conn._send_buffer
+        for burst in range(100):
+            for i in range(100):
+                conn.send_message(700, meta=burst * 100 + i, features=features)
+            yield sim.timeout(1.0)
+            assert all(offset > conn._snd_una
+                       for offset, _meta in buffer._boundaries)
+        yield sim.timeout(30.0)
+        return conn
+
+    conn = sim.run(until=sim.process(client(sim)))
+    assert got == list(range(10_000))
+    assert conn.retransmissions > 0
+    assert len(conn._send_buffer._boundaries) <= len(conn._in_flight)
+    assert len(conn._send_buffer._features) <= len(conn._in_flight)
 
 
 def test_transfer_survives_heavy_loss():
