@@ -33,6 +33,7 @@ from repro.measure.scenarios import (
     run_overload_point,
     run_repeated_query_point,
 )
+from repro.measure.testbed import ECHO_PORT, SCHOLAR_HOST
 from repro.overload import OverloadConfig
 
 SEEDS = (0, 1, 2)
@@ -331,6 +332,36 @@ def test_cache_bypass_keeps_hits_out_of_the_waiting_room():
     # With bypass on, hit sessions never enter admission at all.
     assert bypass.report.offered < classic.report.offered
     assert bypass.completed >= classic.completed
+
+
+def test_admission_slot_spans_the_edge_to_relay_handoff():
+    """A plaintext echo stream through a cached proxy is handed from
+    the edge to the relay: it holds its one admission slot while open,
+    frees it once closed, and a later page load gets the slot."""
+    world = prepare("scholarcloud", seed=0, cache=CacheConfig(),
+                    overload=OverloadConfig(max_sessions=1))
+    testbed = world.testbed
+    admission = world.method.domestic.admission
+    connector = world.method.connector()
+    seen = {}
+
+    def driver(sim):
+        stream = yield from connector.open(SCHOLAR_HOST, ECHO_PORT,
+                                           use_tls=False)
+        stream.send(64, meta=("ping", sim.now))
+        seen["reply"] = yield stream.recv()
+        seen["open"] = admission.in_use
+        stream.close()
+        yield sim.timeout(5.0)
+        seen["closed"] = admission.in_use
+        seen["load"] = yield sim.process(
+            world.browser.load(testbed.scholar_page))
+
+    testbed.run_process(driver(testbed.sim), name="handoff-driver")
+    assert seen["reply"] is not None
+    assert seen["open"] == 1
+    assert seen["closed"] == 0
+    assert seen["load"].succeeded
 
 
 # -- determinism & equivalence -----------------------------------------------------

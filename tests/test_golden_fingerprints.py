@@ -4,10 +4,12 @@ Each scenario runs a few simulated minutes at one seed and hashes what
 the simulation did: every PLT sample at full precision (or the load's
 error), the border link's per-direction byte, packet and drop counters,
 the firewall's :class:`~repro.gfw.GfwStats`, and every trace record
-(time, category and fields).  The expected digests were recorded before
-the packet hot path was reworked (in-place forwarding, direct timer
-callbacks, address-keyed demux, stub default routes); any change that
-alters a single simulated event, drop or timing changes a digest.
+(time, category and fields).  The first eight expected digests were
+recorded before the packet hot path was reworked (in-place forwarding,
+direct timer callbacks, address-keyed demux, stub default routes), and
+``edge-passthrough`` and ``fleet-blackout-cache`` before the domestic
+proxy's serving paths were merged into one; any change that alters a
+single simulated event, drop or timing changes a digest.
 
 ``packet_id`` is left out everywhere: it comes from a process-global
 counter, so it already differs between two same-seed runs in one
@@ -17,7 +19,9 @@ The scenarios reach the code the benchmark workloads never do: VPN
 tunnels and NAT, Tor, a fault script (brownout, proxy crash, policy
 escalation, IP-block burst, DNS-poison burst), the firewall's DNS and
 RST injection, keyword penalties, active probing, ICMP and UDP, the
-fluid fast path, and the edge cache with admission control.
+fluid fast path, the edge cache with admission control, the edge
+cache handing a non-HTTP stream to the relay, and a fleet region whose
+session router fails sessions over from a blacked-out PoP.
 """
 
 from __future__ import annotations
@@ -33,24 +37,33 @@ from repro.dns.records import DnsRecord
 from repro.dns.resolver import _CacheEntry
 from repro.errors import ReproError
 from repro.faults import standard_fault_script
+from repro.fleet.sweep import run_fleet_region_point
 from repro.http import Browser, scholar_pdf
 from repro.measure.scenarios import METHOD_NAMES, prepare
-from repro.measure.testbed import CONTROL_SITE_ADDR, REMOTE_VM_ADDR, SCHOLAR_ADDR
+from repro.measure.testbed import (
+    CONTROL_SITE_ADDR,
+    ECHO_PORT,
+    REMOTE_VM_ADDR,
+    SCHOLAR_ADDR,
+    SCHOLAR_HOST,
+)
 from repro.middleware import NativeVpn
 from repro.net import OPAQUE_STREAM, WireFeatures
 from repro.overload import OverloadConfig
 
 SEED = 5
 
-#: blake2b-96 digests recorded on the code before the hot-path rework.
+#: blake2b-96 digests recorded on the code before the reworks above.
 EXPECTED: t.Dict[str, str] = {
     "cache-admission": "5a92a0f274832cbdfce7f8d6",
     "censorship": "10bd2b0a397473d47367aea9",
+    "edge-passthrough": "046d5b148e68deac68f7726a",
     "faults-native-vpn": "b045e01de9ca3924bdde1444",
     "faults-openvpn": "5e2fb3af4d0feaf6ffd3457f",
     "faults-scholarcloud": "49e7e0682c611092638fc6f3",
     "faults-shadowsocks": "873fa41bb8f48aa3b74cd440",
     "faults-tor": "a21d3056ca7090042ed2fd73",
+    "fleet-blackout-cache": "285c2f3b7839fdffb0a1cee3",
     "hybrid-pdf": "a77bdc9e49cd55b2874d6d18",
 }
 
@@ -247,12 +260,58 @@ def cache_and_admission() -> str:
         domestic.deadline_drops, dataclasses.astuple(report)])
 
 
+def edge_passthrough() -> str:
+    """ScholarCloud with the edge cache and admission control: a
+    plaintext echo stream, which the edge hands to the relay with its
+    first frame already read, then one page load through the cache."""
+    world = prepare("scholarcloud", seed=SEED, cache=CacheConfig(),
+                    overload=OverloadConfig(max_sessions=2),
+                    remote_replicas=1)
+    testbed = world.testbed
+    connector = world.method.connector()
+    outcomes: t.List[t.Any] = []
+
+    def body(sim):
+        stream = yield from connector.open(SCHOLAR_HOST, ECHO_PORT,
+                                           use_tls=False)
+        for _ in range(6):
+            started = sim.now
+            stream.send(64, meta=("ping", started))
+            reply = yield stream.recv()
+            outcomes.append(None if reply is None else sim.now - started)
+            yield sim.timeout(1.0)
+        stream.close()
+        outcomes.append(_outcome((yield sim.process(
+            world.browser.load(testbed.scholar_page)))))
+
+    testbed.run_process(body(testbed.sim))
+    domestic = world.method.domestic
+    admission = domestic.admission
+    return fingerprint(testbed, outcomes, [
+        domestic.streams_served, domestic.dials_failed,
+        list(admission.decisions),
+        dataclasses.astuple(world.method.cache.report())])
+
+
+def fleet_blackout_cache() -> str:
+    """A fleet region with edge caches over the session router: one
+    PoP blacks out mid-sweep, so sessions fail over and remap."""
+    result = run_fleet_region_point(
+        "beijing", pops=2, clients=12, cycles=2, seed=SEED, mode="packet",
+        workload="queries", cache=CacheConfig(), blackout_pop="pop-1",
+        blackout_at=70.0, blackout_downtime=60.0)
+    return hashlib.blake2b(repr(dataclasses.astuple(result)).encode(),
+                           digest_size=12).hexdigest()
+
+
 SCENARIOS: t.Dict[str, t.Callable[[], str]] = {
     **{f"faults-{method}": (lambda method=method: method_under_faults(method))
        for method in METHOD_NAMES},
     "censorship": censorship,
     "hybrid-pdf": hybrid_pdf,
     "cache-admission": cache_and_admission,
+    "edge-passthrough": edge_passthrough,
+    "fleet-blackout-cache": fleet_blackout_cache,
 }
 
 
