@@ -5,17 +5,16 @@ The content-delivery bet of ROADMAP item 3, gated:
 * **Headline savings.**  At the 300-client overload point on the
   repeated-query (scraper-shaped, Zipf-popularity) workload, turning
   the edge cache on removes at least **40%** of the transpacific
-  border bytes and lowers the median PLT — for every seed in (0, 1, 2),
-  with admission bypass letting hits skip the waiting room.  Measured
-  ~70% byte reduction and ~2.6x lower median PLT.
+  border bytes and lowers the median PLT — for every seed in (0, 1, 2).
+  Measured ~70% byte reduction and ~2.6x lower median PLT.
 * **Determinism.**  Same-seed cached sweeps replay byte-identically:
   equal hit/miss/evict event digests, equal border byte counts.
 * **Rotation coherence.**  A blinding rotation fired mid-sweep purges
   every entry and the sweep finishes on fresh-epoch hits; the store
   hard-asserts (crashes the run) if a stale-epoch entry were ever
   addressed, so completion *is* the no-stale-serves proof.
-* **Fleet scale.**  The hybrid-mode multi-region sweep runs per-PoP
-  second tiers and reports per-region hit rates in the FleetReport.
+* **Fleet scale.**  The hybrid-mode multi-region sweep runs one edge
+  cache per region and reports per-region hit rates in the FleetReport.
 
 The seed-0 headline numbers land in ``benchmarks/results/
 cache_report.json`` (the CI artifact).
@@ -43,11 +42,10 @@ SEEDS = (0,) if FAST else (0, 1, 2)
 MIN_REDUCTION = 0.40
 
 #: Same knee knobs as benchmarks/test_overload.py, so the comparison
-#: is at a calibrated operating point; the cached cell adds admission
-#: bypass so hits skip the waiting room entirely.
+#: is at a calibrated operating point.
 _KNEE = dict(max_sessions=120, max_waiting=16, queue_delay_threshold=2.0)
 OFF_CONFIG = OverloadConfig(**_KNEE)
-ON_CONFIG = OverloadConfig(cache_bypass=True, **_KNEE)
+ON_CONFIG = OverloadConfig(**_KNEE)
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +199,7 @@ def test_fleet_hybrid_sweep_reports_per_region_hit_rates(emit):
                                    clients=40 if FAST else 80,
                                    cycles=1, seed=0, mode="hybrid",
                                    workload="queries",
-                                   cache=CacheConfig(remote_tier=True))
+                                   cache=CacheConfig())
     emit("cache_fleet", report.render())
     assert report.total_cache_lookups > 0
     assert report.cache_hit_rate > 0.10

@@ -1,8 +1,7 @@
 """Edge cache & content-delivery layer for the proxy pair.
 
-ROADMAP item 3: a deterministic, bounded, TTL'd response cache wired
-into the domestic proxy (and optionally the remote proxy as a second
-tier), keyed by ``(method, canonical request, blinding epoch)`` so
+A deterministic, bounded, TTL'd response cache wired into the domestic
+proxy, keyed by ``(method, canonical request, blinding epoch)`` so
 blinding rotation and GFW policy escalations invalidate coherently.
 Everything is opt-in: with no :class:`CacheConfig` the proxies are
 event-for-event identical to the uncached system.

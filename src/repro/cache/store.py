@@ -29,22 +29,17 @@ if t.TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Knobs for one edge cache tier (all conservative defaults).
+    """Knobs for one edge cache (all conservative defaults).
 
     ``ttl``
         Seconds a response stays fresh, measured on the sim clock.
     ``capacity_bytes`` / ``low_watermark``
         Byte budget and the occupancy fraction eviction drains to.
-    ``remote_tier``
-        Also run a second-tier cache inside each remote proxy
-        (intercepting relayed requests); saves origin round trips for
-        queries shared across regions.
     """
 
     ttl: float = 120.0
     capacity_bytes: int = 8 * 1024 * 1024
     low_watermark: float = 0.75
-    remote_tier: bool = False
 
     def __post_init__(self) -> None:
         if self.ttl <= 0:
@@ -87,7 +82,7 @@ def canonical_key(request: t.Any, port: int) -> t.Tuple:
 
 
 class ResponseCache:
-    """Deterministic LRU-with-TTL response cache for one proxy tier."""
+    """Deterministic LRU-with-TTL response cache for one domestic proxy."""
 
     def __init__(self, sim, config: CacheConfig, agility,
                  name: str = "edge") -> None:
@@ -239,11 +234,11 @@ class ResponseCache:
 
 
 class CacheRegistry:
-    """Every live cache tier in one sim, for broadcast invalidation.
+    """Every live edge cache in one sim, for broadcast invalidation.
 
     Installed on the simulator as ``sim.caches`` (mirroring
     ``sim.fluid``); the GFW's audited ``apply_policy`` path notifies it
-    so escalations invalidate coherently across every PoP and tier.
+    so escalations invalidate coherently across every region's edge.
     """
 
     def __init__(self, sim) -> None:

@@ -56,38 +56,24 @@ class DomesticProxy:
         self,
         sim: Simulator,
         host,
-        remote_addr: t.Union[None, str, IPv4Address] = None,
-        whitelist: t.Optional[Whitelist] = None,
-        agility: t.Optional[BlindingAgility] = None,
-        cpu: t.Optional[ProcessorSharingServer] = None,
+        whitelist: Whitelist,
+        agility: BlindingAgility,
+        cpu: ProcessorSharingServer,
+        remote_addrs: t.Sequence[t.Union[str, IPv4Address]],
         port: int = DOMESTIC_PROXY_PORT,
         remote_port: int = REMOTE_PROXY_PORT,
-        remote_addrs: t.Optional[t.Sequence[t.Union[str, IPv4Address]]] = None,
         dial_timeout: float = DIAL_TIMEOUT,
         retry: t.Optional[RetryPolicy] = None,
         overload: t.Optional[OverloadConfig] = None,
         router: t.Optional[t.Any] = None,
-        hedge: t.Optional[t.Any] = None,
         cache: t.Optional[ResponseCache] = None,
     ) -> None:
-        """``router`` (a :class:`~repro.fleet.router.SessionRouter`)
+        """``remote_addrs`` fill the failover pool, primary first.
+
+        ``router`` (a :class:`~repro.fleet.router.SessionRouter`)
         layers sticky fleet-wide session->PoP assignment over the
         failover pool: the router proposes which endpoint a session
-        should dial, the pool's per-endpoint breakers still veto.
-
-        ``hedge`` (a :class:`~repro.fleet.survival.HedgedDialer`, duck-
-        typed so core stays fleet-agnostic) races the transpacific dial
-        against a second CLOSED-breaker endpoint once the primary runs
-        past the p95 dial-latency estimate.  None (the default) keeps
-        the historical single-dial behaviour byte-identical."""
-        if whitelist is None or agility is None or cpu is None:
-            raise TypeError(
-                "DomesticProxy requires whitelist, agility, and cpu")
-        addresses = list(remote_addrs) if remote_addrs else []
-        if remote_addr is not None and not addresses:
-            addresses = [remote_addr]
-        if not addresses:
-            raise TypeError("DomesticProxy requires remote_addr(s)")
+        should dial, the pool's per-endpoint breakers still veto."""
         self.sim = sim
         self.host = host
         self.whitelist = whitelist
@@ -99,14 +85,11 @@ class DomesticProxy:
         self.pool = FailoverPool(
             sim,
             [Endpoint(IPv4Address(address), remote_port)
-             for address in addresses])
-        #: Primary remote address (compatibility with single-remote users).
-        self.remote_addr = self.pool.primary.address
+             for address in remote_addrs])
         self.retry = retry if retry is not None else RetryPolicy(
             attempts=4, base=0.5, cap=4.0,
             rng=sim.rng.stream("resilience.sc-domestic"))
         self.router = router
-        self.hedge = hedge
         #: Optional edge response cache (see :mod:`repro.cache`).  None
         #: — the default — keeps the historical pure-relay behaviour
         #: event-for-event identical.
@@ -145,6 +128,9 @@ class DomesticProxy:
         self.sim.process(self._serve(conn), name="sc-domestic")
 
     def _serve(self, conn: TcpConnection):
+        """One browser stream: parse ``sc-connect``, check the
+        whitelist and deadline, admit, acknowledge — then serve from
+        the edge cache (when deployed) and relay whatever it cannot."""
         try:
             first = yield conn.recv_message()
         except TransportError:
@@ -170,12 +156,6 @@ class DomesticProxy:
             if self.admission is not None:
                 self.admission.record_expired(source, priority)
             self._reject(conn, "expired")
-            return
-        if self.cache is not None:
-            # Edge mode owns its own admission (it may defer it to the
-            # first transpacific need under ``cache_bypass``).
-            yield from self._serve_edge(conn, hostname, target_port,
-                                        deadline, source, priority)
             return
         session: t.Optional[str] = None
         if self.admission is not None:
@@ -205,26 +185,26 @@ class DomesticProxy:
             conn.close()
             self._release(session, succeeded=False)
             return
-        remote = yield from self._dial_remote(deadline, session_key=source)
+        handoff: t.Optional[t.Tuple[int, t.Any]] = None
+        if self.cache is not None:
+            # The edge loop serves the stream to its end, or hands the
+            # relay a non-HTTP frame it has already read; the slot is
+            # released here either way.
+            try:
+                outcome = yield from self._serve_edge(
+                    conn, hostname, target_port, deadline, source)
+            except BaseException:
+                self._release(session, succeeded=False)
+                raise
+            if not isinstance(outcome, tuple):
+                self._release(session, succeeded=outcome)
+                return
+            handoff = outcome
+        remote = yield from self._open_remote(hostname, target_port,
+                                              deadline, source, handoff)
         if remote is None:
             conn.close()
             self._release(session, succeeded=False)
-            return
-        codec = self.agility.codec
-        open_length = 24 + codec.pad_length(24)
-        open_meta: t.Tuple = ("sc-open", hostname, target_port)
-        if deadline is not None:
-            open_meta = open_meta + (deadline.at,)
-        try:
-            remote.send_message(
-                open_length,
-                meta=blind_wrap(self.agility.epoch, 24, open_meta),
-                features=codec.features())
-        except TransportError:
-            remote.close()
-            conn.close()
-            self._release(session, succeeded=False)
-            self._release_route(source)
             return
         up = self.sim.process(self._pump_to_remote(conn, remote),
                               name="scd-up")
@@ -270,9 +250,9 @@ class DomesticProxy:
 
     # -- transpacific dialing -----------------------------------------------------------------
 
-    def _pick_endpoint(self, session_key: t.Optional[str]) -> t.Optional[Endpoint]:
+    def _pick_endpoint(self, session_key: str) -> t.Optional[Endpoint]:
         """Next endpoint to try: router-assigned if routed, else pool order."""
-        if self.router is not None and session_key is not None:
+        if self.router is not None:
             return self.router.route(session_key, allow=self._breaker_allows)
         return self.pool.pick()
 
@@ -280,39 +260,7 @@ class DomesticProxy:
         breaker = self.pool.breakers.get(endpoint)
         return True if breaker is None else breaker.allow()
 
-    def _hedge_secondary(self, primary: Endpoint) -> t.Optional[Endpoint]:
-        """A distinct endpoint safe to race against ``primary``.
-
-        Only fully-CLOSED breakers qualify: merely *peeking* at a
-        half-open breaker via ``allow()`` would consume its single
-        trial on a dial that may never launch.
-        """
-        for endpoint in self.pool.endpoints:
-            if endpoint == primary:
-                continue
-            breaker = self.pool.breakers.get(endpoint)
-            if breaker is not None and breaker.state == breaker.CLOSED:
-                return endpoint
-        return None
-
-    def _note_dialed(self, endpoint: Endpoint,
-                     session_key: t.Optional[str]) -> None:
-        """Post-dial bookkeeping shared by the plain and hedged paths."""
-        if self.router is not None and session_key is not None:
-            # Routed: a switch is a *session* landing somewhere other
-            # than its sticky binding (different sessions hashing to
-            # different PoPs is spread, not churn).
-            previous = self.router.last_endpoint(session_key)
-            if previous is not None and previous != endpoint:
-                self.endpoint_switches += 1
-            self.router.bind(session_key, endpoint)
-        elif (self._last_endpoint is not None
-                and endpoint != self._last_endpoint):
-            self.endpoint_switches += 1
-        self._last_endpoint = endpoint
-
-    def _dial_remote(self, deadline: t.Optional[Deadline] = None,
-                     session_key: t.Optional[str] = None):
+    def _dial_remote(self, deadline: t.Optional[Deadline], session_key: str):
         """Open a blinded connection to a healthy remote proxy.
 
         Retries with capped jittered backoff; each attempt asks the
@@ -339,34 +287,6 @@ class DomesticProxy:
             if deadline is not None:
                 dialed_timeout = deadline.clamp(self.dial_timeout,
                                                 self.sim.now)
-            secondary = (self._hedge_secondary(endpoint)
-                         if self.hedge is not None else None)
-            if secondary is not None:
-                features = self.agility.codec.features()
-
-                def make_attempt(target: Endpoint, timeout: float):
-                    def attempt():
-                        conn = yield transport.connect_tcp(
-                            target.address, target.port,
-                            features=features, timeout=timeout)
-                        return conn
-                    return attempt
-
-                def on_result(target: Endpoint, succeeded: bool) -> None:
-                    if succeeded:
-                        self.pool.record_success(target)
-                    else:
-                        self.pool.record_failure(target)
-
-                try:
-                    conn, winner = yield from self.hedge.dial(
-                        [(endpoint, make_attempt(endpoint, dialed_timeout)),
-                         (secondary, make_attempt(secondary, dialed_timeout))],
-                        on_result=on_result)
-                except TransportError:
-                    continue
-                self._note_dialed(winner, session_key)
-                return conn
             try:
                 conn = yield transport.connect_tcp(
                     endpoint.address, endpoint.port,
@@ -376,59 +296,80 @@ class DomesticProxy:
                 self.pool.record_failure(endpoint)
                 continue
             self.pool.record_success(endpoint)
-            self._note_dialed(endpoint, session_key)
+            if self.router is not None:
+                # Routed: a switch is a *session* landing somewhere
+                # other than its sticky binding (different sessions
+                # hashing to different PoPs is spread, not churn).
+                previous = self.router.last_endpoint(session_key)
+                if previous is not None and previous != endpoint:
+                    self.endpoint_switches += 1
+                self.router.bind(session_key, endpoint)
+            elif (self._last_endpoint is not None
+                    and endpoint != self._last_endpoint):
+                self.endpoint_switches += 1
+            self._last_endpoint = endpoint
             return conn
         self.dials_failed += 1
         return None
+
+    def _open_remote(self, hostname: str, target_port: int,
+                     deadline: t.Optional[Deadline], source: str,
+                     first: t.Optional[t.Tuple[int, t.Any]] = None):
+        """Generator: dial a remote proxy and pipeline ``sc-open`` on it,
+        followed by ``first`` — a browser frame already read — if given.
+
+        Returns the blinded connection, or None once dialing (or the
+        open) failed — with the router binding already released, so the
+        caller only owns a route on success.
+        """
+        remote = yield from self._dial_remote(deadline, source)
+        if remote is None:
+            return None
+        codec = self.agility.codec
+        open_meta: t.Tuple = ("sc-open", hostname, target_port)
+        if deadline is not None:
+            open_meta = open_meta + (deadline.at,)
+        if first is not None:
+            yield self.cpu.submit(PER_BYTE_DEMAND * first[0])
+        try:
+            remote.send_message(
+                24 + codec.pad_length(24),
+                meta=blind_wrap(self.agility.epoch, 24, open_meta),
+                features=codec.features())
+            if first is not None:
+                length, meta = first
+                remote.send_message(
+                    length + 4 + codec.pad_length(length),
+                    meta=blind_wrap(self.agility.epoch, length, meta),
+                    features=codec.features())
+        except TransportError:
+            remote.close()
+            self._release_route(source)
+            return None
+        return remote
 
     # -- edge-cache serving ---------------------------------------------------------------------
 
     def _serve_edge(self, conn: TcpConnection, hostname: str,
                     target_port: int, deadline: t.Optional[Deadline],
-                    source: str, priority: int):
-        """Terminate the browser leg locally and serve from the cache.
+                    source: str):
+        """Terminate an acknowledged browser stream here and serve it
+        from the cache.
 
         The browser speaks exactly what it would toward an origin — an
         optional modeled TLS handshake, then HTTP message frames — so
         this loop answers the handshake itself, serves hits straight
         from :attr:`cache` without ever dialing transpacific, and only
-        opens the blinded leg (admitting the session there when
-        admission was deferred under ``cache_bypass``) on the first
-        miss.  Non-HTTP plaintext streams (echo probes, diagnostics)
-        degrade to the classic relay untouched.
+        opens the blinded leg on the first miss.  Returns True once the
+        stream is over (False if that leg failed), or — for non-HTTP
+        plaintext such as echo probes, which the edge cannot help — the
+        already-read ``(length, meta)`` frame, leaving ``conn`` open
+        for the relay to take over.
         """
         cache = self.cache
         assert cache is not None
-        session: t.Optional[str] = None
-        bypass = (self.admission is not None
-                  and self.admission.config.cache_bypass)
-        if self.admission is not None and not bypass:
-            try:
-                yield from self.admission.admit(source, priority,
-                                                deadline=deadline)
-            except OverloadError:
-                self._reject(conn, "shed")
-                return
-            session = source
-            if deadline is not None and deadline.expired(self.sim.now):
-                # Expired while queued in the waiting room.
-                self.deadline_drops += 1
-                self.admission.record_expired(source, priority)
-                self.admission.release(source, succeeded=False)
-                self._reject(conn, "expired")
-                return
-        yield self.cpu.submit(CONNECT_DEMAND)
-        self.streams_served += 1
-        try:
-            conn.send_message(16, meta=("sc-ready",))
-        except TransportError:
-            conn.close()
-            self._release(session, succeeded=False)
-            return
         upstream: t.Optional[_EdgeUpstream] = None
-        handed_off = False
-        bound = False
-        failed = False
+        handoff: t.Optional[t.Tuple[int, t.Any]] = None
         tls_on = False           # the browser ran its handshake with us
         pending_full = False     # full handshake: we owe a server-finished
         try:
@@ -436,9 +377,9 @@ class DomesticProxy:
                 try:
                     message = yield conn.recv_message()
                 except TransportError:
-                    return
+                    return True
                 if message is None:
-                    return
+                    return True
                 try:
                     length, meta = unwrap_forward(message)
                 except MiddlewareError:
@@ -459,13 +400,13 @@ class DomesticProxy:
                             reply_len = tls_sizes.SERVER_HELLO_WITH_CERT
                             reply = ("tls", "server-hello")
                         if not self._edge_send(conn, reply_len, reply):
-                            return
+                            return True
                     elif meta[1] == "client-finished" and pending_full:
                         pending_full = False
                         if not self._edge_send(
                                 conn, tls_sizes.SERVER_FINISHED,
                                 ("tls", "server-finished")):
-                            return
+                            return True
                     # A resumed client-finished needs no reply.
                     continue
                 if wrapped or isinstance(meta, HttpRequest):
@@ -484,39 +425,25 @@ class DomesticProxy:
                         conn._sc_cache_served = True
                         yield self.cpu.submit(PER_BYTE_DEMAND * out_len)
                         if not self._edge_send(conn, out_len, out_meta):
-                            return
+                            return True
                         continue
                     if upstream is None:
-                        if session is None and self.admission is not None:
-                            # Deferred admission (cache_bypass): this
-                            # miss is the first transpacific need.
-                            try:
-                                yield from self.admission.admit(
-                                    source, priority, deadline=deadline)
-                            except OverloadError:
-                                self._reject(conn, "shed")
-                                failed = True
-                                return
-                            session = source
-                        upstream = yield from self._edge_dial(
+                        remote = yield from self._open_remote(
                             hostname, target_port, deadline, source)
-                        if upstream is None:
-                            failed = True
-                            return
-                        bound = self.router is not None
+                        if remote is None:
+                            return False
+                        upstream = _EdgeUpstream(self, remote)
                         if tls_on:
                             ok = yield from upstream.origin_handshake(hostname)
                             if not ok:
-                                failed = True
-                                return
+                                return False
                     fetched = yield from upstream.fetch(request, wrapped)
                     if fetched is None:
-                        failed = True
-                        return
+                        return False
                     response, out_len = fetched
                     out_meta = ("tls-app", response) if wrapped else response
                     if not self._edge_send(conn, out_len, out_meta):
-                        return
+                        return True
                     if (response.status == 200 and response.cacheable
                             and not response.record_account):
                         cache.insert(
@@ -527,44 +454,20 @@ class DomesticProxy:
                 if tls_on:
                     # Unknown payload inside a locally-terminated TLS
                     # session: nothing sane to relay.  Drop the stream.
-                    return
-                # Pre-TLS non-HTTP plaintext: the edge cannot help; hand
-                # the stream — including this already-consumed frame —
-                # to the classic relay, which owns all cleanup once the
-                # handoff completes.
-                if upstream is not None:
-                    # Any miss-path leg opened earlier is not part of
-                    # the handoff; the passthrough dials its own.
-                    upstream.close()
-                    upstream = None
-                yield from self._edge_passthrough(
-                    conn, hostname, target_port, deadline, source,
-                    priority, session, (length, meta))
-                handed_off = True
-                return
+                    return True
+                # Pre-TLS non-HTTP plaintext: hand the stream, with this
+                # frame, to the relay.  A miss leg opened earlier is not
+                # part of that; the relay dials its own.
+                handoff = (length, meta)
+                return handoff
         finally:
-            self._edge_cleanup(conn, upstream, source, session, bound,
-                               handed_off, failed)
-
-    def _edge_cleanup(self, conn: TcpConnection,
-                      upstream: t.Optional["_EdgeUpstream"], source: str,
-                      session: t.Optional[str], bound: bool,
-                      handed_off: bool, failed: bool) -> None:
-        """Teardown for one edge session.
-
-        A completed passthrough handoff is a no-op here — the classic
-        pumps own the connection, the route, and the admission slot
-        (released via their completion callbacks).
-        """
-        if handed_off:
-            return
-        conn.close()
-        if upstream is not None:
-            upstream.close()
-        if bound:
-            self._release_route(source)
-        if session is not None and self.admission is not None:
-            self.admission.release(session, succeeded=not failed)
+            # Browser first, then the upstream; the caller releases the
+            # admission slot last.
+            if handoff is None:
+                conn.close()
+            if upstream is not None:
+                upstream.close()
+                self._release_route(source)
 
     def _edge_send(self, conn: TcpConnection, length: int,
                    meta: t.Any) -> bool:
@@ -575,33 +478,6 @@ class DomesticProxy:
             return False
         return True
 
-    def _edge_dial(self, hostname: str, target_port: int,
-                   deadline: t.Optional[Deadline], source: str):
-        """Dial transpacific for a cache miss and open the relay leg.
-
-        Returns an :class:`_EdgeUpstream`, or None once dialing (or the
-        pipelined open) failed — with the router binding already
-        released, so the caller only owns a route on success.
-        """
-        remote = yield from self._dial_remote(deadline, session_key=source)
-        if remote is None:
-            return None
-        codec = self.agility.codec
-        open_length = 24 + codec.pad_length(24)
-        open_meta: t.Tuple = ("sc-open", hostname, target_port)
-        if deadline is not None:
-            open_meta = open_meta + (deadline.at,)
-        try:
-            remote.send_message(
-                open_length,
-                meta=blind_wrap(self.agility.epoch, 24, open_meta),
-                features=codec.features())
-        except TransportError:
-            remote.close()
-            self._release_route(source)
-            return None
-        return _EdgeUpstream(self, remote)
-
     def _transpacific_cost(self, request_length: int,
                            response_length: int) -> int:
         """Blinded transpacific bytes one future hit keeps off the
@@ -609,63 +485,6 @@ class DomesticProxy:
         pad = self.agility.codec.pad_length
         return (request_length + 4 + pad(request_length)
                 + response_length + 4 + pad(response_length))
-
-    def _edge_passthrough(self, conn: TcpConnection, hostname: str,
-                          target_port: int, deadline: t.Optional[Deadline],
-                          source: str, priority: int,
-                          session: t.Optional[str],
-                          first_frame: t.Tuple[int, t.Any]):
-        """Degrade one non-HTTP stream to the classic relay.
-
-        Admission (when deferred) happens here — passthrough always
-        needs the transpacific leg — and the already-consumed first
-        frame is re-sent ahead of the pumps so the remote proxy sees a
-        stream identical to the classic path's.
-        """
-        if session is None and self.admission is not None:
-            try:
-                yield from self.admission.admit(source, priority,
-                                                deadline=deadline)
-            except OverloadError:
-                self._reject(conn, "shed")
-                return
-            session = source
-        remote = yield from self._dial_remote(deadline, session_key=source)
-        if remote is None:
-            conn.close()
-            self._release(session, succeeded=False)
-            return
-        codec = self.agility.codec
-        open_length = 24 + codec.pad_length(24)
-        open_meta: t.Tuple = ("sc-open", hostname, target_port)
-        if deadline is not None:
-            open_meta = open_meta + (deadline.at,)
-        length, meta = first_frame
-        yield self.cpu.submit(PER_BYTE_DEMAND * length)
-        padded = length + 4 + codec.pad_length(length)
-        try:
-            remote.send_message(
-                open_length,
-                meta=blind_wrap(self.agility.epoch, 24, open_meta),
-                features=codec.features())
-            remote.send_message(
-                padded, meta=blind_wrap(self.agility.epoch, length, meta),
-                features=codec.features())
-        except TransportError:
-            remote.close()
-            conn.close()
-            self._release(session, succeeded=False)
-            self._release_route(source)
-            return
-        up = self.sim.process(self._pump_to_remote(conn, remote),
-                              name="scd-up")
-        self.sim.process(self._pump_to_browser(conn, remote),
-                         name="scd-down")
-        if self.router is not None:
-            up.add_callback(lambda _event, k=source: self._release_route(k))
-        if session is not None:
-            up.add_callback(
-                lambda _event, s=session: self.admission.release(s))
 
     # -- pumps ----------------------------------------------------------------------------------
 

@@ -13,12 +13,9 @@ connections, and pumps traffic.  Two properties matter:
 from __future__ import annotations
 
 import typing as t
-from dataclasses import dataclass
 
-from ..cache import ResponseCache, canonical_key
 from ..dns import StubResolver
 from ..errors import MiddlewareError, NameResolutionError, TransportError
-from ..http.messages import HttpRequest, HttpResponse
 from ..overload import BoundedQueue, ConcurrencyLimiter, OverloadConfig, deadline_from_wire
 from ..sim import ProcessorSharingServer, Simulator
 from ..transport import TcpConnection, TransportLayer
@@ -51,35 +48,6 @@ def blind_unwrap(message: t.Any, epoch: int) -> t.Optional[t.Tuple[int, t.Any]]:
         return None
 
 
-def _extract_request(meta: t.Any) -> t.Tuple[t.Optional[HttpRequest], bool]:
-    """Pull an :class:`HttpRequest` out of a relayed frame, if any.
-
-    Returns ``(request, wrapped)`` where ``wrapped`` marks a TLS
-    application record; ``(None, False)`` for everything else
-    (handshake frames, echo payloads, responses).
-    """
-    if isinstance(meta, HttpRequest):
-        return meta, False
-    if (isinstance(meta, tuple) and len(meta) == 2 and meta[0] == "tls-app"
-            and isinstance(meta[1], HttpRequest)):
-        return meta[1], True
-    return None, False
-
-
-@dataclass
-class _TierState:
-    """Per-stream second-tier cache state shared by the two pumps.
-
-    ``pending`` remembers the canonical key (and TLS wrapping) of the
-    request most recently forwarded to the target, so the downstream
-    pump can insert the matching response.  One request is in flight
-    per stream at a time in this model, so a single slot suffices.
-    """
-
-    port: int
-    pending: t.Optional[t.Tuple[t.Tuple, bool]] = None
-
-
 class RemoteProxy:
     """The outside-the-wall half of the split proxy."""
 
@@ -92,7 +60,6 @@ class RemoteProxy:
         agility: BlindingAgility,
         port: int = REMOTE_PROXY_PORT,
         overload: t.Optional[OverloadConfig] = None,
-        cache: t.Optional[ResponseCache] = None,
     ) -> None:
         self.sim = sim
         self.host = host
@@ -100,11 +67,6 @@ class RemoteProxy:
         self.cpu = cpu
         self.agility = agility
         self.port = port
-        #: Optional second-tier response cache: hits answer from here
-        #: without touching the origin (the transpacific leg was already
-        #: paid; this tier saves the origin round trip).  None — the
-        #: default — keeps the pure relay event-for-event identical.
-        self.cache = cache
         self.streams_opened = 0
         self.decoys_served = 0
         self.streams_shed = 0
@@ -222,10 +184,9 @@ class RemoteProxy:
             conn.close()
             self._release(admitted)
             return
-        state = (None if self.cache is None else _TierState(target_port))
-        up = self.sim.process(self._pump_upstream(conn, target, state),
+        up = self.sim.process(self._pump_upstream(conn, target),
                               name="sc-up")
-        self.sim.process(self._pump_downstream(conn, target, state),
+        self.sim.process(self._pump_downstream(conn, target),
                          name="sc-down")
         if admitted:
             # The stream slot frees when the domestic-facing pump ends
@@ -247,9 +208,7 @@ class RemoteProxy:
             assert self.limiter is not None
             self.limiter.release()
 
-    def _pump_upstream(self, conn: TcpConnection, target: TcpConnection,
-                       state: t.Optional[_TierState] = None):
-        codec = self.agility.codec
+    def _pump_upstream(self, conn: TcpConnection, target: TcpConnection):
         while True:
             try:
                 message = yield conn.recv_message()
@@ -263,31 +222,6 @@ class RemoteProxy:
             if unwrapped is None:
                 continue
             length, meta = unwrapped
-            if state is not None:
-                request, wrapped = _extract_request(meta)
-                if request is not None:
-                    key = canonical_key(request, state.port)
-                    cached = self.cache.lookup(key)
-                    if cached is not None:
-                        # Second-tier hit: answer from here, sparing the
-                        # origin round trip; the origin never sees the
-                        # request.
-                        wire = self.cache.wire_length_of(key)
-                        out_meta: t.Any = (("tls-app", cached) if wrapped
-                                           else cached)
-                        yield self.cpu.submit(PER_BYTE_DEMAND * wire)
-                        padded = wire + 4 + codec.pad_length(wire)
-                        try:
-                            conn.send_message(
-                                padded,
-                                meta=blind_wrap(self.agility.epoch, wire,
-                                                out_meta),
-                                features=codec.features())
-                        except TransportError:
-                            target.close()
-                            return
-                        continue
-                    state.pending = (key, wrapped)
             yield self.cpu.submit(PER_BYTE_DEMAND * length)
             try:
                 target.send_message(length, meta=meta)
@@ -295,8 +229,7 @@ class RemoteProxy:
                 conn.close()
                 return
 
-    def _pump_downstream(self, conn: TcpConnection, target: TcpConnection,
-                         state: t.Optional[_TierState] = None):
+    def _pump_downstream(self, conn: TcpConnection, target: TcpConnection):
         codec = self.agility.codec
         while True:
             try:
@@ -308,24 +241,6 @@ class RemoteProxy:
                 conn.close()
                 return
             length = estimate_meta_length(message)
-            if state is not None and state.pending is not None:
-                response: t.Optional[HttpResponse] = None
-                key, wrapped = state.pending
-                if wrapped and (isinstance(message, tuple)
-                                and len(message) == 2
-                                and message[0] == "tls-app"
-                                and isinstance(message[1], HttpResponse)):
-                    response = message[1]
-                elif not wrapped and isinstance(message, HttpResponse):
-                    response = message
-                if response is not None:
-                    state.pending = None
-                    if (response.status == 200 and response.cacheable
-                            and not response.record_account):
-                        # Tier-2 hits still cross the Pacific, so they
-                        # avoid no transpacific bytes — only origin work.
-                        self.cache.insert(key, response, length,
-                                          avoided_bytes=0)
             yield self.cpu.submit(PER_BYTE_DEMAND * length)
             padded = length + 4 + codec.pad_length(length)
             try:

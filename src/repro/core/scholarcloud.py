@@ -150,10 +150,8 @@ class ScholarCloud(AccessMethod):
         #: Edge-cache knobs (None = no caches, the calibrated paper
         #: configuration; see :mod:`repro.cache`).
         self.cache_config = cache
-        #: Edge tier at the domestic proxy, built by :meth:`deploy`.
+        #: Edge cache at the domestic proxy, built by :meth:`deploy`.
         self.cache: t.Optional[ResponseCache] = None
-        #: Optional second tier, one per remote proxy.
-        self.remote_caches: t.List[ResponseCache] = []
         self.agility = BlindingAgility(secret)
         self.domestic: t.Optional[DomesticProxy] = None
         self.remote: t.Optional[RemoteProxy] = None
@@ -182,29 +180,21 @@ class ScholarCloud(AccessMethod):
         """
         from ..measure.testbed import GOOGLE_DNS_ADDR
         testbed = self.testbed
-        registry: t.Optional[CacheRegistry] = None
-        if self.cache_config is not None:
-            registry = getattr(testbed.sim, "caches", None)
-            if registry is None:
-                registry = CacheRegistry(testbed.sim).install()
         if not self.remotes:
             remote_vms = getattr(testbed, "remote_vms", [testbed.remote_vm])
             remote_cpus = getattr(testbed, "remote_cpus", [testbed.remote_cpu])
-            for index, (vm, cpu) in enumerate(zip(remote_vms, remote_cpus)):
+            for vm, cpu in zip(remote_vms, remote_cpus):
                 resolver = StubResolver(testbed.sim, vm,
                                         upstream=GOOGLE_DNS_ADDR, port=5362)
-                tier2: t.Optional[ResponseCache] = None
-                if registry is not None and self.cache_config.remote_tier:
-                    tier2 = registry.register(ResponseCache(
-                        testbed.sim, self.cache_config, self.agility,
-                        name=f"sc-remote-{index}"))
-                    self.remote_caches.append(tier2)
                 self.remotes.append(RemoteProxy(
                     testbed.sim, vm, resolver, cpu=cpu, agility=self.agility,
-                    overload=self.overload, cache=tier2))
+                    overload=self.overload))
             self.remote = self.remotes[0]
         if self.domestic is None:
-            if registry is not None and self.cache is None:
+            if self.cache_config is not None and self.cache is None:
+                registry = getattr(testbed.sim, "caches", None)
+                if registry is None:
+                    registry = CacheRegistry(testbed.sim).install()
                 self.cache = registry.register(ResponseCache(
                     testbed.sim, self.cache_config, self.agility,
                     name="sc-edge"))
@@ -275,12 +265,11 @@ class ScholarCloud(AccessMethod):
             # Blinded legs calibrated under the old codec epoch must
             # re-prove themselves against the GFW at packet level.
             fluid.defluidize_all("blinding-rotation")
-        for cache in ([self.cache] if self.cache is not None else []) \
-                + self.remote_caches:
+        if self.cache is not None:
             # Entries are keyed by epoch, so stale hits are impossible
             # even without this purge — but dead bytes must not pin the
             # watermark either, so old-epoch entries are dropped eagerly.
-            cache.invalidate_all("blinding-rotation")
+            self.cache.invalidate_all("blinding-rotation")
         return self.agility.epoch
 
     def teardown(self) -> None:

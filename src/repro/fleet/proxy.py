@@ -67,19 +67,11 @@ class ProxyFleet:
         detector_timeout: float = 3.0,
         suspicion_threshold: int = 2,
         reinstate_threshold: int = 2,
-        routing: str = "rendezvous",
-        hedged: bool = False,
         cache: t.Optional[CacheConfig] = None,
     ) -> None:
-        """``routing`` selects the session router's policy
-        (``"rendezvous"`` or ``"least_loaded"``); ``reinstate_threshold``
-        is the failure detector's reinstatement hysteresis; ``hedged``
-        gives every regional domestic proxy a
-        :class:`~repro.fleet.survival.HedgedDialer` so slow transpacific
-        dials race a second CLOSED-breaker endpoint (off by default:
-        historical traces stay byte-identical); ``cache`` deploys one
-        edge :class:`~repro.cache.ResponseCache` per regional front
-        door (plus one tier-2 cache per PoP with ``remote_tier`` on) —
+        """``reinstate_threshold`` is the failure detector's
+        reinstatement hysteresis; ``cache`` deploys one edge
+        :class:`~repro.cache.ResponseCache` per regional front door —
         None, the default, keeps the fleet cacheless and byte-identical
         to the historical traces."""
         self.testbed = testbed
@@ -90,14 +82,10 @@ class ProxyFleet:
         self.detector_timeout = detector_timeout
         self.suspicion_threshold = suspicion_threshold
         self.reinstate_threshold = reinstate_threshold
-        self.routing = routing
-        self.hedged = hedged
         self.cache_config = cache
         #: Per-region edge caches, keyed like :attr:`domestics`.
         #: Key space = the testbed's region set, fixed at launch().
         self.caches: t.Dict[str, ResponseCache] = {}  # reprolint: disable=unbounded-cache-field
-        #: Per-PoP second-tier caches (``remote_tier`` only).
-        self.pop_caches: t.List[ResponseCache] = []
         self.remotes: t.List[RemoteProxy] = []
         #: Key space = the testbed's region set, fixed at launch().
         self.domestics: t.Dict[str, DomesticProxy] = {}  # reprolint: disable=unbounded-cache-field
@@ -121,21 +109,14 @@ class ProxyFleet:
             for pop, cpu in zip(testbed.pops, testbed.pop_cpus):
                 resolver = StubResolver(sim, pop, upstream=GOOGLE_DNS_ADDR,
                                         port=5362)
-                tier2: t.Optional[ResponseCache] = None
-                if registry is not None and self.cache_config.remote_tier:
-                    tier2 = registry.register(ResponseCache(
-                        sim, self.cache_config, self.agility,
-                        name=f"pop-{pop.name}"))
-                    self.pop_caches.append(tier2)
                 self.remotes.append(RemoteProxy(
                     sim, pop, resolver, cpu=cpu, agility=self.agility,
-                    overload=self.overload, cache=tier2))
+                    overload=self.overload))
             self.endpoints = [
                 Endpoint(IPv4Address(pop.address), REMOTE_PROXY_PORT,
                          name=pop.name)
                 for pop in testbed.pops]
-            self.router = SessionRouter(sim, self.endpoints,
-                                        policy=self.routing)
+            self.router = SessionRouter(sim, self.endpoints)
             self.detector = FailureDetector(
                 sim, self.router, testbed.transport_of(testbed.control),
                 interval=self.detector_interval,
@@ -143,12 +124,6 @@ class ProxyFleet:
                 suspicion_threshold=self.suspicion_threshold,
                 reinstate_threshold=self.reinstate_threshold)
             self.detector.start()
-            hedge = None
-            if self.hedged:
-                # Local import: survival builds on this module, so the
-                # dialer is resolved lazily to keep the layering acyclic.
-                from .survival import HedgedDialer
-                hedge = HedgedDialer(sim)
             for region in testbed.regions:
                 edge: t.Optional[ResponseCache] = None
                 if registry is not None:
@@ -161,7 +136,7 @@ class ProxyFleet:
                     remote_addrs=[str(e.address) for e in self.endpoints],
                     whitelist=self.whitelist, agility=self.agility,
                     cpu=region.domestic_cpu, overload=self.overload,
-                    router=self.router, hedge=hedge, cache=edge)
+                    router=self.router, cache=edge)
             self.launched = True
         return
         yield  # pragma: no cover - launch is currently synchronous

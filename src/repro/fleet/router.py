@@ -23,12 +23,6 @@ Two pieces:
   stream so a fleet-wide outage does not synchronize every probe into
   the same tick.
 
-Routing policy is selectable: the default ``"rendezvous"`` is pure
-sticky HRW; ``"least_loaded"`` assigns each *new* session to the ACTIVE
-endpoint with the fewest live streams, breaking ties by the pair's HRW
-weight so the assignment stays a deterministic function of (key,
-membership, load) — no iteration-order or clock dependence.
-
 Explicit control-plane verbs — :meth:`SessionRouter.drain` /
 :meth:`SessionRouter.deploy` — cover graceful maintenance: a draining
 pop takes no new sessions but keeps its established ones until the
@@ -53,24 +47,16 @@ DRAINING = "draining"
 DRAINED = "drained"
 DOWN = "down"
 
-#: Selectable routing policies.
-POLICIES = ("rendezvous", "least_loaded")
-
 
 class SessionRouter:
-    """Sticky session -> PoP assignment (rendezvous or least-loaded)."""
+    """Sticky session -> PoP assignment by rendezvous hashing."""
 
     def __init__(self, sim: Simulator, endpoints: t.Sequence[Endpoint],
-                 name: str = "fleet-router",
-                 policy: str = "rendezvous") -> None:
+                 name: str = "fleet-router") -> None:
         if not endpoints:
             raise FaultError("session router needs at least one endpoint")
-        if policy not in POLICIES:
-            raise FaultError(
-                f"unknown routing policy {policy!r}; have {POLICIES}")
         self.sim = sim
         self.name = name
-        self.policy = policy
         self.endpoints: t.List[Endpoint] = list(endpoints)
         self.status: t.Dict[Endpoint, str] = {
             endpoint: ACTIVE for endpoint in self.endpoints}
@@ -110,21 +96,6 @@ class SessionRouter:
                       key=lambda endpoint: self.weight(key, endpoint),
                       reverse=True)
 
-    def _candidates(self, key: str) -> t.List[Endpoint]:
-        """Endpoints in this policy's preference order for ``key``.
-
-        ``least_loaded`` prefers the fewest live streams; the HRW
-        weight is the deterministic tie-break (equal loads fall back to
-        exactly the rendezvous preference), so the order never depends
-        on dict iteration or insertion history.
-        """
-        if self.policy == "least_loaded":
-            return sorted(
-                self.endpoints,
-                key=lambda endpoint: (self.live_sessions_on(endpoint),
-                                      -self.weight(key, endpoint)))
-        return self.rank(key)
-
     # -- routing -----------------------------------------------------------------
 
     def route(self, key: str,
@@ -135,7 +106,7 @@ class SessionRouter:
         Sticky first: an existing binding is honoured while its pop is
         ACTIVE or DRAINING (draining pops keep their established
         sessions — that is the whole point of draining) and passes
-        ``allow``.  Otherwise the policy's best ACTIVE endpoint that
+        ``allow``.  Otherwise the best-ranked ACTIVE endpoint that
         passes ``allow`` wins.  ``allow`` is only consulted until the
         first acceptance, so a circuit breaker's single half-open trial
         is never burned ranking endpoints the caller won't dial.
@@ -144,7 +115,7 @@ class SessionRouter:
         if bound is not None and self.status.get(bound) in (ACTIVE, DRAINING):
             if allow is None or allow(bound):
                 return bound
-        for endpoint in self._candidates(key):
+        for endpoint in self.rank(key):
             if self.status.get(endpoint) != ACTIVE:
                 continue
             if allow is None or allow(endpoint):

@@ -328,8 +328,8 @@ class SurvivalCoordinator:
     regions' domestic front doors (not the PoPs — the fleet router
     already covers those).  A region scoring below ``degraded_below``
     is evicted from the entry membership: its sessions are displaced
-    and re-land, sticky, on whichever healthy region rendezvous (or
-    least-loaded) assigns them.  Recovery needs ``recover_after``
+    and re-land, sticky, on whichever healthy region rendezvous hashing
+    assigns them.  Recovery needs ``recover_after``
     consecutive healthy samples — the same hysteresis argument as the
     failure detector's reinstatement threshold.
     """
@@ -339,7 +339,6 @@ class SurvivalCoordinator:
                  degraded_below: float = HEALTH_DEGRADED_BELOW,
                  recover_after: int = RECOVER_AFTER,
                  migration_budget: int = MIGRATION_BUDGET,
-                 policy: str = "rendezvous",
                  hedge: t.Optional[HedgedDialer] = None) -> None:
         if not fleet.launched:
             raise MeasurementError(
@@ -364,7 +363,7 @@ class SurvivalCoordinator:
             for region in self.testbed.regions}
         self.entry_router = SessionRouter(
             self.sim, list(self.entries.values()),
-            name="survival-entry", policy=policy)
+            name="survival-entry")
         #: Breaker-guarded probes of the regional front doors (used to
         #: pre-flight a migration target before committing a session).
         self.entry_pool = FailoverPool(self.sim, list(self.entries.values()))
@@ -817,7 +816,6 @@ def run_survival_campaign(
     chunk_interval: float = 2.0,
     load_deadline: float = LOAD_DEADLINE,
     migration_budget: int = MIGRATION_BUDGET,
-    policy: str = "rendezvous",
 ) -> SurvivalCampaignResult:
     """The longitudinal escalation-to-blackout survival campaign.
 
@@ -849,7 +847,7 @@ def run_survival_campaign(
     page = survival_document(total_bytes=total_bytes, chunk_size=chunk_size)
     testbed.scholar_server.add_page(page)
     coordinator = SurvivalCoordinator(
-        fleet, migration_budget=migration_budget, policy=policy)
+        fleet, migration_budget=migration_budget)
     coordinator.start()
 
     schedule = FleetSchedule()

@@ -72,11 +72,6 @@ class OverloadConfig:
     remote_max_streams: t.Optional[int] = None
     #: Remote-proxy accept-backlog bound (None = dispatch inline).
     remote_backlog: t.Optional[int] = None
-    #: Edge-cache bypass: when an edge cache is deployed, defer
-    #: admission until a session actually needs the transpacific leg —
-    #: cache hits skip the waiting room entirely.  Off by default like
-    #: every other knob; without a cache it has no effect.
-    cache_bypass: bool = False
 
     def __post_init__(self) -> None:
         if self.max_sessions < 1:

@@ -262,9 +262,8 @@ def bench_edge_cache(clients: int,
 
     ``reference_s`` is the uncached sweep, ``optimized_s`` the cached
     one (hits never cross the border, so the cached run also simulates
-    fewer events), both at the same knee knobs as the overload bench —
-    the cached cell adds admission bypass so hits skip the waiting
-    room.  Alongside the wall-clock speedup the entry records what the
+    fewer events), both at the same knee knobs as the overload bench.
+    Alongside the wall-clock speedup the entry records what the
     cache is actually for: the transpacific byte reduction and the hit
     rate (hard-gated in ``benchmarks/test_cache.py``; tracked here
     against the baseline like every other cell).
@@ -273,13 +272,12 @@ def bench_edge_cache(clients: int,
     from ..measure.scenarios import run_repeated_query_point
     from ..overload import OverloadConfig
 
-    knee = {"max_sessions": 120, "max_waiting": 16,
-            "queue_delay_threshold": 2.0}
+    knee = OverloadConfig(max_sessions=120, max_waiting=16,
+                          queue_delay_threshold=2.0)
 
     def sweep(cached: bool) -> t.List[t.Any]:
         return [run_repeated_query_point(
-                    clients=clients, cycles=1, seed=seed,
-                    overload=OverloadConfig(cache_bypass=cached, **knee),
+                    clients=clients, cycles=1, seed=seed, overload=knee,
                     cache=CacheConfig() if cached else None)
                 for seed in seeds]
 

@@ -284,15 +284,15 @@ def test_blinding_rotation_mid_run_never_serves_stale():
 
 
 def test_gfw_policy_change_invalidates_every_tier():
-    world, page = _cached_world(remote_tier=True)
+    world, page = _cached_world()
     gfw = world.testbed.gfw
     escalate = lambda: gfw.apply_policy(lambda g: None, label="drill")
     results = _load_seq(world, page,
                         ["load", "load", "load", escalate, "load"])
     assert results[2].all_from_cache
     assert not results[3].all_from_cache  # refetched under the new policy
-    tiers = [world.method.cache] + list(world.method.remote_caches)
-    assert len(tiers) >= 2  # edge + at least one remote tier
+    tiers = list(world.testbed.sim.caches)
+    assert tiers == [world.method.cache]  # the edge is the only tier
     assert all(tier.invalidations >= 1 for tier in tiers)
 
 
@@ -317,21 +317,6 @@ def test_hit_path_honors_a_deadline_the_miss_path_cannot():
     assert warm.succeeded and warm.all_from_cache
     assert warm.plt <= 0.2
     assert not cold.succeeded  # the transpacific leg blows the budget
-
-
-def test_cache_bypass_keeps_hits_out_of_the_waiting_room():
-    common = dict(clients=4, cycles=1, seed=0, corpus_size=4,
-                  cache=CacheConfig())
-    classic = run_repeated_query_point(
-        overload=OverloadConfig(max_sessions=2, cache_bypass=False),
-        **common)
-    bypass = run_repeated_query_point(
-        overload=OverloadConfig(max_sessions=2, cache_bypass=True),
-        **common)
-    assert classic.cache.hits > 0 and bypass.cache.hits > 0
-    # With bypass on, hit sessions never enter admission at all.
-    assert bypass.report.offered < classic.report.offered
-    assert bypass.completed >= classic.completed
 
 
 def test_admission_slot_spans_the_edge_to_relay_handoff():
@@ -387,7 +372,6 @@ def test_same_seed_cached_runs_are_byte_identical(seed):
 def test_knobs_off_builds_no_cache_machinery():
     world = prepare("scholarcloud", seed=0)
     assert world.method.cache is None
-    assert world.method.remote_caches == []
     assert getattr(world.testbed.sim, "caches", None) is None
     result = run_repeated_query_point(clients=2, cycles=1, seed=0,
                                       corpus_size=4)

@@ -295,63 +295,6 @@ class TestFailureDetector:
                    for _, _, verdict in fleet.detector.log)
 
 
-# -- least-loaded routing policy ---------------------------------------------------
-
-
-def _least_loaded(count=3, seed=0):
-    return SessionRouter(Simulator(seed=seed), _endpoints(count),
-                         policy="least_loaded")
-
-
-class TestLeastLoadedPolicy:
-    def test_unknown_policy_raises(self):
-        with pytest.raises(FaultError):
-            SessionRouter(Simulator(seed=0), _endpoints(2), policy="roulette")
-
-    def test_zero_load_ties_break_to_rendezvous(self):
-        # With no live sessions anywhere, every load is equal and the
-        # HRW weight decides — least_loaded degrades to exactly the
-        # rendezvous assignment, not to dict order.
-        balanced, hrw = _least_loaded(), _router()
-        for key in _keys(10):
-            assert balanced.route(key) == hrw.route(key)
-
-    def test_new_sessions_balance_the_load(self):
-        router = _least_loaded()
-        for key in _keys(12):
-            router.bind(key, router.route(key))
-        loads = [router.live_sessions_on(endpoint)
-                 for endpoint in router.endpoints]
-        assert loads == [4, 4, 4]
-
-    def test_bound_sessions_stay_sticky_under_load_shifts(self):
-        router = _least_loaded()
-        keys = _keys(6)
-        for key in keys:
-            router.bind(key, router.route(key))
-        bound = router.binding(keys[0])
-        # Freeing everyone else makes other pops emptier, but an
-        # established session never migrates for balance alone.
-        for key in keys[1:]:
-            router.release(key)
-        assert router.route(keys[0]) == bound
-
-    def test_assignment_is_pinned(self):
-        # The exact map is part of the contract: a pure function of
-        # (key, membership, load), identical on every machine and run.
-        router = _least_loaded()
-        for key in _keys(6):
-            router.bind(key, router.route(key))
-        assert router.assignment() == {
-            "59.66.10.11": "pop-1",
-            "59.66.10.12": "pop-2",
-            "59.66.10.13": "pop-3",
-            "59.66.10.14": "pop-1",
-            "59.66.10.15": "pop-2",
-            "59.66.10.16": "pop-3",
-        }
-
-
 # -- reinstatement hysteresis ------------------------------------------------------
 
 
