@@ -6,10 +6,13 @@ error), the border link's per-direction byte, packet and drop counters,
 the firewall's :class:`~repro.gfw.GfwStats`, and every trace record
 (time, category and fields).  The first eight expected digests were
 recorded before the packet hot path was reworked (in-place forwarding,
-direct timer callbacks, address-keyed demux, stub default routes), and
+direct timer callbacks, address-keyed demux, stub default routes),
 ``edge-passthrough`` and ``fleet-blackout-cache`` before the domestic
-proxy's serving paths were merged into one; any change that alters a
-single simulated event, drop or timing changes a digest.
+proxy's serving paths were merged into one, and ``query-bursts``,
+``overload-pdf`` and ``scalability-shadowsocks`` before the Figure 7,
+overload, repeated-query and fleet-region client loops were folded into
+one load driver; any change that alters a single simulated event, drop
+or timing changes a digest.
 
 ``packet_id`` is left out everywhere: it comes from a process-global
 counter, so it already differs between two same-seed runs in one
@@ -21,7 +24,8 @@ escalation, IP-block burst, DNS-poison burst), the firewall's DNS and
 RST injection, keyword penalties, active probing, ICMP and UDP, the
 fluid fast path, the edge cache with admission control, the edge
 cache handing a non-HTTP stream to the relay, and a fleet region whose
-session router fails sessions over from a blacked-out PoP.
+session router fails sessions over from a blacked-out PoP.  The last
+four digest the harness's returned result, every field included.
 """
 
 from __future__ import annotations
@@ -39,7 +43,13 @@ from repro.errors import ReproError
 from repro.faults import standard_fault_script
 from repro.fleet.sweep import run_fleet_region_point
 from repro.http import Browser, scholar_pdf
-from repro.measure.scenarios import METHOD_NAMES, prepare
+from repro.measure.scenarios import (
+    METHOD_NAMES,
+    prepare,
+    run_overload_point,
+    run_repeated_query_point,
+    run_scalability_point,
+)
 from repro.measure.testbed import (
     CONTROL_SITE_ADDR,
     ECHO_PORT,
@@ -65,6 +75,9 @@ EXPECTED: t.Dict[str, str] = {
     "faults-tor": "a21d3056ca7090042ed2fd73",
     "fleet-blackout-cache": "285c2f3b7839fdffb0a1cee3",
     "hybrid-pdf": "a77bdc9e49cd55b2874d6d18",
+    "overload-pdf": "55e4eb4d34fcb68201618845",
+    "query-bursts": "b44a2a63cb872f01d7fe29c0",
+    "scalability-shadowsocks": "fdf78aa247b6464d1a645f78",
 }
 
 
@@ -293,15 +306,48 @@ def edge_passthrough() -> str:
         dataclasses.astuple(world.method.cache.report())])
 
 
+def result_digest(result) -> str:
+    """Digest of a returned result dataclass, every field included."""
+    return hashlib.blake2b(repr(dataclasses.astuple(result)).encode(),
+                           digest_size=12).hexdigest()
+
+
 def fleet_blackout_cache() -> str:
     """A fleet region with edge caches over the session router: one
     PoP blacks out mid-sweep, so sessions fail over and remap."""
-    result = run_fleet_region_point(
+    return result_digest(run_fleet_region_point(
         "beijing", pops=2, clients=12, cycles=2, seed=SEED, mode="packet",
         workload="queries", cache=CacheConfig(), blackout_pop="pop-1",
-        blackout_at=70.0, blackout_downtime=60.0)
-    return hashlib.blake2b(repr(dataclasses.astuple(result)).encode(),
-                           digest_size=12).hexdigest()
+        blackout_at=70.0, blackout_downtime=60.0))
+
+
+def query_bursts() -> str:
+    """Scraper bursts through a small edge cache (it evicts) behind an
+    admission limit below the client count (it sheds); each query is
+    drawn at the instant its load starts."""
+    return result_digest(run_repeated_query_point(
+        clients=10, cycles=2, seed=SEED,
+        cache=CacheConfig(capacity_bytes=150_000),
+        overload=OverloadConfig(max_sessions=6, max_waiting=2,
+                                queue_delay_threshold=1.0),
+        corpus_size=12))
+
+
+def overload_pdf() -> str:
+    """Hybrid-mode pdf loads past an admission limit, under a total
+    load deadline that some loads run out of."""
+    return result_digest(run_overload_point(
+        clients=8, cycles=2, seed=SEED, mode="hybrid", workload="pdf",
+        overload=OverloadConfig(max_sessions=6, max_waiting=2,
+                                queue_delay_threshold=1.0),
+        total_deadline=6.0))
+
+
+def scalability_shadowsocks() -> str:
+    """A Figure 7 point for Shadowsocks, whose client attachment opens
+    an ss-local session (it yields, unlike ScholarCloud's)."""
+    return result_digest(run_scalability_point(
+        "shadowsocks", clients=4, cycles=2, seed=SEED))
 
 
 SCENARIOS: t.Dict[str, t.Callable[[], str]] = {
@@ -312,6 +358,9 @@ SCENARIOS: t.Dict[str, t.Callable[[], str]] = {
     "cache-admission": cache_and_admission,
     "edge-passthrough": edge_passthrough,
     "fleet-blackout-cache": fleet_blackout_cache,
+    "overload-pdf": overload_pdf,
+    "query-bursts": query_bursts,
+    "scalability-shadowsocks": scalability_shadowsocks,
 }
 
 
