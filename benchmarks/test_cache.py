@@ -29,7 +29,7 @@ from repro.cache import CacheConfig, query_corpus
 from repro.fleet import fleet_sweep
 from repro.http.browser import Browser
 from repro.measure import format_table
-from repro.measure.scenarios import prepare, run_repeated_query_point
+from repro.measure.scenarios import prepare, run_overload_point
 from repro.overload import OverloadConfig
 
 FAST = bool(os.environ.get("REPRO_FAST"))
@@ -50,20 +50,22 @@ ON_CONFIG = OverloadConfig(**_KNEE)
 
 @pytest.fixture(scope="module")
 def savings():
-    """(cache off, cache on) repeated-query points per seed."""
+    """(cache off, cache on) query-burst points per seed."""
     results = {}
     for seed in SEEDS:
-        off = run_repeated_query_point(clients=CLIENTS, cycles=1, seed=seed,
-                                       overload=OFF_CONFIG)
-        on = run_repeated_query_point(clients=CLIENTS, cycles=1, seed=seed,
-                                      overload=ON_CONFIG, cache=CacheConfig())
+        off = run_overload_point(clients=CLIENTS, cycles=1, seed=seed,
+                                 overload=OFF_CONFIG, workload="query-bursts")
+        on = run_overload_point(clients=CLIENTS, cycles=1, seed=seed,
+                                overload=ON_CONFIG, workload="query-bursts",
+                                cache=CacheConfig())
         results[seed] = (off, on)
     return results
 
 
 def test_cache_headline_savings(benchmark, emit, results_dir, savings):
-    benchmark.pedantic(run_repeated_query_point,
+    benchmark.pedantic(run_overload_point,
                        kwargs={"clients": 20, "cycles": 1, "seed": 9,
+                               "workload": "query-bursts",
                                "cache": CacheConfig()},
                        rounds=1, iterations=1)
     rows = []
@@ -133,9 +135,10 @@ def test_cache_headline_savings(benchmark, emit, results_dir, savings):
 def test_cached_sweep_is_seed_deterministic(savings):
     """Re-running any seed replays the identical event stream."""
     for seed in SEEDS:
-        again = run_repeated_query_point(clients=CLIENTS, cycles=1,
-                                         seed=seed, overload=ON_CONFIG,
-                                         cache=CacheConfig())
+        again = run_overload_point(clients=CLIENTS, cycles=1, seed=seed,
+                                   overload=ON_CONFIG,
+                                   workload="query-bursts",
+                                   cache=CacheConfig())
         _off, on = savings[seed]
         assert again.cache.event_digest == on.cache.event_digest, seed
         assert again.transpacific_bytes == on.transpacific_bytes, seed

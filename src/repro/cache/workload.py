@@ -4,8 +4,9 @@ Real Scholar traffic is not a uniform page fetch: query popularity is
 heavy-tailed (a few hot queries dominate), and scraper-shaped clients
 (ROADMAP item 4b, modeled on the citation-crawl scrapers in the
 related repos) page through several result sets back-to-back.  This
-module builds the deterministic query corpus and the Zipf sampler the
-``repeated-query`` scenario drives through the edge cache.
+module builds the deterministic query corpus and the Zipf sampler that
+the ``queries`` and ``query-bursts`` workloads of
+:mod:`repro.measure.load` drive through the edge cache.
 
 Query-result documents are marked proxy-cacheable: the same query
 returns the same result page within the cache TTL, which is precisely

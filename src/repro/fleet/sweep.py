@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from ..cache import CacheConfig
 from ..errors import MeasurementError
-from ..http import Browser
+from ..measure.load import drive_clients, install_workload
 from ..measure.metrics import CacheReport, availability_over_time
 from ..perf.runner import SweepPoint, run_points
 from .chaos import FleetSchedule
@@ -36,8 +36,6 @@ from .regions import region_by_name
 from .report import FleetReport, RegionReport
 from .testbed import FleetTestbed
 
-#: Seconds between successive loads per client (matches §4.2's cadence).
-MEASUREMENT_INTERVAL = 60.0
 #: Availability bucket width used by fleet reports.
 REPORT_BUCKET = 30.0
 
@@ -103,12 +101,11 @@ def run_fleet_region_point(
 ) -> FleetRegionResult:
     """One region's campaign: ``clients`` sessions against M PoPs.
 
-    ``workload`` picks the page each client loads: ``"home"`` (the
-    19 KB Scholar home page), ``"pdf"`` (a 1.2 MB paper download,
-    which makes the PoP CPUs the bottleneck — the regime where goodput
-    scales with PoP count), or ``"queries"`` (Zipf-repeated Scholar
-    result pages from :mod:`repro.cache`'s corpus — the workload an
-    edge ``cache`` pays off on).  With ``blackout_pop`` set, that PoP
+    ``workload`` names what each client loads (see
+    :data:`repro.measure.load.WORKLOADS`): ``"pdf"`` makes the PoP
+    CPUs the bottleneck — the regime where goodput scales with PoP
+    count — and ``"queries"`` is the workload an edge ``cache`` pays
+    off on.  With ``blackout_pop`` set, that PoP
     blacks out mid-sweep for ``blackout_downtime`` seconds — the
     detector evicts it, its sessions fail over (rendezvous
     re-ranking), and reinstatement follows its restart.  Hermetic and
@@ -130,48 +127,15 @@ def run_fleet_region_point(
     else:
         injector = None
 
-    pick_page: t.Callable[[], t.Any]
-    if workload == "home":
-        pick_page = lambda: testbed.scholar_page
-    elif workload == "pdf":
-        from ..http import scholar_pdf
-        page = scholar_pdf()
-        testbed.scholar_server.add_page(page)
-        pick_page = lambda: page
-    elif workload == "queries":
-        from ..cache import DEFAULT_ZIPF_S, ZipfSampler, query_corpus
-        corpus = query_corpus()
-        for query_page in corpus:
-            testbed.scholar_server.add_page(query_page)
-        sampler = ZipfSampler(len(corpus), s=DEFAULT_ZIPF_S)
-        zipf_rng = testbed.rng.stream("cache.zipf")
-        pick_page = lambda: corpus[sampler.sample(zipf_rng)]
-    else:
-        raise MeasurementError(f"unknown workload {workload!r}")
-    samples: t.List[t.Tuple[float, bool]] = []
+    def attach(host):
+        return fleet.connector(region, host=host)
+        yield  # pragma: no cover - attachment is configuration-only
 
-    def client_loop(sim, host, offset):
-        connector = fleet.connector(region, host=host)
-        browser = Browser(sim, connector, name=f"browser-{host.name}")
-        yield sim.timeout(offset)
-        # Warm-up load: populate caches/tickets, then measure.
-        yield sim.process(browser.load(testbed.scholar_page
-                                       if workload == "queries"
-                                       else pick_page()))
-        for _ in range(cycles):
-            yield sim.timeout(MEASUREMENT_INTERVAL)
-            result = yield sim.process(browser.load(pick_page()))
-            samples.append((sim.now, result.succeeded))
-
-    rng = testbed.rng.stream("fleet.offsets")
-    region_obj = testbed.region(region)
-    processes = []
-    for index, host in enumerate(region_obj.extra_clients[:clients]):
-        offset = rng.uniform(0.0, MEASUREMENT_INTERVAL)
-        processes.append(testbed.sim.process(
-            client_loop(testbed.sim, host, offset),
-            name=f"fleet-load-{index}"))
-    testbed.sim.run(until=testbed.sim.all_of(processes))
+    records = drive_clients(
+        testbed.sim, testbed.region(region).extra_clients[:clients], attach,
+        install_workload(testbed, workload), cycles,
+        testbed.rng.stream("fleet.offsets"), "fleet-load")
+    samples = tuple((record.finished, record.succeeded) for record in records)
 
     router = fleet.router
     assert router is not None
@@ -181,7 +145,7 @@ def run_fleet_region_point(
     return FleetRegionResult(
         region=region, pops=pops, clients=clients, seed=seed, mode=mode,
         completed=completed, failed=len(samples) - completed,
-        duration=testbed.sim.now, samples=tuple(samples),
+        duration=testbed.sim.now, samples=samples,
         failovers=domestic.endpoint_switches, remaps=router.remaps,
         evictions=router.evictions, reinstatements=router.reinstatements,
         events=tuple(router.events),

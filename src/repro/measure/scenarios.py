@@ -36,12 +36,11 @@ from .metrics import (
     loss_rate,
     summarize,
 )
+from .load import MEASUREMENT_INTERVAL, drive_clients, install_workload
 from .testbed import ECHO_PORT, SCHOLAR_HOST, Testbed
 
 #: Methods measured in the paper's Figures 5–7.
 METHOD_NAMES = ("native-vpn", "openvpn", "tor", "shadowsocks", "scholarcloud")
-#: Interval between measurements (§4.2: one access per 60 s).
-MEASUREMENT_INTERVAL = 60.0
 
 
 def build_method(testbed: Testbed, name: str,
@@ -336,37 +335,16 @@ def run_scalability_point(method: str, clients: int, cycles: int = 3,
                           seed: int = 0, mode: str = "packet") -> Summary:
     """Mean PLT with ``clients`` concurrent browsers (one Figure 7 point).
 
+    The PLT summary of :func:`run_overload_point` with every knob off.
     ``mode`` selects the simulation mode (``packet``/``hybrid``/
     ``fluid``, see :mod:`repro.perf.fluid`); ``packet`` is the
     byte-identical default.
     """
-    world = prepare(method, seed=seed, extra_clients=clients, fluid=mode)
-    testbed = world.testbed
-    plts: t.List[float] = []
-    done: t.List[t.Any] = []
-
-    def client_loop(sim, host, offset):
-        connector = yield from world.method.attach_client(host)
-        browser = Browser(sim, connector, name=f"browser-{host.name}")
-        yield sim.timeout(offset)
-        # Warm-up: populate caches, then measure.
-        yield sim.process(browser.load(testbed.scholar_page))
-        for _ in range(cycles):
-            yield sim.timeout(MEASUREMENT_INTERVAL)
-            result = yield sim.process(browser.load(testbed.scholar_page))
-            if result.succeeded:
-                plts.append(result.plt)
-
-    rng = testbed.rng.stream("scalability-offsets")
-    processes = []
-    for index, host in enumerate(testbed.extra_clients[:clients]):
-        offset = rng.uniform(0, MEASUREMENT_INTERVAL)
-        processes.append(testbed.sim.process(
-            client_loop(testbed.sim, host, offset), name=f"load-{index}"))
-    testbed.sim.run(until=testbed.sim.all_of(processes))
-    if not plts:
+    plt = run_overload_point(method, clients=clients, cycles=cycles,
+                             seed=seed, mode=mode).plt
+    if plt is None:
         raise MeasurementError(f"{method}: no scalability samples")
-    return summarize(plts)
+    return plt
 
 
 # -- Overload: the Figure 7 sweep past its knee -----------------------------------------------
@@ -404,68 +382,45 @@ class OverloadResult:
         return self.report.shed_rate
 
 
+def _summary(samples: t.List[float]) -> t.Optional[Summary]:
+    return summarize(samples) if samples else None
+
+
 def run_overload_point(method: str = "scholarcloud", clients: int = 60,
                        cycles: int = 3, seed: int = 0,
                        overload: t.Optional[OverloadConfig] = None,
                        total_deadline: t.Optional[float] = None,
                        mode: str = "packet",
                        workload: str = "home",
+                       cache: t.Optional[CacheConfig] = None,
+                       corpus_size: t.Optional[int] = None,
                        ) -> OverloadResult:
-    """One extended-Figure-7 point, optionally with overload knobs on.
+    """One extended-Figure-7 point, optionally with overload and cache
+    knobs on.
 
-    The client driver is event-for-event identical to
-    :func:`run_scalability_point` — same rng stream, same process
-    names, same warm-up — so with ``overload=None``,
-    ``total_deadline=None``, and the defaults ``mode="packet"`` /
-    ``workload="home"`` the PLT summary is byte-identical to the
-    untouched Figure 7 harness (a regression test holds this).
-
+    With every knob off (``overload``, ``total_deadline`` and ``cache``
+    None, ``mode="packet"``, ``workload="home"``) this is the Figure 7
+    point; :func:`run_scalability_point` returns its PLT summary.
     ``mode`` selects the simulation mode (see :mod:`repro.perf.fluid`);
-    ``workload`` picks the page each client loads: ``"home"`` (the
-    19 KB Scholar home page) or ``"pdf"`` (a 1.2 MB paper download,
-    the bulk steady-state traffic the fluid fast path collapses).
+    ``workload`` names what each client loads (see
+    :data:`repro.measure.load.WORKLOADS`), and ``corpus_size`` sizes
+    the query workloads' corpus.  The result's ``cache`` is the edge
+    :class:`~repro.measure.metrics.CacheReport` (PLT split into hit
+    and miss loads) when a cache is deployed.
     """
-    world = prepare(method, seed=seed, overload=overload,
+    world = prepare(method, seed=seed, overload=overload, cache=cache,
                     extra_clients=clients, fluid=mode)
     testbed = world.testbed
-    if workload == "home":
-        work_page = testbed.scholar_page
-    elif workload == "pdf":
-        from ..http import scholar_pdf
-        work_page = scholar_pdf()
-        testbed.scholar_server.add_page(work_page)
-    else:
-        raise MeasurementError(f"unknown workload {workload!r}")
-    plts: t.List[float] = []
-    outcomes: t.List[t.Tuple[bool, t.Optional[str]]] = []
+    records = drive_clients(
+        testbed.sim, testbed.extra_clients[:clients],
+        world.method.attach_client,
+        install_workload(testbed, workload, corpus_size), cycles,
+        testbed.rng.stream("scalability-offsets"), "load",
+        total_deadline=total_deadline)
 
-    def client_loop(sim, host, offset):
-        connector = yield from world.method.attach_client(host)
-        browser = Browser(sim, connector, name=f"browser-{host.name}",
-                          total_deadline=total_deadline)
-        yield sim.timeout(offset)
-        # Warm-up: populate caches, then measure.
-        yield sim.process(browser.load(work_page))
-        for _ in range(cycles):
-            yield sim.timeout(MEASUREMENT_INTERVAL)
-            result = yield sim.process(browser.load(work_page))
-            outcomes.append((result.succeeded, result.error))
-            if result.succeeded:
-                plts.append(result.plt)
-
-    rng = testbed.rng.stream("scalability-offsets")
-    processes = []
-    for index, host in enumerate(testbed.extra_clients[:clients]):
-        offset = rng.uniform(0, MEASUREMENT_INTERVAL)
-        processes.append(testbed.sim.process(
-            client_loop(testbed.sim, host, offset), name=f"load-{index}"))
-    testbed.sim.run(until=testbed.sim.all_of(processes))
-
-    completed = sum(1 for succeeded, _ in outcomes if succeeded)
-    failed = len(outcomes) - completed
-    client_sheds = sum(1 for succeeded, error in outcomes
-                       if not succeeded and error is not None
-                       and error.startswith("OverloadError"))
+    loaded = [record for record in records if record.succeeded]
+    client_sheds = sum(1 for record in records if record.error is not None
+                       and record.error.startswith("OverloadError"))
     offered = admitted = shed = deadline_drops = 0
     queue_delays: t.Tuple[float, ...] = ()
     decisions: t.List[t.Tuple[float, str, str, int]] = []
@@ -481,126 +436,19 @@ def run_overload_point(method: str = "scholarcloud", clients: int = 60,
             shed = admission.shed
             queue_delays = tuple(admission.queue_delays)
             decisions = list(admission.decisions)
-    report = OverloadReport(
-        offered=offered, admitted=admitted, shed=shed,
-        deadline_drops=deadline_drops, completed=completed,
-        duration=testbed.sim.now, queue_delays=queue_delays)
-    return OverloadResult(
-        method=method, clients=clients, completed=completed, failed=failed,
-        client_sheds=client_sheds,
-        plt=summarize(plts) if plts else None,
-        report=report, decisions=decisions,
-        transpacific_bytes=sum(testbed.border_link.bytes_sent.values()))
-
-
-def run_repeated_query_point(method: str = "scholarcloud", clients: int = 60,
-                             cycles: int = 3, seed: int = 0,
-                             overload: t.Optional[OverloadConfig] = None,
-                             cache: t.Optional[CacheConfig] = None,
-                             total_deadline: t.Optional[float] = None,
-                             mode: str = "packet",
-                             corpus_size: t.Optional[int] = None,
-                             zipf_s: t.Optional[float] = None,
-                             ) -> OverloadResult:
-    """One repeated-query (scraper-shaped) workload point.
-
-    Models the deployment's dominant traffic per ROADMAP §4b: a small
-    corpus of popular Scholar queries hit over and over.  Each client
-    warms up on the home page, then per measurement cycle issues a
-    *burst* of 1–4 result-page loads (scraper sessions re-query in
-    runs), each page drawn Zipf-distributed from the corpus — so the
-    head queries repeat across clients and an edge cache can pay off.
-
-    The client driver keeps :func:`run_overload_point`'s discipline —
-    same ``scalability-offsets`` stream, same ``load-{index}`` process
-    names, same warm-up and 60 s cycle cadence — and draws all workload
-    randomness from the dedicated ``cache.zipf`` stream, so the arrival
-    schedule is comparable across ``cache=None`` / ``cache=...`` runs
-    and fully seed-deterministic.
-
-    Returns an :class:`OverloadResult` whose ``cache`` field carries
-    the edge :class:`~repro.measure.metrics.CacheReport` (with PLT
-    split into hit/miss loads) and whose ``transpacific_bytes`` counts
-    both directions of the border link.
-    """
-    from ..cache import DEFAULT_CORPUS, DEFAULT_ZIPF_S, ZipfSampler, query_corpus
-    world = prepare(method, seed=seed, overload=overload, cache=cache,
-                    extra_clients=clients, fluid=mode)
-    testbed = world.testbed
-    corpus = query_corpus(corpus_size if corpus_size is not None
-                          else DEFAULT_CORPUS)
-    for page in corpus:
-        testbed.scholar_server.add_page(page)
-    sampler = ZipfSampler(len(corpus), s=(zipf_s if zipf_s is not None
-                                          else DEFAULT_ZIPF_S))
-    zipf_rng = testbed.rng.stream("cache.zipf")
-    plts: t.List[float] = []
-    hit_plts: t.List[float] = []
-    miss_plts: t.List[float] = []
-    outcomes: t.List[t.Tuple[bool, t.Optional[str]]] = []
-
-    def client_loop(sim, host, offset):
-        connector = yield from world.method.attach_client(host)
-        browser = Browser(sim, connector, name=f"browser-{host.name}",
-                          total_deadline=total_deadline)
-        yield sim.timeout(offset)
-        # Warm-up: home page populates pools and session tickets.
-        yield sim.process(browser.load(testbed.scholar_page))
-        for _ in range(cycles):
-            yield sim.timeout(MEASUREMENT_INTERVAL)
-            for _query in range(sampler.burst_length(zipf_rng)):
-                page = corpus[sampler.sample(zipf_rng)]
-                result = yield sim.process(browser.load(page))
-                outcomes.append((result.succeeded, result.error))
-                if result.succeeded:
-                    plts.append(result.plt)
-                    if result.all_from_cache:
-                        hit_plts.append(result.plt)
-                    else:
-                        miss_plts.append(result.plt)
-                # Scraper think time between queries in a burst.
-                yield sim.timeout(1.0)
-
-    rng = testbed.rng.stream("scalability-offsets")
-    processes = []
-    for index, host in enumerate(testbed.extra_clients[:clients]):
-        offset = rng.uniform(0, MEASUREMENT_INTERVAL)
-        processes.append(testbed.sim.process(
-            client_loop(testbed.sim, host, offset), name=f"load-{index}"))
-    testbed.sim.run(until=testbed.sim.all_of(processes))
-
-    completed = sum(1 for succeeded, _ in outcomes if succeeded)
-    failed = len(outcomes) - completed
-    client_sheds = sum(1 for succeeded, error in outcomes
-                       if not succeeded and error is not None
-                       and error.startswith("OverloadError"))
-    offered = admitted = shed = deadline_drops = 0
-    queue_delays: t.Tuple[float, ...] = ()
-    decisions: t.List[t.Tuple[float, str, str, int]] = []
-    domestic = getattr(world.method, "domestic", None)
-    if domestic is not None:
-        deadline_drops = domestic.deadline_drops
-        if domestic.admission is not None:
-            admission = domestic.admission
-            offered = admission.offered
-            admitted = admission.admitted
-            shed = admission.shed
-            queue_delays = tuple(admission.queue_delays)
-            decisions = list(admission.decisions)
     cache_report: t.Optional[CacheReport] = None
     edge_cache = getattr(world.method, "cache", None)
     if edge_cache is not None:
         cache_report = edge_cache.report(
-            plt_hit=summarize(hit_plts) if hit_plts else None,
-            plt_miss=summarize(miss_plts) if miss_plts else None)
+            plt_hit=_summary([r.plt for r in loaded if r.from_cache]),
+            plt_miss=_summary([r.plt for r in loaded if not r.from_cache]))
     report = OverloadReport(
         offered=offered, admitted=admitted, shed=shed,
-        deadline_drops=deadline_drops, completed=completed,
+        deadline_drops=deadline_drops, completed=len(loaded),
         duration=testbed.sim.now, queue_delays=queue_delays)
     return OverloadResult(
-        method=method, clients=clients, completed=completed, failed=failed,
-        client_sheds=client_sheds,
-        plt=summarize(plts) if plts else None,
-        report=report, decisions=decisions,
-        cache=cache_report,
+        method=method, clients=clients, completed=len(loaded),
+        failed=len(records) - len(loaded), client_sheds=client_sheds,
+        plt=_summary([record.plt for record in loaded]),
+        report=report, decisions=decisions, cache=cache_report,
         transpacific_bytes=sum(testbed.border_link.bytes_sent.values()))

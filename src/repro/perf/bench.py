@@ -258,7 +258,7 @@ def bench_fluid_fig7(clients: int, cycles: int, seeds: t.Sequence[int],
 
 def bench_edge_cache(clients: int,
                      seeds: t.Sequence[int]) -> t.Dict[str, t.Any]:
-    """Repeated-query overload point with the edge cache off vs on.
+    """Query-burst overload point with the edge cache off vs on.
 
     ``reference_s`` is the uncached sweep, ``optimized_s`` the cached
     one (hits never cross the border, so the cached run also simulates
@@ -269,15 +269,16 @@ def bench_edge_cache(clients: int,
     against the baseline like every other cell).
     """
     from ..cache import CacheConfig
-    from ..measure.scenarios import run_repeated_query_point
+    from ..measure.scenarios import run_overload_point
     from ..overload import OverloadConfig
 
     knee = OverloadConfig(max_sessions=120, max_waiting=16,
                           queue_delay_threshold=2.0)
 
     def sweep(cached: bool) -> t.List[t.Any]:
-        return [run_repeated_query_point(
+        return [run_overload_point(
                     clients=clients, cycles=1, seed=seed, overload=knee,
+                    workload="query-bursts",
                     cache=CacheConfig() if cached else None)
                 for seed in seeds]
 

@@ -158,64 +158,3 @@ def scalability_sweep(
                                 mode=mode)
     return merge_by_label(points, run_points(points, workers=workers,
                                              parallel=parallel))
-
-
-def plt_points(methods: t.Sequence[str], samples: int = 20,
-               seed: int = 0) -> t.List[SweepPoint]:
-    """The Figure 5a grid as sweep points (one per method)."""
-    from ..measure.scenarios import run_plt_experiment
-
-    return [
-        SweepPoint(label=(method, int(seed)),
-                   function=run_plt_experiment,
-                   kwargs={"method": method, "samples": samples, "seed": seed})
-        for method in methods
-    ]
-
-
-def fault_points(methods: t.Sequence[str], seeds: t.Sequence[int],
-                 **kwargs: t.Any) -> t.List[SweepPoint]:
-    """The fault-matrix grid as sweep points (method × seed)."""
-    from ..measure.scenarios import run_fault_experiment
-
-    return [
-        SweepPoint(label=(method, int(seed)),
-                   function=run_fault_experiment,
-                   kwargs={"method": method, "seed": int(seed), **kwargs})
-        for method in methods
-        for seed in seeds
-    ]
-
-
-def fleet_region_points(regions: t.Sequence[str], **kwargs: t.Any) -> t.List[SweepPoint]:
-    """The multi-region fleet grid (one hermetic sim per region).
-
-    Thin alias so the canonical-sweeps index stays in one module; the
-    grid itself lives with the fleet (:func:`repro.fleet.sweep.
-    fleet_points`), which also provides :func:`~repro.fleet.sweep.
-    fleet_sweep` to run it and fold the availability report.
-    """
-    from ..fleet.sweep import fleet_points
-
-    return fleet_points(regions, **kwargs)
-
-
-def overload_points(clients_levels: t.Sequence[int], seed: int = 0,
-                    **kwargs: t.Any) -> t.List[SweepPoint]:
-    """The overload sweep (extended Figure 7) as sweep points.
-
-    A non-default ``mode=`` kwarg (the fluid-simulation axis) is folded
-    into the label so packet and hybrid cells of the same grid stay
-    uniquely keyed.
-    """
-    from ..measure.scenarios import run_overload_point
-
-    mode = kwargs.get("mode", "packet")
-    return [
-        SweepPoint(label=(("scholarcloud", int(clients), int(seed)) if
-                          mode == "packet" else
-                          ("scholarcloud", int(clients), int(seed), mode)),
-                   function=run_overload_point,
-                   kwargs={"clients": int(clients), "seed": seed, **kwargs})
-        for clients in clients_levels
-    ]

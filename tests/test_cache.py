@@ -28,11 +28,7 @@ from repro.cache import (
     scholar_query_page,
 )
 from repro.core.blinding import BlindingAgility
-from repro.measure.scenarios import (
-    prepare,
-    run_overload_point,
-    run_repeated_query_point,
-)
+from repro.measure.scenarios import prepare, run_overload_point
 from repro.measure.testbed import ECHO_PORT, SCHOLAR_HOST
 from repro.overload import OverloadConfig
 
@@ -357,8 +353,9 @@ def test_same_seed_cached_runs_are_byte_identical(seed):
     """Two same-seed cached sweeps replay the exact hit/miss/evict
     event stream (blake2b digest over (op, key, time)) and move the
     same transpacific byte count."""
-    runs = [run_repeated_query_point(clients=4, cycles=1, seed=seed,
-                                     corpus_size=6, cache=CacheConfig())
+    runs = [run_overload_point(clients=4, cycles=1, seed=seed,
+                               workload="query-bursts", corpus_size=6,
+                               cache=CacheConfig())
             for _ in range(2)]
     first, second = runs
     assert first.cache is not None and first.cache.hits > 0
@@ -373,8 +370,8 @@ def test_knobs_off_builds_no_cache_machinery():
     world = prepare("scholarcloud", seed=0)
     assert world.method.cache is None
     assert getattr(world.testbed.sim, "caches", None) is None
-    result = run_repeated_query_point(clients=2, cycles=1, seed=0,
-                                      corpus_size=4)
+    result = run_overload_point(clients=2, cycles=1, seed=0,
+                                workload="query-bursts", corpus_size=4)
     assert result.cache is None
 
 
@@ -411,10 +408,11 @@ def test_cache_reduces_transpacific_bytes_and_plt(seed):
     """The content-delivery bet, at test scale: caching on moves
     strictly fewer transpacific bytes and serves hits faster than
     misses, for every seed."""
-    off = run_repeated_query_point(clients=4, cycles=1, seed=seed,
-                                   corpus_size=6)
-    on = run_repeated_query_point(clients=4, cycles=1, seed=seed,
-                                  corpus_size=6, cache=CacheConfig())
+    off = run_overload_point(clients=4, cycles=1, seed=seed,
+                             workload="query-bursts", corpus_size=6)
+    on = run_overload_point(clients=4, cycles=1, seed=seed,
+                            workload="query-bursts", corpus_size=6,
+                            cache=CacheConfig())
     assert on.transpacific_bytes < off.transpacific_bytes
     report = on.cache
     assert report.hit_rate > 0.0
@@ -424,8 +422,8 @@ def test_cache_reduces_transpacific_bytes_and_plt(seed):
 
 
 def test_hybrid_mode_serves_cache_hits():
-    result = run_repeated_query_point(clients=4, cycles=1, seed=0,
-                                      corpus_size=6, cache=CacheConfig(),
-                                      mode="hybrid")
+    result = run_overload_point(clients=4, cycles=1, seed=0,
+                                workload="query-bursts", corpus_size=6,
+                                cache=CacheConfig(), mode="hybrid")
     assert result.cache.hits > 0
     assert result.completed > 0

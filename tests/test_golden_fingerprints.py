@@ -47,7 +47,6 @@ from repro.measure.scenarios import (
     METHOD_NAMES,
     prepare,
     run_overload_point,
-    run_repeated_query_point,
     run_scalability_point,
 )
 from repro.measure.testbed import (
@@ -325,8 +324,8 @@ def query_bursts() -> str:
     """Scraper bursts through a small edge cache (it evicts) behind an
     admission limit below the client count (it sheds); each query is
     drawn at the instant its load starts."""
-    return result_digest(run_repeated_query_point(
-        clients=10, cycles=2, seed=SEED,
+    return result_digest(run_overload_point(
+        clients=10, cycles=2, seed=SEED, workload="query-bursts",
         cache=CacheConfig(capacity_bytes=150_000),
         overload=OverloadConfig(max_sessions=6, max_waiting=2,
                                 queue_delay_threshold=1.0),

@@ -4,6 +4,7 @@ and light versions of the per-figure scenarios."""
 import pytest
 
 from repro.errors import MeasurementError
+from repro.fleet.sweep import run_fleet_region_point
 from repro.measure import (
     ClientLoadSample,
     Testbed,
@@ -166,3 +167,26 @@ def test_scalability_point_runs():
                                               cycles=1)
     assert summary.count >= 2
     assert summary.mean > 0
+
+
+# -- the load driver's workload registry ------------------------------------------------------
+
+def test_overload_point_runs_the_fleet_query_workload():
+    result = scenarios.run_overload_point(clients=2, cycles=1,
+                                          workload="queries")
+    assert result.completed == 2 and result.failed == 0
+
+
+def test_fleet_point_runs_query_bursts():
+    result = run_fleet_region_point("beijing", pops=1, clients=2, cycles=1,
+                                    mode="packet", workload="query-bursts")
+    assert result.completed >= 1
+
+
+def test_unknown_workload_rejected_by_both_entry_points():
+    with pytest.raises(MeasurementError):
+        scenarios.run_overload_point(clients=1, cycles=1,
+                                     workload="citation-crawl")
+    with pytest.raises(MeasurementError):
+        run_fleet_region_point("beijing", pops=1, clients=1, cycles=1,
+                               mode="packet", workload="citation-crawl")
