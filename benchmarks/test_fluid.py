@@ -3,8 +3,9 @@
 Two hard floors:
 
 * the fig7-style bulk (PDF) overload cell runs at least **20x** faster
-  in hybrid mode than packet mode (measured ~45-50x), with every
-  pooled aggregate inside its declared tolerance band;
+  in hybrid mode than packet mode (29.9x in the committed
+  ``results/fluid_gate_fig7.txt``), with every pooled aggregate inside
+  its declared tolerance band;
 * a **2,000-client** hybrid sweep completes outright — the scale that
   motivated the fast path — and beats a conservatively *linear*
   extrapolation of measured packet-mode cost by at least 20x (packet

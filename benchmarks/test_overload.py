@@ -2,11 +2,11 @@
 
 The paper stops at 180 concurrent clients — about where the single
 remote VM's CPU saturates.  This bench keeps going: with the overload
-knobs on (admission cap + small waiting room + CoDel-style delay
-bound), ScholarCloud's *goodput* — completed page loads per second of
-simulated time — must plateau at the cap rather than collapse, with
-the excess absorbed by explicit sheds and every admitted request's
-queueing delay held under the configured bound.
+knobs on (admission cap + small waiting room + a fixed bound on each
+waiter's queueing delay), ScholarCloud's *goodput* — completed page
+loads per second of simulated time — must plateau at the cap rather
+than collapse, with the excess absorbed by explicit sheds and every
+admitted request's queueing delay held under the configured bound.
 
 With the knobs off the harness is event-for-event the Figure 7 one —
 asserted here against :func:`run_scalability_point` — so the paper's

@@ -105,16 +105,17 @@ class UnboundedQueueRule(Rule):
     A ``while True:`` pump that ``.append``s/``.put``s into a
     long-lived container with no capacity check is an overload bug
     waiting for Figure 7's right-hand side: memory and queueing delay
-    grow without limit exactly when the system is saturated.  Use
-    :class:`repro.overload.BoundedQueue`, a ``deque(maxlen=...)``, or
-    suppress with a comment saying what genuinely bounds the growth.
+    grow without limit exactly when the system is saturated.  Use a
+    ``deque(maxlen=...)``, admit work through
+    :class:`repro.overload.ConcurrencyLimiter`, or suppress with a
+    comment saying what genuinely bounds the growth.
     """
 
     id = "unbounded-queue"
     description = ("container growth inside an infinite loop on a wire "
-                   "path; bound it (repro.overload.BoundedQueue, "
-                   "deque(maxlen=...)) or justify the bound in a "
-                   "suppression comment")
+                   "path; bound it (deque(maxlen=...), "
+                   "repro.overload.ConcurrencyLimiter) or justify the "
+                   "bound in a suppression comment")
     default_scope = ("repro.core", "repro.middleware", "repro.transport",
                      "repro.net")
 

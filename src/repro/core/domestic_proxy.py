@@ -170,7 +170,7 @@ class DomesticProxy:
                 # Expired while queued in the waiting room.
                 self.deadline_drops += 1
                 self.admission.record_expired(source, priority)
-                self.admission.release(source, succeeded=False)
+                self.admission.release(source)
                 self._reject(conn, "expired")
                 return
         yield self.cpu.submit(CONNECT_DEMAND)
@@ -183,7 +183,7 @@ class DomesticProxy:
             conn.send_message(16, meta=("sc-ready",))
         except TransportError:
             conn.close()
-            self._release(session, succeeded=False)
+            self._release(session)
             return
         handoff: t.Optional[t.Tuple[int, t.Any]] = None
         if self.cache is not None:
@@ -191,20 +191,19 @@ class DomesticProxy:
             # relay a non-HTTP frame it has already read; the slot is
             # released here either way.
             try:
-                outcome = yield from self._serve_edge(
+                handoff = yield from self._serve_edge(
                     conn, hostname, target_port, deadline, source)
             except BaseException:
-                self._release(session, succeeded=False)
+                self._release(session)
                 raise
-            if not isinstance(outcome, tuple):
-                self._release(session, succeeded=outcome)
+            if handoff is None:
+                self._release(session)
                 return
-            handoff = outcome
         remote = yield from self._open_remote(hostname, target_port,
                                               deadline, source, handoff)
         if remote is None:
             conn.close()
-            self._release(session, succeeded=False)
+            self._release(session)
             return
         up = self.sim.process(self._pump_to_remote(conn, remote),
                               name="scd-up")
@@ -239,10 +238,10 @@ class DomesticProxy:
             pass
         conn.close()
 
-    def _release(self, session: t.Optional[str], succeeded: bool) -> None:
+    def _release(self, session: t.Optional[str]) -> None:
         if session is not None:
             assert self.admission is not None
-            self.admission.release(session, succeeded=succeeded)
+            self.admission.release(session)
 
     def _release_route(self, key: str) -> None:
         if self.router is not None:
@@ -360,11 +359,11 @@ class DomesticProxy:
         optional modeled TLS handshake, then HTTP message frames — so
         this loop answers the handshake itself, serves hits straight
         from :attr:`cache` without ever dialing transpacific, and only
-        opens the blinded leg on the first miss.  Returns True once the
-        stream is over (False if that leg failed), or — for non-HTTP
-        plaintext such as echo probes, which the edge cannot help — the
-        already-read ``(length, meta)`` frame, leaving ``conn`` open
-        for the relay to take over.
+        opens the blinded leg on the first miss.  Returns None once the
+        stream is over, or — for non-HTTP plaintext such as echo
+        probes, which the edge cannot help — the already-read
+        ``(length, meta)`` frame, leaving ``conn`` open for the relay
+        to take over.
         """
         cache = self.cache
         assert cache is not None
@@ -377,9 +376,9 @@ class DomesticProxy:
                 try:
                     message = yield conn.recv_message()
                 except TransportError:
-                    return True
+                    return
                 if message is None:
-                    return True
+                    return
                 try:
                     length, meta = unwrap_forward(message)
                 except MiddlewareError:
@@ -400,13 +399,13 @@ class DomesticProxy:
                             reply_len = tls_sizes.SERVER_HELLO_WITH_CERT
                             reply = ("tls", "server-hello")
                         if not self._edge_send(conn, reply_len, reply):
-                            return True
+                            return
                     elif meta[1] == "client-finished" and pending_full:
                         pending_full = False
                         if not self._edge_send(
                                 conn, tls_sizes.SERVER_FINISHED,
                                 ("tls", "server-finished")):
-                            return True
+                            return
                     # A resumed client-finished needs no reply.
                     continue
                 if wrapped or isinstance(meta, HttpRequest):
@@ -425,25 +424,25 @@ class DomesticProxy:
                         conn._sc_cache_served = True
                         yield self.cpu.submit(PER_BYTE_DEMAND * out_len)
                         if not self._edge_send(conn, out_len, out_meta):
-                            return True
+                            return
                         continue
                     if upstream is None:
                         remote = yield from self._open_remote(
                             hostname, target_port, deadline, source)
                         if remote is None:
-                            return False
+                            return
                         upstream = _EdgeUpstream(self, remote)
                         if tls_on:
                             ok = yield from upstream.origin_handshake(hostname)
                             if not ok:
-                                return False
+                                return
                     fetched = yield from upstream.fetch(request, wrapped)
                     if fetched is None:
-                        return False
+                        return
                     response, out_len = fetched
                     out_meta = ("tls-app", response) if wrapped else response
                     if not self._edge_send(conn, out_len, out_meta):
-                        return True
+                        return
                     if (response.status == 200 and response.cacheable
                             and not response.record_account):
                         cache.insert(
@@ -454,7 +453,7 @@ class DomesticProxy:
                 if tls_on:
                     # Unknown payload inside a locally-terminated TLS
                     # session: nothing sane to relay.  Drop the stream.
-                    return True
+                    return
                 # Pre-TLS non-HTTP plaintext: hand the stream, with this
                 # frame, to the relay.  A miss leg opened earlier is not
                 # part of that; the relay dials its own.

@@ -16,7 +16,7 @@ import typing as t
 
 from ..dns import StubResolver
 from ..errors import MiddlewareError, NameResolutionError, TransportError
-from ..overload import BoundedQueue, ConcurrencyLimiter, OverloadConfig, deadline_from_wire
+from ..overload import deadline_from_wire
 from ..sim import ProcessorSharingServer, Simulator
 from ..transport import TcpConnection, TransportLayer
 from ..middleware.base import estimate_meta_length, unwrap_forward, wrap_forward
@@ -59,7 +59,6 @@ class RemoteProxy:
         cpu: ProcessorSharingServer,
         agility: BlindingAgility,
         port: int = REMOTE_PROXY_PORT,
-        overload: t.Optional[OverloadConfig] = None,
     ) -> None:
         self.sim = sim
         self.host = host
@@ -69,51 +68,12 @@ class RemoteProxy:
         self.port = port
         self.streams_opened = 0
         self.decoys_served = 0
-        self.streams_shed = 0
         self.deadline_drops = 0
-        self.overload = overload
-        #: In-flight stream cap; shedding keeps a saturated CPU serving
-        #: the admitted streams fast instead of everyone slowly.
-        self.limiter: t.Optional[ConcurrencyLimiter] = None
-        #: Accept backlog: connections accepted but not yet dispatched.
-        self.backlog: t.Optional[BoundedQueue] = None
-        if overload is not None and overload.remote_max_streams is not None:
-            self.limiter = ConcurrencyLimiter(
-                sim, overload.remote_max_streams, name="sc-remote-streams")
-        if overload is not None and overload.remote_backlog is not None:
-            self.backlog = BoundedQueue(sim, overload.remote_backlog,
-                                        name="sc-remote-backlog")
-            sim.process(self._dispatch(), name="sc-remote-dispatch")
         transport = t.cast(TransportLayer, host.transport)
         transport.listen_tcp(port, self._accept)
 
     def _accept(self, conn: TcpConnection) -> None:
-        if self.backlog is not None:
-            if not self.backlog.offer(conn):
-                self.streams_shed += 1
-                self.sim.process(self._serve_decoy(conn),
-                                 name="sc-remote-reject")
-            return
         self.sim.process(self._serve(conn), name="sc-remote")
-
-    def _dispatch(self):
-        """Drain the accept backlog (only runs when a backlog exists)."""
-        while True:
-            conn = yield self.backlog.get()
-            self.sim.process(self._serve(conn), name="sc-remote")
-
-    def _serve_decoy(self, conn: TcpConnection):
-        """Overflowed accept: answer like an overloaded web server.
-
-        Reading the first frame before replying keeps the reject
-        indistinguishable from the decoy path a prober sees.
-        """
-        try:
-            yield conn.recv_message()
-            conn.send_message(480, meta=("http-503", "Service Unavailable"))
-        except TransportError:
-            pass
-        conn.close()
 
     def _serve(self, conn: TcpConnection):
         try:
@@ -146,18 +106,6 @@ class RemoteProxy:
             self._send_error(conn)
             conn.close()
             return
-        admitted = False
-        if self.limiter is not None:
-            if not self.limiter.try_acquire():
-                self.streams_shed += 1
-                fluid = getattr(self.sim, "fluid", None)
-                if fluid is not None:
-                    # Shed streams answer and tear down at packet level.
-                    fluid.defluidize(conn, "shed")
-                self._send_error(conn)
-                conn.close()
-                return
-            admitted = True
         yield self.cpu.submit(CONNECT_DEMAND)
         transport = t.cast(TransportLayer, self.host.transport)
         dial_timeout = (30.0 if deadline is None
@@ -170,7 +118,6 @@ class RemoteProxy:
         except (NameResolutionError, TransportError):
             self._send_error(conn)
             conn.close()
-            self._release(admitted)
             return
         self.streams_opened += 1
         try:
@@ -179,20 +126,13 @@ class RemoteProxy:
                 features=self.agility.codec.features())
         except TransportError:
             # The domestic side vanished between open and ack: the
-            # target dial must not leak, nor the concurrency slot.
+            # target dial must not leak.
             target.close()
             conn.close()
-            self._release(admitted)
             return
-        up = self.sim.process(self._pump_upstream(conn, target),
-                              name="sc-up")
+        self.sim.process(self._pump_upstream(conn, target), name="sc-up")
         self.sim.process(self._pump_downstream(conn, target),
                          name="sc-down")
-        if admitted:
-            # The stream slot frees when the domestic-facing pump ends
-            # (EOF or failure on ``conn``); the target-facing pump may
-            # outlive it on a half-closed dial and must not pin the slot.
-            up.add_callback(lambda _event: self.limiter.release())
 
     def _send_error(self, conn: TcpConnection) -> None:
         """Best-effort ``sc-error`` ack; the peer may already be gone."""
@@ -202,11 +142,6 @@ class RemoteProxy:
                 features=self.agility.codec.features())
         except TransportError:
             pass
-
-    def _release(self, admitted: bool) -> None:
-        if admitted:
-            assert self.limiter is not None
-            self.limiter.release()
 
     def _pump_upstream(self, conn: TcpConnection, target: TcpConnection):
         while True:

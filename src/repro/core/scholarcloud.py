@@ -144,7 +144,7 @@ class ScholarCloud(AccessMethod):
                  cache: t.Optional[CacheConfig] = None) -> None:
         super().__init__(testbed)
         self.whitelist = whitelist if whitelist is not None else scholar_whitelist()
-        #: Overload-protection knobs for both proxies (None = off, the
+        #: Session admission at the domestic proxy (None = off, the
         #: calibrated paper configuration).
         self.overload = overload
         #: Edge-cache knobs (None = no caches, the calibrated paper
@@ -187,8 +187,7 @@ class ScholarCloud(AccessMethod):
                 resolver = StubResolver(testbed.sim, vm,
                                         upstream=GOOGLE_DNS_ADDR, port=5362)
                 self.remotes.append(RemoteProxy(
-                    testbed.sim, vm, resolver, cpu=cpu, agility=self.agility,
-                    overload=self.overload))
+                    testbed.sim, vm, resolver, cpu=cpu, agility=self.agility))
             self.remote = self.remotes[0]
         if self.domestic is None:
             if self.cache_config is not None and self.cache is None:

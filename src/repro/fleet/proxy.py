@@ -110,8 +110,7 @@ class ProxyFleet:
                 resolver = StubResolver(sim, pop, upstream=GOOGLE_DNS_ADDR,
                                         port=5362)
                 self.remotes.append(RemoteProxy(
-                    sim, pop, resolver, cpu=cpu, agility=self.agility,
-                    overload=self.overload))
+                    sim, pop, resolver, cpu=cpu, agility=self.agility))
             self.endpoints = [
                 Endpoint(IPv4Address(pop.address), REMOTE_PROXY_PORT,
                          name=pop.name)

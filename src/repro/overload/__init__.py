@@ -1,10 +1,10 @@
-"""Overload protection: bounded queues, admission control, deadlines.
+"""Overload protection: admission control, deadlines.
 
 The paper's Figure 7 shows ScholarCloud degrading gently where
 Shadowsocks collapses; this package supplies the mechanism behind a
 gentle knee — shed a little excess load early and deterministically so
-everything admitted still completes fast.  All of it is opt-in: no
-proxy constructs any of these objects unless handed an
+everything admitted still completes fast.  All of it is opt-in: the
+domestic proxy constructs none of these objects unless handed an
 :class:`OverloadConfig`, so calibrated paper traces are untouched.
 """
 
@@ -12,26 +12,17 @@ from .admission import (
     PRIORITY_BULK,
     PRIORITY_INTERACTIVE,
     AdmissionController,
-    AdmissionPolicy,
-    AimdPolicy,
     OverloadConfig,
-    QueueDelayPolicy,
-    StaticCapPolicy,
 )
 from .deadline import Deadline, deadline_from_wire
-from .queues import BoundedQueue, ConcurrencyLimiter
+from .queues import ConcurrencyLimiter
 
 __all__ = [
     "AdmissionController",
-    "AdmissionPolicy",
-    "AimdPolicy",
-    "BoundedQueue",
     "ConcurrencyLimiter",
     "Deadline",
     "OverloadConfig",
     "PRIORITY_BULK",
     "PRIORITY_INTERACTIVE",
-    "QueueDelayPolicy",
-    "StaticCapPolicy",
     "deadline_from_wire",
 ]

@@ -1,96 +1,23 @@
-"""Bounded queueing primitives for overload protection.
+"""The bounded queueing primitive behind admission control.
 
-Two primitives, built on the same event machinery as
-:mod:`repro.sim.resources` but with *bounds* and *rejection* as
-first-class outcomes:
+:class:`ConcurrencyLimiter` is a counted semaphore with a *bounded*
+waiting room, priority-aware shedding, and per-waiter delay caps.
+Built on the same event machinery as :mod:`repro.sim.resources`, but
+where :class:`repro.sim.resources.Resource` queues forever, the
+limiter fails a waiter's event with
+:class:`~repro.errors.OverloadError` the moment it decides the work
+will not be served in time.
 
-* :class:`BoundedQueue` — a FIFO of items with a hard capacity.  A full
-  queue rejects new items immediately (``offer`` returns False, ``put``
-  raises :class:`~repro.errors.OverloadError`) instead of growing
-  without limit.  Sojourn times are recorded so callers can reason
-  about queueing delay.
-* :class:`ConcurrencyLimiter` — a counted semaphore with a *bounded*
-  waiting room, priority-aware shedding, and per-waiter delay caps.
-  Where :class:`repro.sim.resources.Resource` queues forever, the
-  limiter fails a waiter's event with :class:`OverloadError` the moment
-  it decides the work will not be served in time.
-
-Both are deterministic: grant order is (priority band, arrival
-sequence) and every decision is driven by simulated time only.
+It is deterministic: grant order is (priority band, arrival sequence)
+and every decision is driven by simulated time only.
 """
 
 from __future__ import annotations
 
 import typing as t
-from collections import deque
 
 from ..errors import OverloadError, SimulationError
 from ..sim import Event, Simulator
-
-
-class BoundedQueue:
-    """FIFO of items with a hard capacity and fast rejection.
-
-    Unlike :class:`repro.sim.resources.Store`, a full queue never grows:
-    ``offer`` returns False and ``put`` raises
-    :class:`~repro.errors.OverloadError`.  Each dequeued item's sojourn
-    time (enqueue to dequeue) is appended to :attr:`delays`.
-    """
-
-    def __init__(self, sim: Simulator, capacity: int,
-                 name: str = "bounded-queue") -> None:
-        if capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._items: t.Deque[t.Tuple[float, t.Any]] = deque()
-        self._getters: t.Deque[Event] = deque()
-        #: Counters for degradation metrics.
-        self.offered = 0
-        self.accepted = 0
-        self.rejected = 0
-        #: Sojourn time of every dequeued item, in arrival order.
-        self.delays: t.List[float] = []
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def full(self) -> bool:
-        return len(self._items) >= self.capacity
-
-    def offer(self, item: t.Any) -> bool:
-        """Enqueue ``item`` if there is room; return whether it was taken."""
-        self.offered += 1
-        if self._getters:
-            self.accepted += 1
-            self.delays.append(0.0)
-            self._getters.popleft().succeed(item)
-            return True
-        if len(self._items) >= self.capacity:
-            self.rejected += 1
-            return False
-        self.accepted += 1
-        self._items.append((self.sim.now, item))
-        return True
-
-    def put(self, item: t.Any) -> None:
-        """Enqueue ``item`` or raise :class:`OverloadError` if full."""
-        if not self.offer(item):
-            raise OverloadError(
-                f"{self.name}: queue full ({self.capacity} items)")
-
-    def get(self) -> Event:
-        """Return an event that fires with the next item."""
-        event = self.sim.event()
-        if self._items:
-            enqueued_at, item = self._items.popleft()
-            self.delays.append(self.sim.now - enqueued_at)
-            event.succeed(item)
-        else:
-            self._getters.append(event)
-        return event
 
 
 class _Waiter:
@@ -109,7 +36,6 @@ class _Waiter:
 class ConcurrencyLimiter:
     """Counted concurrency limit with a bounded, priority-aware wait queue.
 
-    * ``try_acquire`` admits or rejects immediately (never queues).
     * ``acquire`` admits immediately when a slot is free; otherwise the
       caller joins a waiting room of at most ``max_waiting`` entries.
       When the room is full, the *worst* waiter — lowest priority
@@ -158,14 +84,6 @@ class ConcurrencyLimiter:
     def queue_length(self) -> int:
         return len(self._waiters)
 
-    def try_acquire(self) -> bool:
-        """Admit immediately if a slot is free; never queues."""
-        if self._in_use < self.capacity:
-            self._grant_now()
-            return True
-        self.rejected += 1
-        return False
-
     def acquire(self, priority: int = 0,
                 deadline: t.Optional[float] = None) -> Event:
         """Event that fires with the queueing delay once a slot is held.
@@ -176,7 +94,9 @@ class ConcurrencyLimiter:
         """
         event = self.sim.event()
         if self._in_use < self.capacity:
-            self._grant_now()
+            self._in_use += 1
+            self.admitted += 1
+            self.queue_delays.append(0.0)
             event.succeed(0.0)
             return event
         if self.max_waiting <= 0:
@@ -219,11 +139,6 @@ class ConcurrencyLimiter:
         self._in_use -= 1
 
     # -- internals ---------------------------------------------------------
-
-    def _grant_now(self) -> None:
-        self._in_use += 1
-        self.admitted += 1
-        self.queue_delays.append(0.0)
 
     def _worst_waiter(self) -> t.Optional[_Waiter]:
         if not self._waiters:

@@ -1,11 +1,14 @@
-"""repro.overload: bounded queues, admission control, deadlines, shedding.
+"""repro.overload: admission control, deadlines, shedding.
 
 Three tiers of coverage:
 
-* unit — the queueing primitives and policies in isolation (capacity,
-  rejection, priority-aware eviction, wait-timer shedding, AIMD bounds);
-* integration — the proxies under a tiny cap: sheds are fast and
-  explicit, released sessions free capacity, sticky sources survive;
+* unit — the concurrency limiter and the admission controller in
+  isolation (capacity, rejection, priority-aware eviction, wait-timer
+  shedding, sticky sources);
+* integration — the domestic proxy under a tiny cap: sheds are fast
+  and explicit, released sessions free capacity, sticky sources
+  survive, and the admit/shed counters balance against the decision
+  log;
 * composition — the ``overload_storm`` script drives a flash crowd into
   the proxy while the remote VM crashes: the excess is shed, the
   failover breaker opens and recovers, and the client's sessions come
@@ -13,8 +16,12 @@ Three tiers of coverage:
   admit/shed decision log.
 """
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
+from repro.cache import CacheConfig
 from repro.core.whitelist import scholar_whitelist
 from repro.errors import ConfigurationError, OverloadError, SimulationError
 from repro.faults import RetryPolicy, overload_storm
@@ -25,68 +32,17 @@ from repro.overload import (
     PRIORITY_BULK,
     PRIORITY_INTERACTIVE,
     AdmissionController,
-    AimdPolicy,
-    BoundedQueue,
     ConcurrencyLimiter,
     Deadline,
     OverloadConfig,
-    QueueDelayPolicy,
-    StaticCapPolicy,
 )
 from repro.sim import RngRegistry, Simulator
-
-
-# -- bounded queue -----------------------------------------------------------------
-
-
-class TestBoundedQueue:
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(SimulationError):
-            BoundedQueue(Simulator(seed=0), capacity=0)
-
-    def test_offer_rejects_when_full(self):
-        queue = BoundedQueue(Simulator(seed=0), capacity=2)
-        assert queue.offer("a") and queue.offer("b")
-        assert not queue.offer("c")
-        assert (queue.offered, queue.accepted, queue.rejected) == (3, 2, 1)
-        assert queue.full and len(queue) == 2
-
-    def test_put_raises_overload_error_when_full(self):
-        queue = BoundedQueue(Simulator(seed=0), capacity=1)
-        queue.put("a")
-        with pytest.raises(OverloadError):
-            queue.put("b")
-
-    def test_get_records_sojourn_time(self):
-        sim = Simulator(seed=0)
-        queue = BoundedQueue(sim, capacity=4)
-        queue.put("a")
-        sim.schedule(2.5, lambda: None)
-        sim.run(until=2.5)
-        event = queue.get()
-        assert event.triggered and event.value == "a"
-        assert queue.delays == [2.5]
-
-    def test_offer_hands_straight_to_a_blocked_getter(self):
-        sim = Simulator(seed=0)
-        queue = BoundedQueue(sim, capacity=1)
-        event = queue.get()
-        assert not event.triggered
-        assert queue.offer("a")
-        assert event.triggered and event.value == "a"
-        assert queue.delays == [0.0]  # never sat in the queue
 
 
 # -- concurrency limiter -----------------------------------------------------------
 
 
 class TestConcurrencyLimiter:
-    def test_try_acquire_never_queues(self):
-        limiter = ConcurrencyLimiter(Simulator(seed=0), capacity=1)
-        assert limiter.try_acquire()
-        assert not limiter.try_acquire()
-        assert (limiter.admitted, limiter.rejected) == (1, 1)
-
     def test_acquire_without_waiting_room_fails_fast(self):
         sim = Simulator(seed=0)
         limiter = ConcurrencyLimiter(sim, capacity=1, max_waiting=0)
@@ -171,54 +127,29 @@ class TestConcurrencyLimiter:
             ConcurrencyLimiter(Simulator(seed=0), capacity=1).release()
 
 
-# -- config validation and policies ------------------------------------------------
+# -- config validation -------------------------------------------------------------
 
 
 class TestOverloadConfig:
     def test_defaults_are_valid(self):
         config = OverloadConfig()
-        assert isinstance(config.make_policy(), StaticCapPolicy)
+        assert (config.max_sessions, config.max_waiting,
+                config.queue_delay_threshold) == (128, 0, None)
+
+    def test_the_static_cap_is_the_only_policy(self):
+        names = [field.name for field in dataclasses.fields(OverloadConfig)]
+        assert names == ["max_sessions", "max_waiting",
+                         "queue_delay_threshold"]
 
     @pytest.mark.parametrize("kwargs", [
         {"max_sessions": 0},
         {"max_waiting": -1},
         {"max_waiting": 8},  # waiting room without a delay threshold
         {"queue_delay_threshold": 0.0},
-        {"policy": "psychic"},
-        {"bulk_share": 0.0},
-        {"bulk_share": 1.5},
-        {"policy": "aimd", "aimd_min": 0},
-        {"policy": "aimd", "max_sessions": 4, "aimd_min": 8},
-        {"policy": "aimd", "aimd_decrease": 1.0},
-        {"policy": "aimd", "aimd_increase": 0.0},
     ])
     def test_bad_knobs_raise_configuration_error(self, kwargs):
         with pytest.raises(ConfigurationError):
             OverloadConfig(**kwargs)
-
-    def test_policy_selection(self):
-        codel = OverloadConfig(policy="codel", queue_delay_threshold=1.0)
-        aimd = OverloadConfig(policy="aimd")
-        assert isinstance(codel.make_policy(), QueueDelayPolicy)
-        assert isinstance(aimd.make_policy(), AimdPolicy)
-
-
-class TestAimdPolicy:
-    def test_decrease_floors_and_increase_ceils(self):
-        policy = AimdPolicy(ceiling=16, floor=4, increase=1.0, decrease=0.5)
-        for _ in range(10):
-            policy.on_shed()
-        assert policy.limit() == 4
-        for _ in range(1000):
-            policy.on_success()
-        assert policy.limit() == 16
-
-    def test_additive_increase_is_gentle_per_success(self):
-        policy = AimdPolicy(ceiling=100, floor=4)
-        policy.on_shed()  # 50
-        before = policy.limit()
-        policy.on_success()
-        assert policy.limit() - before <= 1
 
 
 # -- admission controller ----------------------------------------------------------
@@ -278,14 +209,16 @@ class TestAdmissionController:
         with pytest.raises(ConfigurationError):
             admission.release("ghost")
 
-    def test_bulk_share_reserves_headroom_for_interactive(self):
+    def test_bulk_newcomer_waits_for_a_freed_slot(self):
+        # No share of the cap is held back for interactive traffic: a
+        # bulk newcomer at the cap queues and takes the next free slot.
         sim = Simulator(seed=0)
-        admission = self._controller(sim, max_sessions=4, bulk_share=0.5)
+        admission = self._controller(sim, max_sessions=1, max_waiting=1,
+                                     queue_delay_threshold=5.0)
         _drive(sim, admission.admit("a", PRIORITY_INTERACTIVE))
-        _drive(sim, admission.admit("b", PRIORITY_INTERACTIVE))
-        # Half the cap is occupied: new bulk is shed, interactive is not.
-        assert "error" in _drive(sim, admission.admit("c", PRIORITY_BULK))
-        assert "value" in _drive(sim, admission.admit("d", PRIORITY_INTERACTIVE))
+        sim.schedule(1.0, admission.release, "a")
+        assert _drive(sim, admission.admit("b", PRIORITY_BULK)) == {
+            "value": 1.0}
 
     def test_record_expired_is_logged_not_shed(self):
         sim = Simulator(seed=0)
@@ -294,18 +227,6 @@ class TestAdmissionController:
         assert admission.deadline_drops == 1
         assert admission.shed == 0
         assert admission.decisions[-1][2] == "expired"
-
-    def test_aimd_shrinks_under_sheds_and_regrows(self):
-        sim = Simulator(seed=0)
-        admission = self._controller(sim, max_sessions=8, policy="aimd",
-                                     aimd_min=2)
-        for name in "abcdefgh":
-            _drive(sim, admission.admit(name))
-        _drive(sim, admission.admit("overflow"))  # shed -> halve
-        assert admission.policy.limit() == 4
-        for name in "abcdefgh":
-            admission.release(name)  # clean completions grow it back
-        assert admission.policy.limit() > 4
 
 
 # -- whitelist priorities (the admission signal) -----------------------------------
@@ -458,23 +379,6 @@ class TestProxyShedding:
         assert admission.in_use == 0
         assert _open_stream(world, second) is not None
 
-    def test_remote_stream_cap_sheds_excess_streams(self):
-        config = OverloadConfig(remote_max_streams=1)
-        world = prepare("scholarcloud", seed=0, overload=config)
-        testbed = world.testbed
-        connector = world.method.connector()
-        held = _open_stream(world, connector)
-        # The domestic ack is optimistic: settle until the transpacific
-        # leg actually reaches the remote proxy.
-        testbed.sim.run(until=testbed.sim.now + 5.0)
-        remote = world.method.remotes[0]
-        assert remote.limiter is not None and remote.limiter.in_use == 1
-        _open_stream(world, connector)  # second stream, same optimism
-        testbed.sim.run(until=testbed.sim.now + 10.0)
-        assert remote.streams_shed > 0
-        assert remote.limiter.in_use == 1  # the held stream kept its slot
-        held.close()
-
     def test_shed_reply_is_not_retried_by_the_connector(self):
         config = OverloadConfig(max_sessions=1)
         world = prepare("scholarcloud", seed=0, overload=config,
@@ -515,6 +419,38 @@ class TestShedSeedRobustness:
 
     def test_different_seed_different_decisions(self):
         assert _decision_log(0).decisions != _decision_log(7).decisions
+
+
+# -- admission accounting ----------------------------------------------------------
+
+
+#: The ``query-bursts`` and ``overload-pdf`` golden scenarios of
+#: tests/test_golden_fingerprints.py: both offer more sources than the
+#: six-session cap, so each run admits, queues and sheds.
+_ACCOUNTING_POINTS = {
+    "query-bursts": dict(clients=10, workload="query-bursts",
+                         cache=CacheConfig(capacity_bytes=150_000),
+                         corpus_size=12),
+    "overload-pdf": dict(clients=8, mode="hybrid", workload="pdf",
+                         total_deadline=6.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ACCOUNTING_POINTS))
+def test_admission_counters_balance_the_decision_log(name):
+    result = run_overload_point(
+        cycles=2, seed=5,
+        overload=OverloadConfig(max_sessions=6, max_waiting=2,
+                                queue_delay_threshold=1.0),
+        **_ACCOUNTING_POINTS[name])
+    report = result.report
+    outcomes = Counter(decision[2] for decision in result.decisions)
+    assert report.shed > 0
+    assert report.offered == report.admitted + report.shed
+    assert outcomes["admit"] + outcomes["admit-sticky"] == report.admitted
+    assert outcomes["shed"] == report.shed
+    # One queue delay per slot grant; sticky admissions take no slot.
+    assert len(report.queue_delays) == outcomes["admit"]
 
 
 # -- overload composed with faults (the acceptance scenario) -----------------------
