@@ -92,8 +92,6 @@ def test_escalation_to_blackout_survival(emit):
             f"seed {seed}: {result.completed}/{sessions} sessions, "
             f"{result.migrations} migrations "
             f"({len(affected)} affected, all resumed mid-file), "
-            f"hedges={result.hedges} wins={result.hedge_wins} "
-            f"losers_closed={result.losers_closed}, "
             f"digest={result.event_digest}, {wall:.1f} s wall\n"
             + report.render())
 

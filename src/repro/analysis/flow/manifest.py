@@ -27,7 +27,6 @@ STREAM_MANIFEST: t.Dict[str, t.Tuple[str, ...]] = {
     "failover.health": ("repro.faults",),
     "fleet.detector": ("repro.fleet",),
     "fleet.offsets": ("repro.fleet",),
-    "survival.hedge": ("repro.fleet",),
     "survival.retry": ("repro.fleet",),
     "survival.offsets": ("repro.fleet",),
 }

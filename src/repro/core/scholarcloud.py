@@ -85,9 +85,9 @@ class ScConnector(Connector):
                   deadline: t.Optional[Deadline] = None):
         """Generator: a single dial attempt (no retry loop).
 
-        Public so callers that manage their own retry/hedging — the
-        survival layer races two of these against the p95 dial-latency
-        estimate — can compose attempts without double-retrying.
+        Public so callers that manage their own retry — the survival
+        layer makes one of these per health-scaled retry attempt — can
+        compose attempts without double-retrying.
         """
         testbed = self.system.testbed
         transport = testbed.transport_of(self.host)

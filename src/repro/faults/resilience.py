@@ -119,8 +119,8 @@ class RetryPolicy:
 
         ``factor`` is in (0, 1]: 1.0 returns an equivalent policy, and
         lower health shrinks both the attempt count and the time budget
-        proportionally — the adaptive-budget half of hedged dialing,
-        where retries against a degraded region must never amplify its
+        proportionally — survival sessions retry this way, because
+        retries against a degraded region must never amplify its
         outage into a fleet-wide storm.  The rng stream is *shared*
         with the parent so jitter draws stay on one per-seed trace.
         """

@@ -21,8 +21,6 @@ from .regions import (
 from .report import FleetReport, RegionReport
 from .router import ACTIVE, DOWN, DRAINED, DRAINING, FailureDetector, SessionRouter
 from .survival import (
-    HedgedDialer,
-    DialLatencyTracker,
     ResumeToken,
     SurvivalCampaignResult,
     SurvivalCoordinator,
@@ -48,14 +46,12 @@ __all__ = [
     "DOWN",
     "DRAINED",
     "DRAINING",
-    "DialLatencyTracker",
     "FailureDetector",
     "FleetInjector",
     "FleetRegionResult",
     "FleetReport",
     "FleetSchedule",
     "FleetTestbed",
-    "HedgedDialer",
     "InvariantResult",
     "ProxyFleet",
     "Region",

@@ -148,7 +148,7 @@ class ProxyFleet:
 
         ``retry`` overrides the connector's default dial retry policy —
         survival sessions pass ``attempts=1`` so their own health-scaled
-        retry/hedging loop is the only one running.
+        retry loop is the only one running.
         """
         if not self.launched:
             raise MeasurementError("ProxyFleet is not launched; run launch()")

@@ -1,18 +1,13 @@
-"""Session survivability: checkpoints, migration, hedged dials.
+"""Session survivability: checkpoints, migration, health-scaled retry.
 
 The fleet's chaos campaigns showed *what* a regional escalation does to
 availability; this module is the machinery that lets sessions live
-through one.  Four pieces, layered bottom-up:
+through one.  Three pieces, layered bottom-up:
 
 * :class:`ResumeToken` — a compact, deterministic checkpoint of an
   in-flight chunked fetch (method, blinding epoch, byte offset,
   remaining deadline budget).  A migrated session *resumes* from its
   token instead of re-downloading from byte zero.
-* :class:`HedgedDialer` — races a second dial against the p95
-  dial-latency estimate (tail-tolerant dialing a la Dean & Barroso's
-  "The Tail at Scale"): the hedge only launches once the primary is
-  slower than the estimate, and whichever dial loses closes its own
-  connection, so a hedge can never leak a stream.
 * :class:`SurvivalCoordinator` — scores every region each sampling
   interval via :func:`~repro.measure.metrics.region_health` (admission
   shed rate + firewall interference rate + transpacific breaker state)
@@ -22,15 +17,15 @@ through one.  Four pieces, layered bottom-up:
   migration budget so routing can never thrash a session across the
   country indefinitely.
 * :class:`SurvivalSession` — one client's resumable chunked download:
-  dials its home region's front door, checkpoints after every chunk,
-  and on failure asks the coordinator where to go next, scaling its
-  retry budget by the observed health of its home region (a degraded
-  region gets *fewer* retries, never a storm).
+  dials its home region's front door once per attempt, checkpoints
+  after every chunk, and on failure asks the coordinator where to go
+  next, scaling its retry budget by the observed health of its home
+  region (a degraded region gets *fewer* retries, never a storm).
 
-Every decision draws from registered rng streams (``survival.hedge``,
-``survival.retry``, ``survival.offsets``) and simulated time only, so a
-campaign's full event log is a pure function of the seed — which is
-what lets :class:`~repro.fleet.verifier.SurvivalVerifier` machine-check
+Every decision draws from registered rng streams (``survival.retry``,
+``survival.offsets``) and simulated time only, so a campaign's full
+event log is a pure function of the seed — which is what lets
+:class:`~repro.fleet.verifier.SurvivalVerifier` machine-check
 invariants over it.
 """
 
@@ -38,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import typing as t
-from collections import deque
 from dataclasses import dataclass, replace
 
 from ..errors import (
@@ -54,7 +48,6 @@ from ..http.client import fetch
 from ..measure.metrics import (
     HEALTH_DEGRADED_BELOW,
     RegionHealth,
-    percentile,
     region_health,
 )
 from ..net import IPv4Address
@@ -194,130 +187,6 @@ def survival_document(total_bytes: int = 8 * CHUNK_SIZE,
                 parse_time=0.0)
 
 
-# -- hedged dialing --------------------------------------------------------------
-
-
-class DialLatencyTracker:
-    """Sliding-window dial-latency estimator (p95 with a cold-start prior)."""
-
-    def __init__(self, window: int = 64, default: float = 0.8) -> None:
-        if window < 1:
-            raise MeasurementError(f"window must be >= 1, got {window}")
-        self.samples: t.Deque[float] = deque(maxlen=window)
-        self.default = default
-
-    def observe(self, latency: float) -> None:
-        self.samples.append(latency)
-
-    def p95(self) -> float:
-        if not self.samples:
-            return self.default
-        return percentile(sorted(self.samples), 0.95)
-
-
-class HedgedDialer:
-    """Race a second dial against the p95 dial-latency estimate.
-
-    ``dial()`` launches the primary attempt; if a second attempt is
-    available and the primary has not resolved within the (jittered)
-    p95 estimate — or failed outright — the hedge launches and the two
-    race.  The first success wins; a loser that also succeeds closes
-    its own connection immediately (``losers_closed`` counts them), so
-    the hedge path can never leak a stream.  Jitter draws from the
-    registered ``survival.hedge`` stream: hedging is as deterministic
-    as everything else.
-    """
-
-    def __init__(self, sim: Simulator, rng=None,
-                 tracker: t.Optional[DialLatencyTracker] = None,
-                 jitter: float = 0.1, floor: float = 0.05) -> None:
-        if not 0.0 <= jitter < 1.0:
-            raise MeasurementError(f"jitter must be in [0,1), got {jitter}")
-        self.sim = sim
-        self.rng = rng if rng is not None else sim.rng.stream("survival.hedge")
-        self.tracker = tracker if tracker is not None else DialLatencyTracker()
-        self.floor = floor
-        self.jitter = jitter
-        #: Hedges actually launched because the primary ran slow.
-        self.hedges = 0
-        #: Dials won by the second attempt (hedge or fast-failover).
-        self.hedge_wins = 0
-        #: Losing dials that succeeded anyway and were closed.
-        self.losers_closed = 0
-
-    def hedge_delay(self) -> float:
-        delay = max(self.floor, self.tracker.p95())
-        if self.jitter > 0.0:
-            delay *= 1.0 + self.jitter * (2.0 * self.rng.random() - 1.0)
-        return delay
-
-    def dial(self, attempts: t.Sequence[t.Tuple[t.Any, t.Callable]],
-             on_result: t.Optional[t.Callable[[t.Any, bool], None]] = None):
-        """Generator: race up to two dial attempts; return (conn, label).
-
-        ``attempts`` is ``[(label, thunk), ...]`` where each thunk is a
-        zero-arg generator function yielding a closeable connection.
-        Raises the last attempt's error if every attempt fails.
-        """
-        attempts = list(attempts)
-        if not attempts:
-            raise MeasurementError("hedged dial needs at least one attempt")
-        # Attempt processes record into shared state and never raise:
-        # any_of fails fast on a failed child, which would abort the
-        # race the moment the *losing* dial errored.
-        state: t.Dict[str, t.Any] = {"winner": None, "label": None,
-                                     "errors": []}
-        procs = [self._launch(attempts[0], state, on_result)]
-        if len(attempts) > 1:
-            timer = self.sim.timeout(self.hedge_delay())
-            yield self.sim.any_of([procs[0], timer])
-            if state["winner"] is None:
-                if not procs[0].triggered:
-                    # Primary slower than the estimate: hedge.
-                    self.hedges += 1
-                # (else: primary failed fast — plain failover, no hedge)
-                procs.append(self._launch(attempts[1], state, on_result))
-        while state["winner"] is None:
-            pending = [proc for proc in procs if not proc.triggered]
-            if not pending:
-                break
-            yield self.sim.any_of(pending)
-        if state["winner"] is None:
-            if state["errors"]:
-                raise state["errors"][-1]
-            raise TransportError("hedged dial failed with no verdicts")
-        if len(procs) > 1 and state["label"] == attempts[1][0]:
-            self.hedge_wins += 1
-        return state["winner"], state["label"]
-
-    def _launch(self, attempt: t.Tuple[t.Any, t.Callable],
-                state: t.Dict[str, t.Any], on_result) -> t.Any:
-        label, thunk = attempt
-        return self.sim.process(self._attempt(label, thunk, state, on_result),
-                                name=f"hedge-dial:{label}")
-
-    def _attempt(self, label, thunk, state, on_result):
-        started = self.sim.now
-        try:
-            conn = yield from thunk()
-        except (TransportError, MiddlewareError, OverloadError) as exc:
-            state["errors"].append(exc)
-            if on_result is not None:
-                on_result(label, False)
-            return None
-        self.tracker.observe(self.sim.now - started)
-        if on_result is not None:
-            on_result(label, True)
-        if state["winner"] is None:
-            state["winner"] = conn
-            state["label"] = label
-            return None
-        # Lost the race after succeeding: exactly one stream survives.
-        conn.close()
-        self.losers_closed += 1
-        return None
-
-
 # -- the coordinator -------------------------------------------------------------
 
 
@@ -338,8 +207,7 @@ class SurvivalCoordinator:
                  interval: float = HEALTH_INTERVAL,
                  degraded_below: float = HEALTH_DEGRADED_BELOW,
                  recover_after: int = RECOVER_AFTER,
-                 migration_budget: int = MIGRATION_BUDGET,
-                 hedge: t.Optional[HedgedDialer] = None) -> None:
+                 migration_budget: int = MIGRATION_BUDGET) -> None:
         if not fleet.launched:
             raise MeasurementError(
                 "SurvivalCoordinator needs a launched ProxyFleet")
@@ -367,7 +235,6 @@ class SurvivalCoordinator:
         #: Breaker-guarded probes of the regional front doors (used to
         #: pre-flight a migration target before committing a session).
         self.entry_pool = FailoverPool(self.sim, list(self.entries.values()))
-        self.hedge = hedge if hedge is not None else HedgedDialer(self.sim)
         self.retry_rng = self.sim.rng.stream("survival.retry")
         #: The machine-checkable campaign log (SurvivalVerifier input).
         self.events: t.List[SurvivalEvent] = []
@@ -585,7 +452,7 @@ class SurvivalSession:
     def _connector(self, region: str):
         connector = self._connectors.get(region)
         if connector is None:
-            # attempts=1: the *session* owns retry/hedging; the stock
+            # attempts=1: the *session* owns retry; the stock
             # connector-level retry loop would nest storms under ours.
             connector = self.coordinator.fleet.connector(
                 region, host=self.host, retry=RetryPolicy(attempts=1))
@@ -597,7 +464,7 @@ class SurvivalSession:
         return max(0.25, min(1.0, self.coordinator.latest_score(self.home)))
 
     def _open_stream(self, target: str, deadline: Deadline, migrating: bool):
-        """Generator: hedged TLS open through ``target``'s front door."""
+        """Generator: one TLS open through ``target``'s front door."""
         coordinator = self.coordinator
         if migrating:
             # Pre-flight the migration target: one breaker-guarded
@@ -608,15 +475,8 @@ class SurvivalSession:
             if not alive:
                 raise TransportError(
                     f"survival: {target} front door failed pre-flight")
-        connector = self._connector(target)
-
-        def attempt():
-            return (yield from connector.open_once(
-                self.page.host, 443, True, deadline))
-
-        conn, _label = yield from coordinator.hedge.dial(
-            [(f"{target}/a", attempt), (f"{target}/b", attempt)])
-        return conn
+        return (yield from self._connector(target).open_once(
+            self.page.host, 443, True, deadline))
 
     def _pull_chunks(self, stream, token: ResumeToken, region: str,
                      deadline: Deadline):
@@ -778,9 +638,6 @@ class SurvivalCampaignResult:
     health_log: t.Tuple[t.Tuple[float, str, float], ...]
     entry_events: t.Tuple[t.Tuple[float, str, str], ...]
     migrations: int
-    hedges: int
-    hedge_wins: int
-    losers_closed: int
     completed: int
     lost: int
     event_digest: str
@@ -902,9 +759,6 @@ def run_survival_campaign(
         health_log=tuple(coordinator.health_log),
         entry_events=tuple(coordinator.entry_router.events),
         migrations=coordinator.migrations,
-        hedges=coordinator.hedge.hedges,
-        hedge_wins=coordinator.hedge.hedge_wins,
-        losers_closed=coordinator.hedge.losers_closed,
         completed=sum(1 for session in sessions if session.completed),
         lost=sum(1 for session in sessions if session.lost),
         event_digest=_digest_events(events))

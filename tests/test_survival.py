@@ -1,13 +1,12 @@
 """repro.fleet.survival + repro.fleet.verifier: session survivability.
 
 The properties this file pins: a resume token round-trips its wire form
-byte-identically and only ever moves forward; a hedged dial launches
-its second attempt exactly when the primary outruns the p95 estimate,
-and a losing dial that succeeds anyway is closed (never leaked); the
-coordinator migrates a session at most ``migration_budget`` times and
-resumes it from its durable checkpoint — including when the *target*
-region escalates too, and when a migration races an operator drain;
-and the SurvivalVerifier machine-checks every headline claim of the
+byte-identically and only ever moves forward; every error path in
+repro.fleet closes what it opened (the leak rule); the coordinator
+migrates a session at most ``migration_budget`` times and resumes it
+from its durable checkpoint — including when the *target* region
+escalates too, and when a migration races an operator drain; and the
+SurvivalVerifier machine-checks every headline claim of the
 escalation-to-blackout campaign instead of trusting a hand-read plot.
 """
 
@@ -16,15 +15,13 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import Analyzer, Severity, parse_config
-from repro.errors import MeasurementError, TransportError
+from repro.errors import MeasurementError
 from repro.faults import RetryPolicy
 from repro.fleet import (
-    DialLatencyTracker,
     DOWN,
     DRAINING,
     FleetSchedule,
     FleetTestbed,
-    HedgedDialer,
     ProxyFleet,
     ResumeToken,
     SurvivalCoordinator,
@@ -37,7 +34,6 @@ from repro.fleet import (
 )
 from repro.measure import region_health
 from repro.overload import Deadline
-from repro.sim import Simulator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
@@ -115,138 +111,18 @@ class TestRegionHealth:
             region_health("beijing", shed=-1)
 
 
-# -- hedged dialing ----------------------------------------------------------------
+# -- leak discipline -------------------------------------------------------------
 
 
-class _FakeConn:
-    def __init__(self, label):
-        self.label = label
-        self.closed = False
-
-    def close(self):
-        self.closed = True
-
-
-def _dial_after(sim, delay, conn=None, error=None):
-    def thunk():
-        yield sim.timeout(delay)
-        if error is not None:
-            raise error
-        return conn
-
-    return thunk
-
-
-def _race(sim, dialer, attempts, until=60.0):
-    outcome = {}
-
-    def runner():
-        try:
-            conn, label = yield from dialer.dial(attempts)
-        except TransportError as exc:
-            outcome["error"] = exc
-            return
-        outcome["conn"], outcome["label"] = conn, label
-
-    sim.process(runner(), name="race")
-    sim.run(until=until)
-    return outcome
-
-
-class TestDialLatencyTracker:
-    def test_cold_start_uses_the_prior(self):
-        assert DialLatencyTracker(default=0.8).p95() == 0.8
-
-    def test_window_slides(self):
-        tracker = DialLatencyTracker(window=4)
-        for latency in (9.0, 1.0, 1.0, 1.0, 1.0):
-            tracker.observe(latency)
-        # The 9.0 outlier has rolled off the 4-sample window.
-        assert tracker.p95() == 1.0
-
-    def test_window_must_hold_a_sample(self):
-        with pytest.raises(MeasurementError):
-            DialLatencyTracker(window=0)
-
-
-class TestHedgedDialer:
-    def test_fast_primary_never_hedges(self):
-        sim = Simulator(seed=0)
-        dialer = HedgedDialer(sim)
-        conn = _FakeConn("a")
-        outcome = _race(sim, dialer, [
-            ("a", _dial_after(sim, 0.1, conn)),
-            ("b", _dial_after(sim, 0.1, _FakeConn("b")))])
-        assert outcome["conn"] is conn
-        assert outcome["label"] == "a"
-        assert dialer.hedges == 0
-        assert dialer.hedge_wins == 0
-        assert dialer.losers_closed == 0
-
-    def test_slow_primary_hedges_and_the_loser_closes(self):
-        # Both dials succeed: exactly one stream survives — the loser
-        # closes its own connection (the leak-on-error-path discipline).
-        sim = Simulator(seed=0)
-        dialer = HedgedDialer(sim)  # cold-start p95 estimate: 0.8s
-        slow, fast = _FakeConn("a"), _FakeConn("b")
-        outcome = _race(sim, dialer, [
-            ("a", _dial_after(sim, 5.0, slow)),
-            ("b", _dial_after(sim, 0.2, fast))])
-        assert outcome["conn"] is fast
-        assert outcome["label"] == "b"
-        assert dialer.hedges == 1
-        assert dialer.hedge_wins == 1
-        assert dialer.losers_closed == 1
-        assert slow.closed
-        assert not fast.closed
-
-    def test_failed_primary_fails_over_without_counting_a_hedge(self):
-        sim = Simulator(seed=0)
-        dialer = HedgedDialer(sim)
-        conn = _FakeConn("b")
-        outcome = _race(sim, dialer, [
-            ("a", _dial_after(sim, 0.1, error=TransportError("refused"))),
-            ("b", _dial_after(sim, 0.1, conn))])
-        assert outcome["conn"] is conn
-        assert dialer.hedges == 0  # failover, not a latency hedge
-        assert dialer.hedge_wins == 1
-
-    def test_all_attempts_failing_raises_the_last_error(self):
-        sim = Simulator(seed=0)
-        dialer = HedgedDialer(sim)
-        outcome = _race(sim, dialer, [
-            ("a", _dial_after(sim, 0.1, error=TransportError("first"))),
-            ("b", _dial_after(sim, 5.0, error=TransportError("second")))])
-        assert "second" in str(outcome["error"])
-
-    def test_single_attempt_races_nothing(self):
-        sim = Simulator(seed=0)
-        dialer = HedgedDialer(sim)
-        conn = _FakeConn("only")
-        outcome = _race(sim, dialer, [("only", _dial_after(sim, 2.0, conn))])
-        assert outcome["conn"] is conn
-        assert dialer.hedges == 0
-
-    def test_hedge_delay_is_seed_deterministic(self):
-        def delays(seed):
-            dialer = HedgedDialer(Simulator(seed=seed))
-            return [dialer.hedge_delay() for _ in range(5)]
-
-        assert delays(7) == delays(7)
-
-    def test_needs_at_least_one_attempt(self):
-        dialer = HedgedDialer(Simulator(seed=0))
-        with pytest.raises(MeasurementError):
-            list(dialer.dial([]))
-
-    def test_loser_close_paths_satisfy_the_leak_rule(self):
-        # The hedge opens two streams on purpose; pyproject extends the
-        # leak-on-error-path scope over repro.fleet so this stays provable.
-        analyzer = Analyzer(config=parse_config(PYPROJECT))
-        findings = analyzer.analyze_paths([SRC / "fleet"])
-        leaks = [f for f in findings if f.rule == "leak-on-error-path"
-                 and f.severity is Severity.ERROR]
-        assert leaks == [], "\n".join(f.format() for f in leaks)
+def test_fleet_close_paths_satisfy_the_leak_rule():
+    # Sessions, pre-flight probes and the fleet's dials open connections
+    # across regions; pyproject extends the leak-on-error-path scope
+    # over repro.fleet so every error path provably closes them.
+    analyzer = Analyzer(config=parse_config(PYPROJECT))
+    findings = analyzer.analyze_paths([SRC / "fleet"])
+    leaks = [f for f in findings if f.rule == "leak-on-error-path"
+             and f.severity is Severity.ERROR]
+    assert leaks == [], "\n".join(f.format() for f in leaks)
 
 
 # -- the chunked survival document -------------------------------------------------
