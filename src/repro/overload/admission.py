@@ -7,7 +7,7 @@ of an otherwise-admitted page wastes everything the page already
 fetched, which is exactly the congestion collapse admission control
 exists to prevent.  Only *new* sources consume capacity.
 
-One policy: a fixed session cap (``max_sessions``) with a small
+New sources get a fixed session cap (``max_sessions``) with a small
 waiting room (``max_waiting``); a waiter still queued after
 ``queue_delay_threshold`` seconds is shed.  Priority comes from the
 PAC whitelist (Scholar traffic preferred over bulk); lower numbers are

@@ -426,7 +426,7 @@ class TestShedSeedRobustness:
 
 #: The ``query-bursts`` and ``overload-pdf`` golden scenarios of
 #: tests/test_golden_fingerprints.py: both offer more sources than the
-#: six-session cap, so each run admits, queues and sheds.
+#: six-session cap, so each run both admits and sheds.
 _ACCOUNTING_POINTS = {
     "query-bursts": dict(clients=10, workload="query-bursts",
                          cache=CacheConfig(capacity_bytes=150_000),
