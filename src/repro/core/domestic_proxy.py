@@ -209,12 +209,6 @@ class DomesticProxy:
                               name="scd-up")
         self.sim.process(self._pump_to_browser(conn, remote),
                          name="scd-down")
-        if self.router is not None:
-            # The router's refcount mirrors the admission slot: one
-            # bind per successful dial, one release when the
-            # browser-facing pump finishes (drain completion keys off
-            # this reaching zero).
-            up.add_callback(lambda _event, k=source: self._release_route(k))
         if session is not None:
             # The session's slot frees when the browser-facing pump is
             # done — the moment the browser connection delivers EOF or
@@ -242,10 +236,6 @@ class DomesticProxy:
         if session is not None:
             assert self.admission is not None
             self.admission.release(session)
-
-    def _release_route(self, key: str) -> None:
-        if self.router is not None:
-            self.router.release(key)
 
     # -- transpacific dialing -----------------------------------------------------------------
 
@@ -318,8 +308,7 @@ class DomesticProxy:
         followed by ``first`` — a browser frame already read — if given.
 
         Returns the blinded connection, or None once dialing (or the
-        open) failed — with the router binding already released, so the
-        caller only owns a route on success.
+        open) failed.
         """
         remote = yield from self._dial_remote(deadline, source)
         if remote is None:
@@ -343,7 +332,6 @@ class DomesticProxy:
                     features=codec.features())
         except TransportError:
             remote.close()
-            self._release_route(source)
             return None
         return remote
 
@@ -466,7 +454,6 @@ class DomesticProxy:
                 conn.close()
             if upstream is not None:
                 upstream.close()
-                self._release_route(source)
 
     def _edge_send(self, conn: TcpConnection, length: int,
                    meta: t.Any) -> bool:

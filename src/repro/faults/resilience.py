@@ -114,25 +114,6 @@ class RetryPolicy:
                 delay *= 1.0 + self.jitter * (2.0 * self.rng.random() - 1.0)
             yield delay
 
-    def scaled(self, factor: float) -> "RetryPolicy":
-        """A copy with attempts and budget scaled by observed health.
-
-        ``factor`` is in (0, 1]: 1.0 returns an equivalent policy, and
-        lower health shrinks both the attempt count and the time budget
-        proportionally — survival sessions retry this way, because
-        retries against a degraded region must never amplify its
-        outage into a fleet-wide storm.  The rng stream is *shared*
-        with the parent so jitter draws stay on one per-seed trace.
-        """
-        if not 0.0 < factor <= 1.0:
-            raise ValueError(f"scale factor must be in (0, 1], got {factor}")
-        budget = (None if self.budget is None
-                  else max(self.base, self.budget * factor))
-        return RetryPolicy(
-            attempts=max(1, int(round(self.attempts * factor))),
-            base=self.base, multiplier=self.multiplier, cap=self.cap,
-            jitter=self.jitter, rng=self.rng, budget=budget)
-
 
 class CircuitBreaker:
     """Per-endpoint breaker: CLOSED -> OPEN -> HALF_OPEN -> CLOSED.
@@ -299,8 +280,7 @@ class FailoverPool:
 
     def start_health_checks(self, transport: "TransportLayer",
                             interval: float = 15.0, timeout: float = 3.0,
-                            features=None, rng=None,
-                            deadline: t.Optional["Deadline"] = None):
+                            features=None, rng=None):
         """Start one staggered probe process per endpoint.
 
         Each endpoint gets its own phase offset in ``[0, interval)``
@@ -309,8 +289,6 @@ class FailoverPool:
         being probed in the same tick of one fixed-interval timer —
         which would synchronize probe bursts across the pool exactly
         when a shared outage makes every breaker half-open at once.
-        With a ``deadline``, each probe dial is clamped to the
-        deadline's remaining budget and the loops end once it expires.
         Returns the list of probe processes, in endpoint order.
         """
         if rng is None:
@@ -320,29 +298,24 @@ class FailoverPool:
             offset = rng.uniform(0.0, interval)
             processes.append(self.sim.process(
                 self._health_loop(endpoint, transport, offset, interval,
-                                  timeout, features, deadline),
+                                  timeout, features),
                 name=f"failover-health:{endpoint}"))
         return processes
 
     def _health_loop(self, endpoint: Endpoint, transport: "TransportLayer",
                      offset: float, interval: float, timeout: float,
-                     features, deadline: t.Optional["Deadline"] = None):
+                     features):
         breaker = self.breakers[endpoint]
         yield self.sim.timeout(offset)
         while True:
             yield self.sim.timeout(interval)
-            if deadline is not None and deadline.expired(self.sim.now):
-                return  # the work these probes gate is already over
             if not breaker.allow():
                 continue  # open and inside its reset window
-            dial_timeout = timeout
-            if deadline is not None:
-                dial_timeout = deadline.clamp(timeout, self.sim.now)
             self.probes_sent += 1
             try:
                 conn = yield transport.connect_tcp(
                     endpoint.address, endpoint.port,
-                    features=features, timeout=dial_timeout)
+                    features=features, timeout=timeout)
             except TransportError:
                 breaker.record_failure()
                 continue

@@ -4,8 +4,8 @@ The robustness layer that takes the paper's single-vantage deployment
 to fleet scale: N domestic regions (each behind its own divergent
 :class:`~repro.gfw.GreatFirewall` instance) sharing M remote PoPs,
 with rendezvous-hashed sticky session routing, a probe-driven failure
-detector, drain/deploy control-plane ops, fleet-scale chaos campaigns,
-and the availability report that grades them.
+detector, fleet-scale chaos campaigns, session survival across a
+regional blackout, and the availability report that grades them.
 """
 
 from .chaos import FleetInjector, FleetSchedule
@@ -19,9 +19,8 @@ from .regions import (
     region_policy,
 )
 from .report import FleetReport, RegionReport
-from .router import ACTIVE, DOWN, DRAINED, DRAINING, FailureDetector, SessionRouter
+from .router import ACTIVE, DOWN, FailureDetector, SessionRouter
 from .survival import (
-    ResumeToken,
     SurvivalCampaignResult,
     SurvivalCoordinator,
     SurvivalEvent,
@@ -44,8 +43,6 @@ __all__ = [
     "ACTIVE",
     "DEFAULT_REGIONS",
     "DOWN",
-    "DRAINED",
-    "DRAINING",
     "FailureDetector",
     "FleetInjector",
     "FleetRegionResult",
@@ -58,7 +55,6 @@ __all__ = [
     "RegionEntrypoint",
     "RegionReport",
     "RegionSpec",
-    "ResumeToken",
     "SessionRouter",
     "SurvivalCampaignResult",
     "SurvivalCoordinator",

@@ -12,15 +12,16 @@ fault kinds:
   keywords, scaled interference, longer reset penalties) while every
   other region's policy is untouched: regional GFW divergence as a
   *fault*, applied and reverted through the firewall's audited path.
-* ``route-flap`` — a region's border link flaps repeatedly: each flap
-  is a short hard outage, the classic unstable-BGP-path symptom that
-  stresses suspicion thresholds (evict too eagerly and every flap
-  churns sessions; too lazily and a dead PoP lingers).
+* ``region-blackout`` — a region's border link goes down outright for
+  a while: the Turkmenistan-style escalation endgame that forces
+  sessions to migrate to another region.
 
 The builders only *declare* events; :meth:`FleetSchedule.install` binds
 them to a :class:`~repro.fleet.testbed.FleetTestbed` via a
 :class:`FleetInjector`, which inherits the base kinds (link faults,
-proxy crashes, DNS bursts) so mixed campaigns compose.
+proxy crashes, DNS bursts) so mixed campaigns compose.  A PoP blackout
+is a proxy crash with a restart and a region blackout is a link-down,
+so both apply through the base handlers under their own kind names.
 """
 
 from __future__ import annotations
@@ -85,25 +86,6 @@ class FleetSchedule(FaultSchedule):
         return self.add(FaultEvent(at, "region-blackout",
                                    f"border-{region}", downtime))
 
-    def route_flap(self, region: str, at: float, flaps: int,
-                   period: float, down_fraction: float = 0.5) -> t.List[FaultEvent]:
-        """``flaps`` short outages of the region's border link.
-
-        Each flap starts ``period`` after the previous and holds the
-        link down for ``period * down_fraction`` seconds.
-        """
-        if flaps < 1:
-            raise FaultError(f"route_flap needs flaps >= 1, got {flaps}")
-        if not 0.0 < down_fraction < 1.0:
-            raise FaultError(
-                f"down_fraction must be in (0,1), got {down_fraction}")
-        return [
-            self.add(FaultEvent(at + index * period, "route-flap",
-                                f"border-{region}",
-                                period * down_fraction))
-            for index in range(flaps)
-        ]
-
     # -- installation -----------------------------------------------------------
 
     def install(self, testbed: "FleetTestbed") -> "FleetInjector":  # type: ignore[override]
@@ -117,23 +99,11 @@ class FleetInjector(FaultInjector):
 
     # -- per-kind handlers ------------------------------------------------------
 
-    def _apply_pop_blackout(self, event: FaultEvent):
-        host = self.testbed.net.node(event.target)
-        transport = host.transport
-        if transport is None:
-            raise FaultError(f"{event.target} has no transport to black out")
-        snapshot = transport.crash()
-
-        def revert() -> None:
-            transport.restore(snapshot)
-        return revert
+    _apply_pop_blackout = FaultInjector._apply_proxy_crash
+    _apply_region_blackout = FaultInjector._apply_link_down
 
     def _apply_regional_escalation(self, event: FaultEvent):
-        region = self.testbed.region(event.target)
-        gfw = region.gfw
-        if gfw is None:
-            raise FaultError(
-                f"regional-escalation on {event.target}, which has no firewall")
+        gfw = self.testbed.region(event.target).gfw
         keywords = tuple(event.params.get("keywords") or ())
         scale = event.params.get("interference_scale")
         penalty = event.params.get("penalty_seconds")
@@ -165,17 +135,3 @@ class FleetInjector(FaultInjector):
             gfw.apply_policy(deescalate,
                              label=f"escalation:{event.target}:revert")
         return revert
-
-    def _apply_route_flap(self, event: FaultEvent):
-        link = self.testbed.net.link_by_name(event.target)
-        link.set_up(False)
-
-        def revert() -> None:
-            link.set_up(True)
-        return revert
-
-    def _apply_region_blackout(self, event: FaultEvent):
-        # Same mechanism as one flap — a hard border outage — but held
-        # for the whole downtime, which is what forces migration rather
-        # than ride-it-out retries.
-        return self._apply_route_flap(event)

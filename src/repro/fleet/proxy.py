@@ -10,8 +10,7 @@ that PoP's sessions fleet-wide.
 
 Membership is driven by a :class:`~repro.fleet.router.FailureDetector`
 probing from the ``fleet-control`` ops host (outside every region's
-firewall).  Maintenance goes through the control-plane verbs
-:meth:`ProxyFleet.drain` / :meth:`ProxyFleet.deploy`.
+firewall); nothing else changes it.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from ..dns import StubResolver
 from ..errors import MeasurementError
 from ..faults import Endpoint, RetryPolicy
 from ..net import IPv4Address
-from ..overload import OverloadConfig
 from .router import FailureDetector, SessionRouter
 from .testbed import GOOGLE_DNS_ADDR, FleetTestbed, Region
 
@@ -62,26 +60,18 @@ class ProxyFleet:
         testbed: FleetTestbed,
         whitelist: t.Optional[Whitelist] = None,
         secret: bytes = b"scholarcloud-2016",
-        overload: t.Optional[OverloadConfig] = None,
         detector_interval: float = 10.0,
         detector_timeout: float = 3.0,
-        suspicion_threshold: int = 2,
-        reinstate_threshold: int = 2,
         cache: t.Optional[CacheConfig] = None,
     ) -> None:
-        """``reinstate_threshold`` is the failure detector's
-        reinstatement hysteresis; ``cache`` deploys one edge
-        :class:`~repro.cache.ResponseCache` per regional front door —
-        None, the default, keeps the fleet cacheless and byte-identical
-        to the historical traces."""
+        """``cache`` deploys one edge :class:`~repro.cache.ResponseCache`
+        per regional front door — None, the default, keeps the fleet
+        cacheless and byte-identical to the historical traces."""
         self.testbed = testbed
         self.whitelist = whitelist if whitelist is not None else scholar_whitelist()
         self.agility = BlindingAgility(secret)
-        self.overload = overload
         self.detector_interval = detector_interval
         self.detector_timeout = detector_timeout
-        self.suspicion_threshold = suspicion_threshold
-        self.reinstate_threshold = reinstate_threshold
         self.cache_config = cache
         #: Per-region edge caches, keyed like :attr:`domestics`.
         #: Key space = the testbed's region set, fixed at launch().
@@ -119,9 +109,7 @@ class ProxyFleet:
             self.detector = FailureDetector(
                 sim, self.router, testbed.transport_of(testbed.control),
                 interval=self.detector_interval,
-                timeout=self.detector_timeout,
-                suspicion_threshold=self.suspicion_threshold,
-                reinstate_threshold=self.reinstate_threshold)
+                timeout=self.detector_timeout)
             self.detector.start()
             for region in testbed.regions:
                 edge: t.Optional[ResponseCache] = None
@@ -134,8 +122,7 @@ class ProxyFleet:
                     sim, region.domestic_vm,
                     remote_addrs=[str(e.address) for e in self.endpoints],
                     whitelist=self.whitelist, agility=self.agility,
-                    cpu=region.domestic_cpu, overload=self.overload,
-                    router=self.router, cache=edge)
+                    cpu=region.domestic_cpu, router=self.router, cache=edge)
             self.launched = True
         return
         yield  # pragma: no cover - launch is currently synchronous
@@ -147,8 +134,8 @@ class ProxyFleet:
         """A browser connector dialing ``region``'s domestic proxy.
 
         ``retry`` overrides the connector's default dial retry policy —
-        survival sessions pass ``attempts=1`` so their own health-scaled
-        retry loop is the only one running.
+        survival sessions pass ``attempts=1`` so their own retry loop
+        is the only one running.
         """
         if not self.launched:
             raise MeasurementError("ProxyFleet is not launched; run launch()")
@@ -157,25 +144,6 @@ class ProxyFleet:
             RegionEntrypoint(self.testbed, region_obj),
             host=host if host is not None else region_obj.client,
             retry=retry)
-
-    # -- control plane ----------------------------------------------------------
-
-    def endpoint(self, pop: str) -> Endpoint:
-        for candidate in self.endpoints:
-            if candidate.name == pop:
-                return candidate
-        raise MeasurementError(
-            f"no PoP {pop!r}; have {[e.name for e in self.endpoints]}")
-
-    def drain(self, pop: str) -> None:
-        """Graceful maintenance: stop assigning, keep live sessions."""
-        assert self.router is not None
-        self.router.drain(self.endpoint(pop))
-
-    def deploy(self, pop: str) -> None:
-        """Return a drained/evicted PoP to the ACTIVE set."""
-        assert self.router is not None
-        self.router.deploy(self.endpoint(pop))
 
     # -- observability ----------------------------------------------------------
 

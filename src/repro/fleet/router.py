@@ -16,17 +16,14 @@ Two pieces:
   consecutive dial failures past a suspicion threshold evict the pop
   from the membership; ``reinstate_threshold`` consecutive successful
   probes afterwards reinstate it.  Reinstatement hysteresis matters
-  under flapping faults (``route_flap`` chaos): with a single healthy
-  probe sufficing, every flap cycle would oscillate the membership —
-  evict, reinstate, evict — churning sessions on each swing.  Probe
-  phases are staggered per-endpoint from the ``fleet.detector`` rng
-  stream so a fleet-wide outage does not synchronize every probe into
-  the same tick.
+  under a flapping path: with a single healthy probe sufficing, every
+  flap cycle would oscillate the membership — evict, reinstate,
+  evict — churning sessions on each swing.  Probe phases are staggered
+  per-endpoint from the ``fleet.detector`` rng stream so a fleet-wide
+  outage does not synchronize every probe into the same tick.
 
-Explicit control-plane verbs — :meth:`SessionRouter.drain` /
-:meth:`SessionRouter.deploy` — cover graceful maintenance: a draining
-pop takes no new sessions but keeps its established ones until the
-last releases, so planned removal costs zero mid-session drops.
+A pop is either ACTIVE or DOWN; membership changes only through the
+detector's evict and reinstate.
 """
 
 from __future__ import annotations
@@ -43,8 +40,6 @@ if t.TYPE_CHECKING:  # pragma: no cover
 
 #: Membership states.
 ACTIVE = "active"
-DRAINING = "draining"
-DRAINED = "drained"
 DOWN = "down"
 
 
@@ -65,15 +60,13 @@ class SessionRouter:
         #: Keys whose pop was evicted under them -> where they lived,
         #: kept so the rebind that follows is counted as a remap.
         self._displaced: t.Dict[str, Endpoint] = {}
-        #: Live streams per session key (a key may multiplex streams).
-        self._refs: t.Dict[str, int] = {}
         #: Forced reassignments: a key re-bound to a different endpoint.
         self.remaps = 0
         self.evictions = 0
         self.reinstatements = 0
         #: Session churn log: (time, key, old_endpoint, new_endpoint).
         self.churn: t.List[t.Tuple[float, str, str, str]] = []
-        #: Control/membership events: (time, verb, endpoint).
+        #: Membership events: (time, verb, endpoint).
         self.events: t.List[t.Tuple[float, str, str]] = []
 
     # -- rendezvous hashing ------------------------------------------------------
@@ -104,15 +97,13 @@ class SessionRouter:
         """The endpoint ``key`` should dial right now, or None.
 
         Sticky first: an existing binding is honoured while its pop is
-        ACTIVE or DRAINING (draining pops keep their established
-        sessions — that is the whole point of draining) and passes
-        ``allow``.  Otherwise the best-ranked ACTIVE endpoint that
-        passes ``allow`` wins.  ``allow`` is only consulted until the
+        ACTIVE and passes ``allow``.  Otherwise the best-ranked ACTIVE
+        endpoint that passes ``allow`` wins.  ``allow`` is only consulted until the
         first acceptance, so a circuit breaker's single half-open trial
         is never burned ranking endpoints the caller won't dial.
         """
         bound = self._bindings.get(key)
-        if bound is not None and self.status.get(bound) in (ACTIVE, DRAINING):
+        if bound is not None and self.status.get(bound) == ACTIVE:
             if allow is None or allow(bound):
                 return bound
         for endpoint in self.rank(key):
@@ -141,18 +132,6 @@ class SessionRouter:
             self.churn.append(
                 (self.sim.now, key, str(previous), str(endpoint)))
         self._bindings[key] = endpoint
-        self._refs[key] = self._refs.get(key, 0) + 1
-
-    def release(self, key: str) -> None:
-        """One of ``key``'s streams ended."""
-        refs = self._refs.get(key, 0)
-        if refs <= 1:
-            self._refs.pop(key, None)
-        else:
-            self._refs[key] = refs - 1
-        bound = self._bindings.get(key)
-        if bound is not None and self.status.get(bound) == DRAINING:
-            self._finish_drain_if_idle(bound)
 
     def assignment(self) -> t.Dict[str, str]:
         """Snapshot of the sticky map (key -> endpoint name)."""
@@ -162,10 +141,6 @@ class SessionRouter:
     def sessions_on(self, endpoint: Endpoint) -> t.List[str]:
         return sorted(key for key, bound in self._bindings.items()
                       if bound == endpoint)
-
-    def live_sessions_on(self, endpoint: Endpoint) -> int:
-        return sum(self._refs.get(key, 0)
-                   for key in self.sessions_on(endpoint))
 
     # -- membership (failure detector) -------------------------------------------
 
@@ -200,38 +175,6 @@ class SessionRouter:
         self.status[endpoint] = ACTIVE
         self.reinstatements += 1
         self.events.append((self.sim.now, "reinstate", str(endpoint)))
-
-    # -- control plane (maintenance) -----------------------------------------------
-
-    def drain(self, endpoint: Endpoint) -> None:
-        """Graceful removal: no new sessions, keep established ones."""
-        self._require_member(endpoint)
-        if self.status[endpoint] != ACTIVE:
-            raise FaultError(
-                f"can only drain an ACTIVE pop; {endpoint} is "
-                f"{self.status[endpoint]}")
-        self.status[endpoint] = DRAINING
-        self.events.append((self.sim.now, "drain", str(endpoint)))
-        self._finish_drain_if_idle(endpoint)
-
-    def deploy(self, endpoint: Endpoint) -> None:
-        """Bring a pop (back) into service — new, drained, or evicted."""
-        if endpoint not in self.status:
-            self.endpoints.append(endpoint)
-            self.status[endpoint] = ACTIVE
-        else:
-            self.status[endpoint] = ACTIVE
-        self.events.append((self.sim.now, "deploy", str(endpoint)))
-
-    def _finish_drain_if_idle(self, endpoint: Endpoint) -> None:
-        if self.live_sessions_on(endpoint) > 0:
-            return
-        # The sessions are over; dropping their stale bindings is not a
-        # mid-session remap, just forgetting history.
-        for key in self.sessions_on(endpoint):
-            del self._bindings[key]
-        self.status[endpoint] = DRAINED
-        self.events.append((self.sim.now, "drained", str(endpoint)))
 
     def _require_member(self, endpoint: Endpoint) -> None:
         if endpoint not in self.status:
@@ -316,7 +259,7 @@ class FailureDetector:
         self.healthy_streak[endpoint] = 0
         self.log.append((self.sim.now, str(endpoint), "fail"))
         if (count >= self.suspicion_threshold
-                and self.router.status.get(endpoint) in (ACTIVE, DRAINING)):
+                and self.router.status.get(endpoint) == ACTIVE):
             self.router.evict(endpoint)
 
     def _on_success(self, endpoint: Endpoint) -> None:

@@ -1,26 +1,21 @@
-"""Session survivability: checkpoints, migration, health-scaled retry.
+"""Session survivability: resumable downloads that migrate regions.
 
 The fleet's chaos campaigns showed *what* a regional escalation does to
 availability; this module is the machinery that lets sessions live
-through one.  Three pieces, layered bottom-up:
+through one.  Two pieces:
 
-* :class:`ResumeToken` — a compact, deterministic checkpoint of an
-  in-flight chunked fetch (method, blinding epoch, byte offset,
-  remaining deadline budget).  A migrated session *resumes* from its
-  token instead of re-downloading from byte zero.
 * :class:`SurvivalCoordinator` — scores every region each sampling
-  interval via :func:`~repro.measure.metrics.region_health` (admission
-  shed rate + firewall interference rate + transpacific breaker state)
-  and, when a whole region degrades, drains its sessions to healthy
-  regions by rendezvous re-assignment over an entry
-  :class:`~repro.fleet.router.SessionRouter` — bounded by a per-session
-  migration budget so routing can never thrash a session across the
-  country indefinitely.
+  interval via :func:`~repro.measure.metrics.region_health` (firewall
+  interference rate + transpacific breaker state) and, when a whole
+  region degrades, moves its sessions to healthy regions by rendezvous
+  re-assignment over an entry :class:`~repro.fleet.router.SessionRouter`
+  — bounded by a per-session migration budget so routing can never
+  thrash a session across the country indefinitely.
 * :class:`SurvivalSession` — one client's resumable chunked download:
-  dials its home region's front door once per attempt, checkpoints
-  after every chunk, and on failure asks the coordinator where to go
-  next, scaling its retry budget by the observed health of its home
-  region (a degraded region gets *fewer* retries, never a storm).
+  dials its placed region's front door once per attempt, keeps the
+  byte offset of every chunk delivered, and on failure asks the
+  coordinator where to go next; a migrated session resumes at that
+  offset instead of re-downloading from byte zero.
 
 Every decision draws from registered rng streams (``survival.retry``,
 ``survival.offsets``) and simulated time only, so a campaign's full
@@ -33,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import typing as t
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import (
     HttpError,
@@ -45,11 +40,7 @@ from ..errors import (
 from ..faults import CircuitBreaker, Endpoint, FailoverPool, RetryPolicy
 from ..http import HttpRequest, Page, PageObject
 from ..http.client import fetch
-from ..measure.metrics import (
-    HEALTH_DEGRADED_BELOW,
-    RegionHealth,
-    region_health,
-)
+from ..measure.metrics import RegionHealth, region_health
 from ..net import IPv4Address
 from ..overload import Deadline
 from ..sim import Simulator
@@ -72,75 +63,24 @@ RECOVER_AFTER = 2
 #: out the outage where it is.
 MIGRATION_BUDGET = 3
 #: Per-chunk read timeout: a transfer stalled longer than this aborts
-#: the connection and re-plans from the checkpoint.
+#: the connection and re-plans from the last delivered chunk.
 CHUNK_READ_TIMEOUT = 15.0
 #: Default per-load deadline budget.
 LOAD_DEADLINE = 240.0
 
-#: Wire tag of a serialized resume token.
-RESUME_TOKEN_TAG = "survival-resume"
-
-
-# -- checkpointing ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ResumeToken:
-    """Checkpoint of an in-flight chunked fetch.
-
-    Deliberately compact and value-typed: everything a *different*
-    region's front door needs to continue the transfer — no object
-    references, so the token survives serialization across the
-    migration boundary byte-identically (``to_wire``/``from_wire``
-    round-trip exactly).  ``offset`` counts bytes fully delivered;
-    resumption continues from the next chunk boundary, so a token can
-    never re-deliver bytes (the verifier's no-duplicate invariant).
-    """
-
-    session: str
-    method: str
-    host: str
-    path: str
-    #: Blinding epoch the session last spoke — the blinded-query state;
-    #: a resume under a rotated codec must renegotiate, not replay.
-    epoch: int
-    total_bytes: int
-    offset: int
-    #: Deadline budget left at checkpoint time (seconds).
-    deadline_remaining: float
-    checkpointed_at: float
-
-    def advanced(self, nbytes: int, now: float, deadline: Deadline,
-                 epoch: t.Optional[int] = None) -> "ResumeToken":
-        """The successor token after ``nbytes`` more bytes delivered."""
-        if nbytes <= 0:
-            raise MeasurementError(
-                f"checkpoint must advance, got {nbytes} bytes")
-        return replace(
-            self,
-            epoch=self.epoch if epoch is None else epoch,
-            offset=self.offset + nbytes,
-            deadline_remaining=round(deadline.remaining(now), 9),
-            checkpointed_at=round(now, 9))
-
-    @property
-    def complete(self) -> bool:
-        return self.offset >= self.total_bytes
-
-    def to_wire(self) -> t.Tuple:
-        return (RESUME_TOKEN_TAG, self.session, self.method, self.host,
-                self.path, self.epoch, self.total_bytes, self.offset,
-                self.deadline_remaining, self.checkpointed_at)
-
-    @classmethod
-    def from_wire(cls, wire: t.Sequence) -> "ResumeToken":
-        if (not isinstance(wire, tuple) or len(wire) != 10
-                or wire[0] != RESUME_TOKEN_TAG):
-            raise MeasurementError(f"not a resume token: {wire!r}")
-        return cls(session=wire[1], method=wire[2], host=wire[3],
-                   path=wire[4], epoch=wire[5], total_bytes=wire[6],
-                   offset=wire[7], deadline_remaining=wire[8],
-                   checkpointed_at=wire[9])
+#: The escalation-to-blackout campaign's timeline: the victim region
+#: escalates at ``ESCALATE_AT`` and its border goes down at
+#: ``BLACKOUT_AT`` for ``BLACKOUT_DOWNTIME`` seconds.
+ESCALATE_AT = 40.0
+BLACKOUT_AT = 70.0
+BLACKOUT_DOWNTIME = 150.0
+#: Seconds between one campaign client's downloads; also the spread of
+#: the clients' start offsets.
+CYCLE_INTERVAL = 45.0
+#: Size of the campaign's corpus document.
+CAMPAIGN_BYTES = 32 * CHUNK_SIZE
+#: Seconds between a campaign download's chunk fetches.
+CAMPAIGN_CHUNK_INTERVAL = 2.0
 
 
 @dataclass(frozen=True)
@@ -191,38 +131,29 @@ def survival_document(total_bytes: int = 8 * CHUNK_SIZE,
 
 
 class SurvivalCoordinator:
-    """Region-health scoring, drain-to-healthy migration, budgets.
+    """Region-health scoring, migration to healthy regions, budgets.
 
     Holds an *entry* :class:`SessionRouter` whose endpoints are the
     regions' domestic front doors (not the PoPs — the fleet router
-    already covers those).  A region scoring below ``degraded_below``
-    is evicted from the entry membership: its sessions are displaced
-    and re-land, sticky, on whichever healthy region rendezvous hashing
-    assigns them.  Recovery needs ``recover_after``
-    consecutive healthy samples — the same hysteresis argument as the
-    failure detector's reinstatement threshold.
+    already covers those).  A degraded region is evicted from the entry
+    membership: its sessions are displaced and re-land, sticky, on
+    whichever healthy region rendezvous hashing assigns them.  Recovery
+    needs ``RECOVER_AFTER`` consecutive healthy samples — the same
+    hysteresis argument as the failure detector's reinstatement
+    threshold.
     """
 
     def __init__(self, fleet: "ProxyFleet",
-                 interval: float = HEALTH_INTERVAL,
-                 degraded_below: float = HEALTH_DEGRADED_BELOW,
-                 recover_after: int = RECOVER_AFTER,
                  migration_budget: int = MIGRATION_BUDGET) -> None:
         if not fleet.launched:
             raise MeasurementError(
                 "SurvivalCoordinator needs a launched ProxyFleet")
-        if recover_after < 1:
-            raise MeasurementError(
-                f"recover_after must be >= 1, got {recover_after}")
         if migration_budget < 0:
             raise MeasurementError(
                 f"migration budget must be >= 0, got {migration_budget}")
         self.fleet = fleet
         self.testbed: FleetTestbed = fleet.testbed
         self.sim = self.testbed.sim
-        self.interval = interval
-        self.degraded_below = degraded_below
-        self.recover_after = recover_after
         self.migration_budget = migration_budget
         from .proxy import DOMESTIC_PROXY_PORT  # local: avoid core import dance
         self.entries: t.Dict[str, Endpoint] = {
@@ -250,10 +181,7 @@ class SurvivalCoordinator:
         # Health trackers: key space = the fleet's region set, fixed
         # at construction — one entry per region, updated in place.
         self._healthy_streak: t.Dict[str, int] = {}  # reprolint: disable=unbounded-cache-field
-        self._last_score: t.Dict[str, float] = {}  # reprolint: disable=unbounded-cache-field
         self._last_gfw: t.Dict[str, t.Tuple[int, int]] = {}  # reprolint: disable=unbounded-cache-field
-        self._last_admission: t.Dict[str, t.Tuple[int, int]] = {}  # reprolint: disable=unbounded-cache-field
-        self._checkpoints: t.Dict[str, ResumeToken] = {}
         self._monitor: t.Optional[t.Any] = None
 
     # -- event log ---------------------------------------------------------------
@@ -262,27 +190,6 @@ class SurvivalCoordinator:
                detail: t.Sequence[t.Any] = ()) -> None:
         self.events.append(SurvivalEvent(round(self.sim.now, 9), kind,
                                          session, region, tuple(detail)))
-
-    # -- checkpoints -------------------------------------------------------------
-
-    def checkpoint(self, token: ResumeToken) -> None:
-        """Durably record a session's latest resume token."""
-        self._checkpoints[token.session] = token
-
-    def resume_token(self, session: str) -> t.Optional[ResumeToken]:
-        return self._checkpoints.get(session)
-
-    def forget(self, key: str) -> None:
-        """A session ended: drop its resume checkpoint.
-
-        Session keys are unique per (client, cycle) and never reused,
-        so the checkpoint table would otherwise hold a dead
-        :class:`ResumeToken` per session for the whole campaign.  The
-        migration record (:meth:`migrations_of`) deliberately survives
-        — it is part of the campaign's queryable output, like the
-        event log.
-        """
-        self._checkpoints.pop(key, None)
 
     # -- health monitoring -------------------------------------------------------
 
@@ -295,68 +202,46 @@ class SurvivalCoordinator:
 
     def _sample(self, region: Region) -> RegionHealth:
         """One interval-delta health sample of ``region``."""
-        domestic = self.fleet.domestics[region.name]
-        shed = offered = 0
-        if domestic.admission is not None:
-            shed_total = domestic.admission.shed
-            offered_total = domestic.admission.offered
-            prev_shed, prev_offered = self._last_admission.get(
-                region.name, (0, 0))
-            shed, offered = shed_total - prev_shed, offered_total - prev_offered
-            self._last_admission[region.name] = (shed_total, offered_total)
-        drops = seen = 0
-        if region.gfw is not None:
-            drops_total = region.gfw.stats.interference_drops
-            seen_total = region.gfw.stats.packets_seen
-            prev_drops, prev_seen = self._last_gfw.get(region.name, (0, 0))
-            drops, seen = drops_total - prev_drops, seen_total - prev_seen
-            self._last_gfw[region.name] = (drops_total, seen_total)
-        breakers = domestic.pool.breakers
+        drops_total = region.gfw.stats.interference_drops
+        seen_total = region.gfw.stats.packets_seen
+        prev_drops, prev_seen = self._last_gfw.get(region.name, (0, 0))
+        self._last_gfw[region.name] = (drops_total, seen_total)
+        breakers = self.fleet.domestics[region.name].pool.breakers
         open_count = sum(1 for breaker in breakers.values()
                          if breaker.state != CircuitBreaker.CLOSED)
         return region_health(
-            region.name, shed=shed, offered=offered,
-            interference_drops=drops, packets_seen=seen,
+            region.name, interference_drops=drops_total - prev_drops,
+            packets_seen=seen_total - prev_seen,
             breakers_open=open_count, breakers_total=len(breakers))
 
     def _monitor_loop(self):
         while True:
-            yield self.sim.timeout(self.interval)
+            yield self.sim.timeout(HEALTH_INTERVAL)
             for region in self.testbed.regions:
                 health = self._sample(region)
                 score = round(health.score, 6)
-                self._last_score[region.name] = score
                 self.health_log.append(
                     (round(self.sim.now, 9), region.name, score))
                 entry = self.entries[region.name]
-                if health.degraded(self.degraded_below):
+                if health.degraded():
                     self._healthy_streak[region.name] = 0
                     if not self._degraded[region.name]:
                         self._degraded[region.name] = True
                         self.record("region-degraded", region=region.name,
                                     detail=(score,))
-                        # Drain-to-healthy: displace the region's entry
-                        # bindings; each session re-lands by rendezvous.
+                        # Displace the region's entry bindings; each
+                        # session re-lands on a healthy region by
+                        # rendezvous.
                         self.entry_router.evict(entry)
                 else:
                     streak = self._healthy_streak.get(region.name, 0) + 1
                     self._healthy_streak[region.name] = streak
                     if (self._degraded[region.name]
-                            and streak >= self.recover_after):
+                            and streak >= RECOVER_AFTER):
                         self._degraded[region.name] = False
                         self.record("region-recovered", region=region.name,
                                     detail=(score,))
                         self.entry_router.reinstate(entry)
-
-    def latest_score(self, region: str) -> float:
-        """Most recent health score of ``region`` (1.0 before any sample)."""
-        return self._last_score.get(region, 1.0)
-
-    def degraded(self, region: str) -> bool:
-        return self._degraded.get(region, False)
-
-    def healthy_regions(self) -> t.List[str]:
-        return [name for name in self.entries if not self._degraded[name]]
 
     # -- placement ---------------------------------------------------------------
 
@@ -400,9 +285,6 @@ class SurvivalCoordinator:
     def bind(self, key: str, region: str) -> None:
         self.entry_router.bind(key, self.entries[region])
 
-    def release(self, key: str) -> None:
-        self.entry_router.release(key)
-
 
 # -- the session -----------------------------------------------------------------
 
@@ -414,9 +296,7 @@ class SurvivalSession:
                  key: str, page: Page,
                  chunk_size: int = CHUNK_SIZE,
                  load_deadline: float = LOAD_DEADLINE,
-                 read_timeout: float = CHUNK_READ_TIMEOUT,
-                 chunk_interval: float = 0.0,
-                 retry: t.Optional[RetryPolicy] = None) -> None:
+                 chunk_interval: float = 0.0) -> None:
         """``chunk_interval`` paces the download (seconds between chunk
         fetches), modelling a long-lived streaming read rather than a
         bulk pull — the session shape a mid-campaign blackout actually
@@ -431,14 +311,14 @@ class SurvivalSession:
         self.total_bytes = sum(chunk.size for chunk in self.chunks)
         self.chunk_size = chunk_size
         self.load_deadline = load_deadline
-        self.read_timeout = read_timeout
         self.chunk_interval = chunk_interval
-        #: Base retry policy; each reconnect round runs it scaled by
-        #: the home region's observed health score.
-        self.retry = retry if retry is not None else RetryPolicy(
+        #: Each reconnect round runs this policy once.
+        self.retry = RetryPolicy(
             attempts=4, base=1.0, cap=8.0, jitter=0.1,
             rng=coordinator.retry_rng, budget=load_deadline)
-        self.token: t.Optional[ResumeToken] = None
+        #: Bytes delivered so far, always a chunk boundary: a resumed
+        #: transfer continues here, so no byte is delivered twice.
+        self.offset = 0
         self.completed = False
         self.lost = False
         #: Region the last successful stream ran through.
@@ -459,10 +339,6 @@ class SurvivalSession:
             self._connectors[region] = connector
         return connector
 
-    def _retry_scale(self) -> float:
-        """Health-scaled retry factor: degraded home, smaller budget."""
-        return max(0.25, min(1.0, self.coordinator.latest_score(self.home)))
-
     def _open_stream(self, target: str, deadline: Deadline, migrating: bool):
         """Generator: one TLS open through ``target``'s front door."""
         coordinator = self.coordinator
@@ -478,56 +354,51 @@ class SurvivalSession:
         return (yield from self._connector(target).open_once(
             self.page.host, 443, True, deadline))
 
-    def _pull_chunks(self, stream, token: ResumeToken, region: str,
-                     deadline: Deadline):
+    def _pull_chunks(self, stream, region: str, deadline: Deadline):
         """Generator: fetch chunks until done, error, or stall.
 
-        Returns ``(token, progressed)`` — the latest checkpoint and
-        whether this connection delivered at least one chunk.
+        Advances :attr:`offset` past every chunk delivered and returns
+        whether this connection delivered at least one.
         """
         sim = self.sim
         coordinator = self.coordinator
         progressed = False
-        while token.offset < self.total_bytes:
+        while self.offset < self.total_bytes:
             if progressed and self.chunk_interval > 0.0:
                 yield sim.timeout(
                     deadline.clamp(self.chunk_interval, sim.now))
                 if deadline.expired(sim.now):
-                    return token, progressed
-            index = token.offset // self.chunk_size
-            chunk = self.chunks[index]
+                    return progressed
+            chunk = self.chunks[self.offset // self.chunk_size]
             request = HttpRequest(self.page.host, chunk.path)
             task = sim.process(fetch(stream, request),
                                name=f"survival-fetch:{self.key}")
-            timer = sim.timeout(deadline.clamp(self.read_timeout, sim.now))
+            timer = sim.timeout(deadline.clamp(CHUNK_READ_TIMEOUT, sim.now))
             try:
                 yield sim.any_of([task, timer])
             except (TransportError, HttpError, MiddlewareError) as exc:
                 coordinator.record("fetch-error", session=self.key,
                                    region=region,
                                    detail=(exc.__class__.__name__,))
-                return token, progressed
+                return progressed
             if not task.triggered:
-                # Stalled mid-chunk: abort the read, keep the checkpoint.
+                # Stalled mid-chunk: abort the read, keep the offset.
                 task.interrupt("chunk-read-timeout")
                 coordinator.record("fetch-error", session=self.key,
                                    region=region, detail=("chunk-timeout",))
-                return token, progressed
+                return progressed
             response = task.value
             if response.status != 200:
                 coordinator.record("fetch-error", session=self.key,
                                    region=region,
                                    detail=(f"http-{response.status}",))
-                return token, progressed
+                return progressed
             size = response.body_size
             coordinator.record("chunk", session=self.key, region=region,
-                               detail=(token.offset, size))
-            token = token.advanced(size, now=sim.now, deadline=deadline,
-                                   epoch=coordinator.fleet.agility.epoch)
-            self.token = token
-            coordinator.checkpoint(token)
+                               detail=(self.offset, size))
+            self.offset += size
             progressed = True
-        return token, progressed
+        return progressed
 
     # -- the lifecycle -----------------------------------------------------------
 
@@ -536,33 +407,22 @@ class SurvivalSession:
         sim = self.sim
         coordinator = self.coordinator
         deadline = Deadline(sim.now + self.load_deadline)
-        token = ResumeToken(
-            session=self.key, method="scholarcloud", host=self.page.host,
-            path=self.page.path, epoch=coordinator.fleet.agility.epoch,
-            total_bytes=self.total_bytes, offset=0,
-            deadline_remaining=round(self.load_deadline, 9),
-            checkpointed_at=round(sim.now, 9))
-        self.token = token
-        coordinator.checkpoint(token)
         coordinator.record("session-start", session=self.key,
                            region=self.home,
                            detail=(self.home, self.total_bytes))
-        current: t.Optional[str] = None
-        while token.offset < self.total_bytes:
+        while self.offset < self.total_bytes:
             if deadline.expired(sim.now):
-                return self._lose(token, "deadline")
-            scale = self._retry_scale()
-            policy = self.retry.scaled(scale)
+                return self._lose("deadline")
             progressed = False
-            for delay in policy.delays(clock=lambda: sim.now,
-                                       deadline=deadline.at):
+            for delay in self.retry.delays(clock=lambda: sim.now,
+                                           deadline=deadline.at):
                 if delay > 0.0:
                     yield sim.timeout(delay)
-                target = coordinator.place(self.key, self.home, current,
-                                           token.offset)
+                target = coordinator.place(self.key, self.home, self.region,
+                                           self.offset)
                 if target is None:
                     continue  # no healthy region this instant; back off
-                migrating = current is not None and target != current
+                migrating = self.region is not None and target != self.region
                 try:
                     stream = yield from self._open_stream(target, deadline,
                                                           migrating)
@@ -573,46 +433,38 @@ class SurvivalSession:
                                        detail=(exc.__class__.__name__,))
                     continue
                 if migrating:
-                    # Resume from the durable checkpoint, not from any
-                    # in-memory transfer state of the dead connection.
-                    resumed = coordinator.resume_token(self.key)
-                    if resumed is not None:
-                        token = resumed
                     coordinator.record("resume", session=self.key,
                                        region=target,
-                                       detail=(token.offset, current))
-                current = target
+                                       detail=(self.offset, self.region))
                 self.region = target
                 coordinator.bind(self.key, target)
                 try:
-                    token, progressed = yield from self._pull_chunks(
-                        stream, token, target, deadline)
+                    progressed = yield from self._pull_chunks(
+                        stream, target, deadline)
                 finally:
                     stream.close()
-                    coordinator.release(self.key)
-                if progressed or token.offset >= self.total_bytes:
+                if progressed or self.offset >= self.total_bytes:
                     break
-            if token.offset >= self.total_bytes:
+            if self.offset >= self.total_bytes:
                 break
             if deadline.expired(sim.now):
-                return self._lose(token, "deadline")
+                return self._lose("deadline")
             if not progressed:
-                # This round's (health-scaled) budget is spent without a
-                # byte moved.  Pause before the next round: a region
-                # mid-outage gets a quiet period, not a hot retry loop.
-                yield sim.timeout(deadline.clamp(policy.cap, sim.now))
+                # This round's budget is spent without a byte moved.
+                # Pause before the next round: a region mid-outage gets
+                # a quiet period, not a hot retry loop.
+                yield sim.timeout(deadline.clamp(self.retry.cap, sim.now))
         coordinator.record("session-complete", session=self.key,
-                           region=current if current is not None else self.home,
-                           detail=(token.offset,))
-        coordinator.forget(self.key)
+                           region=(self.region if self.region is not None
+                                   else self.home),
+                           detail=(self.offset,))
         self.completed = True
         return True
 
-    def _lose(self, token: ResumeToken, reason: str) -> bool:
+    def _lose(self, reason: str) -> bool:
         self.coordinator.record("session-lost", session=self.key,
                                 region=self.home,
-                                detail=(reason, token.offset))
-        self.coordinator.forget(self.key)
+                                detail=(reason, self.offset))
         self.lost = True
         return False
 
@@ -664,27 +516,17 @@ def run_survival_campaign(
     cycles: int = 3,
     seed: int = 0,
     victim: str = "beijing",
-    escalate_at: float = 40.0,
-    blackout_at: float = 70.0,
-    blackout_downtime: float = 150.0,
-    interval: float = 45.0,
-    total_bytes: int = 32 * CHUNK_SIZE,
-    chunk_size: int = CHUNK_SIZE,
-    chunk_interval: float = 2.0,
-    load_deadline: float = LOAD_DEADLINE,
-    migration_budget: int = MIGRATION_BUDGET,
 ) -> SurvivalCampaignResult:
     """The longitudinal escalation-to-blackout survival campaign.
 
-    One region (the ``victim``) escalates at ``escalate_at`` and goes
-    fully dark — border link down — at ``blackout_at`` for
-    ``blackout_downtime`` seconds.  The default timeline drops the
-    border while nearly every client's first paced download is still
-    in flight, which is the hard case: checkpointed state exists and
-    must survive the move.  Every client runs ``cycles`` downloads;
-    sessions
-    caught by the blackout must checkpoint, migrate over the domestic
-    backbone to a healthy region, and finish there.  The returned
+    One region (the ``victim``) escalates at ``ESCALATE_AT`` and goes
+    fully dark — border link down — at ``BLACKOUT_AT`` for
+    ``BLACKOUT_DOWNTIME`` seconds.  The timeline drops the border while
+    nearly every client's first paced download is still in flight,
+    which is the hard case: delivered bytes exist and must survive the
+    move.  Every client runs ``cycles`` downloads; sessions caught by
+    the blackout must migrate over the domestic backbone to a healthy
+    region, resume at their offset, and finish there.  The returned
     event log is the :class:`~repro.fleet.verifier.SurvivalVerifier`'s
     input; per seed it is byte-identical across runs (``event_digest``).
     """
@@ -701,19 +543,18 @@ def run_survival_campaign(
     sim = testbed.sim
     fleet = ProxyFleet(testbed)
     testbed.run_process(fleet.launch(), name="survival-launch")
-    page = survival_document(total_bytes=total_bytes, chunk_size=chunk_size)
+    page = survival_document(total_bytes=CAMPAIGN_BYTES)
     testbed.scholar_server.add_page(page)
-    coordinator = SurvivalCoordinator(
-        fleet, migration_budget=migration_budget)
+    coordinator = SurvivalCoordinator(fleet)
     coordinator.start()
 
     schedule = FleetSchedule()
     schedule.regional_escalation(
-        victim, at=escalate_at,
-        duration=blackout_at + blackout_downtime - escalate_at,
+        victim, at=ESCALATE_AT,
+        duration=BLACKOUT_AT + BLACKOUT_DOWNTIME - ESCALATE_AT,
         keywords=("survival-escalation",), interference_scale=4.0)
-    schedule.region_blackout(victim, at=blackout_at,
-                             downtime=blackout_downtime)
+    schedule.region_blackout(victim, at=BLACKOUT_AT,
+                             downtime=BLACKOUT_DOWNTIME)
     schedule.install(testbed)
 
     sessions: t.List[SurvivalSession] = []
@@ -722,12 +563,11 @@ def run_survival_campaign(
         yield sim.timeout(offset)
         for cycle in range(cycles):
             if cycle:
-                yield sim.timeout(interval)
+                yield sim.timeout(CYCLE_INTERVAL)
             session = SurvivalSession(
                 coordinator, host=host, home=home,
                 key=f"{host.address}#c{cycle}", page=page,
-                chunk_size=chunk_size, load_deadline=load_deadline,
-                chunk_interval=chunk_interval)
+                chunk_interval=CAMPAIGN_CHUNK_INTERVAL)
             sessions.append(session)
             yield sim.process(session.run(),
                               name=f"survival-session:{session.key}")
@@ -736,24 +576,24 @@ def run_survival_campaign(
     processes = []
     for region in testbed.regions:
         for index, host in enumerate(region.extra_clients):
-            offset = offsets.uniform(0.0, interval)
+            offset = offsets.uniform(0.0, CYCLE_INTERVAL)
             processes.append(sim.process(
                 client_loop(host, region.name, offset),
                 name=f"survival-client:{region.name}:{index}"))
     sim.run(until=sim.all_of(processes))
     # Run past the blackout's end so the victim's recovery lands in the
-    # log (region-recovered needs recover_after consecutive healthy
+    # log (region-recovered needs RECOVER_AFTER consecutive healthy
     # samples after the border link returns).
-    horizon = max(sim.now, blackout_at + blackout_downtime
-                  + coordinator.interval * (coordinator.recover_after + 2))
+    horizon = max(sim.now, BLACKOUT_AT + BLACKOUT_DOWNTIME
+                  + HEALTH_INTERVAL * (RECOVER_AFTER + 2))
     sim.run(until=horizon)
 
     events = tuple(coordinator.events)
     return SurvivalCampaignResult(
         regions=tuple(regions), victim=victim, pops=pops,
         clients_per_region=clients_per_region, cycles=cycles, seed=seed,
-        total_bytes=total_bytes, chunk_size=chunk_size,
-        migration_budget=migration_budget,
+        total_bytes=CAMPAIGN_BYTES, chunk_size=CHUNK_SIZE,
+        migration_budget=coordinator.migration_budget,
         duration=round(sim.now, 9),
         events=events,
         health_log=tuple(coordinator.health_log),

@@ -54,12 +54,13 @@ class Region:
     domestic_vm: Host
     border_cn: t.Any
     border_link: Link
-    gfw: t.Optional[GreatFirewall]
     policy: BlockPolicy
     domestic_cpu: ProcessorSharingServer
     prober_host: t.Optional[Host] = None
     #: All browser machines, canonical client first.
     clients: t.List[Host] = field(default_factory=list)
+    #: Attached once transports exist (its active prober dials).
+    gfw: GreatFirewall = field(init=False)
 
     @property
     def name(self) -> str:
@@ -79,7 +80,6 @@ class FleetTestbed:
         pops: int = 3,
         clients_per_region: int = 0,
         fluid: t.Optional[t.Any] = None,
-        gfw_enabled: bool = True,
         domestic_backbone: bool = False,
     ) -> None:
         """``domestic_backbone`` (default off) links every region's
@@ -140,7 +140,7 @@ class FleetTestbed:
         # -- regions -----------------------------------------------------------
         self.regions: t.List[Region] = []
         for index, spec in enumerate(specs):
-            self.regions.append(self._build_region(index, spec, gfw_enabled,
+            self.regions.append(self._build_region(index, spec,
                                                    clients_per_region))
 
         # -- optional domestic backbone (no firewall on inland links) ----------
@@ -175,9 +175,8 @@ class FleetTestbed:
         self.scholar_server.add_page(self.scholar_page)
 
         # -- per-region firewalls (built late: probers need transports) --------
-        if gfw_enabled:
-            for region in self.regions:
-                self._attach_gfw(region)
+        for region in self.regions:
+            self._attach_gfw(region)
 
         #: Compatibility with single-region tooling (FaultInjector's
         #: dns-poison handler, default ScConnector host): region 0.
@@ -186,7 +185,7 @@ class FleetTestbed:
 
     # -- construction helpers --------------------------------------------------
 
-    def _build_region(self, index: int, spec: RegionSpec, gfw_enabled: bool,
+    def _build_region(self, index: int, spec: RegionSpec,
                       clients_per_region: int) -> Region:
         net = self.net
         base = 66 + index
@@ -215,7 +214,7 @@ class FleetTestbed:
                         loss=0.0002)
             extra_clients.append(host)
         prober_host = None
-        if gfw_enabled and spec.active_probing:
+        if spec.active_probing:
             prober_host = net.add_host(f"prober-{spec.name}",
                                        address=f"202.112.{index + 1}.99")
             net.connect(prober_host, border_cn, latency=ms(2),
@@ -223,9 +222,7 @@ class FleetTestbed:
         region = Region(
             spec=spec, client=client, extra_clients=extra_clients,
             campus=campus, domestic_vm=domestic_vm, border_cn=border_cn,
-            border_link=border_link,
-            gfw=None,  # attached after transports exist (probers dial)
-            policy=region_policy(spec),
+            border_link=border_link, policy=region_policy(spec),
             domestic_cpu=ProcessorSharingServer(
                 self.sim, capacity=1.0, name=f"domestic-{spec.name}-cpu"),
             prober_host=prober_host)

@@ -191,11 +191,10 @@ class CacheReport:
 
 
 #: Region-health component weights.  Breaker state dominates: an open
-#: breaker means live dials are failing *now*, while shed and
-#: interference rates are leading indicators of pressure.  A full
-#: blackout (every breaker open) lands the score at 0.40 — firmly below
-#: the 0.5 degradation threshold even with zero shed/interference.
-HEALTH_WEIGHT_SHED = 0.25
+#: breaker means live dials are failing *now*, while the interference
+#: rate is a leading indicator of pressure.  A full blackout (every
+#: breaker open) lands the score at 0.40 — firmly below the 0.5
+#: degradation threshold even with zero interference.
 HEALTH_WEIGHT_INTERFERENCE = 0.15
 HEALTH_WEIGHT_BREAKERS = 0.60
 #: A region scoring below this is degraded (survival migrates away).
@@ -206,22 +205,20 @@ HEALTH_DEGRADED_BELOW = 0.5
 class RegionHealth:
     """One region's composite health sample.
 
-    Three normalized pressure signals — admission shed rate, firewall
-    interference rate, and the fraction of transpacific circuit
-    breakers currently open — fold into a single ``score`` in [0, 1]
-    (1.0 = fully healthy).  The survival layer samples this per region
-    to decide when a whole region is degraded enough to drain.
+    Two normalized pressure signals — the firewall interference rate
+    and the fraction of transpacific circuit breakers currently open —
+    fold into a single ``score`` in [0, 1] (1.0 = fully healthy).  The
+    survival layer samples this per region to decide when a whole
+    region is degraded enough to move its sessions away.
     """
 
     region: str
-    shed_rate: float
     interference_rate: float
     breaker_open_fraction: float
 
     @property
     def score(self) -> float:
-        penalty = (HEALTH_WEIGHT_SHED * self.shed_rate
-                   + HEALTH_WEIGHT_INTERFERENCE * self.interference_rate
+        penalty = (HEALTH_WEIGHT_INTERFERENCE * self.interference_rate
                    + HEALTH_WEIGHT_BREAKERS * self.breaker_open_fraction)
         return max(0.0, 1.0 - min(1.0, penalty))
 
@@ -230,15 +227,12 @@ class RegionHealth:
 
     def __str__(self) -> str:
         return (f"{self.region}: score={self.score:.2f} "
-                f"(shed={self.shed_rate:.0%} "
-                f"interference={self.interference_rate:.0%} "
+                f"(interference={self.interference_rate:.0%} "
                 f"breakers={self.breaker_open_fraction:.0%})")
 
 
 def region_health(
     region: str,
-    shed: int = 0,
-    offered: int = 0,
     interference_drops: int = 0,
     packets_seen: int = 0,
     breakers_open: int = 0,
@@ -247,9 +241,9 @@ def region_health(
     """Fold raw counters (usually interval deltas) into a health sample.
 
     Zero-denominator inputs read as "no evidence of trouble": a region
-    that offered nothing shed nothing.
+    that carried no packets saw no interference.
     """
-    if min(shed, offered, interference_drops, packets_seen,
+    if min(interference_drops, packets_seen,
            breakers_open, breakers_total) < 0:
         raise MeasurementError("negative region-health counters")
     interference = (min(1.0, interference_drops / packets_seen)
@@ -258,7 +252,6 @@ def region_health(
                 if breakers_total else 0.0)
     return RegionHealth(
         region=region,
-        shed_rate=shed_rate(shed, offered),
         interference_rate=interference,
         breaker_open_fraction=breakers)
 

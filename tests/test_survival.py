@@ -1,13 +1,14 @@
 """repro.fleet.survival + repro.fleet.verifier: session survivability.
 
-The properties this file pins: a resume token round-trips its wire form
-byte-identically and only ever moves forward; every error path in
+The properties this file pins: the region health score degrades on a
+blackout but not on interference alone; every error path in
 repro.fleet closes what it opened (the leak rule); the coordinator
 migrates a session at most ``migration_budget`` times and resumes it
-from its durable checkpoint — including when the *target* region
-escalates too, and when a migration races an operator drain; and the
-SurvivalVerifier machine-checks every headline claim of the
-escalation-to-blackout campaign instead of trusting a hand-read plot.
+at the byte offset it had reached — including when the *target*
+region blacks out too — and never flaps it back when the old region
+returns; and the SurvivalVerifier machine-checks every headline claim
+of the escalation-to-blackout campaign instead of trusting a
+hand-read plot.
 """
 
 from pathlib import Path
@@ -16,14 +17,11 @@ import pytest
 
 from repro.analysis import Analyzer, Severity, parse_config
 from repro.errors import MeasurementError
-from repro.faults import RetryPolicy
 from repro.fleet import (
     DOWN,
-    DRAINING,
     FleetSchedule,
     FleetTestbed,
     ProxyFleet,
-    ResumeToken,
     SurvivalCoordinator,
     SurvivalEvent,
     SurvivalSession,
@@ -33,55 +31,10 @@ from repro.fleet import (
     survival_document,
 )
 from repro.measure import region_health
-from repro.overload import Deadline
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
 PYPROJECT = REPO_ROOT / "pyproject.toml"
-
-
-# -- resume tokens -----------------------------------------------------------------
-
-
-def _token(**overrides):
-    kwargs = dict(session="s1", method="scholarcloud",
-                  host="scholar.google.com", path="/survival/corpus.pdf",
-                  epoch=0, total_bytes=100, offset=0,
-                  deadline_remaining=240.0, checkpointed_at=0.0)
-    kwargs.update(overrides)
-    return ResumeToken(**kwargs)
-
-
-class TestResumeToken:
-    def test_wire_round_trip_is_exact(self):
-        token = _token(epoch=3, offset=40, deadline_remaining=17.25,
-                       checkpointed_at=222.75)
-        assert ResumeToken.from_wire(token.to_wire()) == token
-
-    def test_from_wire_rejects_foreign_tuples(self):
-        token = _token()
-        for wire in (("not-a-token",) + token.to_wire()[1:],
-                     token.to_wire()[:-1],
-                     list(token.to_wire())):
-            with pytest.raises(MeasurementError):
-                ResumeToken.from_wire(wire)
-
-    def test_advanced_moves_the_offset_forward(self):
-        token = _token()
-        later = token.advanced(30, now=10.0, deadline=Deadline(240.0))
-        assert later.offset == 30
-        assert later.deadline_remaining == 230.0
-        assert later.checkpointed_at == 10.0
-        assert later.epoch == token.epoch
-        assert not later.complete
-        done = later.advanced(70, now=20.0, deadline=Deadline(240.0), epoch=5)
-        assert done.complete
-        assert done.epoch == 5
-
-    def test_checkpoint_must_advance(self):
-        for nbytes in (0, -10):
-            with pytest.raises(MeasurementError):
-                _token().advanced(nbytes, now=1.0, deadline=Deadline(240.0))
 
 
 # -- region health -----------------------------------------------------------------
@@ -108,7 +61,7 @@ class TestRegionHealth:
 
     def test_negative_counters_raise(self):
         with pytest.raises(MeasurementError):
-            region_health("beijing", shed=-1)
+            region_health("beijing", packets_seen=-1)
 
 
 # -- leak discipline -------------------------------------------------------------
@@ -141,32 +94,6 @@ class TestSurvivalDocument:
             survival_document(total_bytes=0)
         with pytest.raises(MeasurementError):
             survival_document(chunk_size=0)
-
-
-# -- adaptive retry budgets --------------------------------------------------------
-
-
-class TestScaledRetry:
-    def test_unit_scale_is_equivalent(self):
-        policy = RetryPolicy(attempts=4, base=1.0, budget=100.0)
-        scaled = policy.scaled(1.0)
-        assert scaled.attempts == 4
-        assert scaled.budget == 100.0
-
-    def test_degraded_health_shrinks_attempts_and_budget(self):
-        policy = RetryPolicy(attempts=4, base=1.0, budget=100.0)
-        scaled = policy.scaled(0.5)
-        assert scaled.attempts == 2
-        assert scaled.budget == 50.0
-
-    def test_scale_never_reaches_zero_attempts(self):
-        assert RetryPolicy(attempts=4).scaled(0.01).attempts == 1
-
-    def test_scale_must_be_in_unit_interval(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(attempts=4).scaled(0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(attempts=4).scaled(1.5)
 
 
 # -- the verifier over synthetic logs ----------------------------------------------
@@ -314,7 +241,7 @@ class TestSurvivalVerifier:
             SurvivalVerifier(dip_ceiling=1.5)
 
 
-# -- coordinator placement: budgets, drains, double escalation ---------------------
+# -- coordinator placement: budgets, double escalation, no flap-back ---------------
 
 
 def _coordinator_world(seed=0, regions=3, **coordinator_kwargs):
@@ -361,25 +288,21 @@ class TestCoordinatorPlacement:
         assert coordinator.place("s1", "beijing", "beijing", 0) is None
         assert coordinator.migrations == 0
 
-    def test_migration_racing_a_drain(self):
-        # Operator drains a front door mid-session; established sessions
-        # stay (that is what draining means) — until the region degrades
-        # under the drain, which displaces them like any eviction.
+    def test_migrated_session_stays_when_its_home_recovers(self):
+        # A bound session stays put while its region is healthy; the
+        # region degrading displaces it (one migration), and the region
+        # coming back must not flap it home again.
         _, _, coordinator = _coordinator_world()
         entry = coordinator.entries["beijing"]
         coordinator.bind("s1", "beijing")
-        coordinator.entry_router.drain(entry)
-        assert coordinator.entry_router.status[entry] == DRAINING
         assert coordinator.place("s1", "beijing", "beijing", 256) == "beijing"
-        assert coordinator.migrations == 0  # a drain is not a migration
+        assert coordinator.migrations == 0
         coordinator.entry_router.evict(entry)
         assert coordinator.entry_router.status[entry] == DOWN
         moved = coordinator.place("s1", "beijing", "beijing", 256)
         assert moved != "beijing"
         assert coordinator.migrations_of("s1") == 1
         coordinator.bind("s1", moved)
-        # The drained-then-dead region coming back must not flap the
-        # session home again.
         coordinator.entry_router.reinstate(entry)
         assert coordinator.place("s1", "beijing", moved, 512) == moved
         assert coordinator.migrations_of("s1") == 1
