@@ -462,8 +462,11 @@ class SurvivalSession:
         return True
 
     def _lose(self, reason: str) -> bool:
+        # Charged where the session died: the last region that served
+        # it, or its home if it never connected.
         self.coordinator.record("session-lost", session=self.key,
-                                region=self.home,
+                                region=(self.region if self.region is not None
+                                        else self.home),
                                 detail=(reason, self.offset))
         self.lost = True
         return False

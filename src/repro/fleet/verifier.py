@@ -21,9 +21,12 @@ every claim mechanically:
    session outcomes must dip no more than ``dip_ceiling`` from its best
    bucket and must end recovered (within ``recovery_margin`` of the
    best rate).
-5. **no-session-unresolved** — every started session must reach a
-   terminal event (complete or lost); a hung session dodging invariant
-   1 is itself a violation.
+5. **no-session-unresolved** — every started session must reach
+   exactly one terminal event (complete or lost); a hung session
+   dodging invariant 1 is itself a violation, and so is a terminal
+   event for a session that never started or had already ended.  Such
+   an unmatched event counts toward neither ``completed`` nor
+   ``lost``.
 
 The verifier only reads event attributes (time/kind/session/region/
 detail), so any log with that shape — live campaign, synthetic test
@@ -137,6 +140,7 @@ class SurvivalVerifier:
         samples: t.List[t.Tuple[float, bool]] = []
         lost_while_healthy: t.List[str] = []
         continuity: t.List[str] = []
+        unmatched: t.List[str] = []
         last_time: t.Optional[float] = None
         total_migrations = 0
         completed = lost = 0
@@ -176,29 +180,31 @@ class SurvivalVerifier:
                 count = migrations.get(event.session, 0) + 1
                 migrations[event.session] = count
                 total_migrations += 1
-            elif kind == "session-complete":
-                completed += 1
-                samples.append((event.time, True))
+            elif kind in ("session-complete", "session-lost"):
                 session = sessions.get(event.session)
-                if session is not None:
-                    session["done"] = True
+                if session is None or session["done"]:
+                    unmatched.append(
+                        f"t={event.time:g} {event.session}: {kind} "
+                        + ("without a session-start" if session is None
+                           else "after its terminal event"))
+                    continue
+                session["done"] = True
+                samples.append((event.time, kind == "session-complete"))
+                if kind == "session-complete":
+                    completed += 1
                     if session["expected"] != session["total"]:
                         continuity.append(
                             f"t={event.time:g} {event.session}: completed "
                             f"with {session['expected']} of "
                             f"{session['total']} bytes")
-            elif kind == "session-lost":
-                lost += 1
-                samples.append((event.time, False))
-                session = sessions.get(event.session)
-                if session is not None:
-                    session["done"] = True
-                healthy = sorted(region for region, is_degraded
-                                 in degraded.items() if not is_degraded)
-                if healthy:
-                    lost_while_healthy.append(
-                        f"t={event.time:g} {event.session}: lost while "
-                        f"{healthy} healthy")
+                else:
+                    lost += 1
+                    healthy = sorted(region for region, is_degraded
+                                     in degraded.items() if not is_degraded)
+                    if healthy:
+                        lost_while_healthy.append(
+                            f"t={event.time:g} {event.session}: lost while "
+                            f"{healthy} healthy")
 
         over_budget = [
             f"{session}: {count} migrations > budget {self.migration_budget}"
@@ -225,7 +231,8 @@ class SurvivalVerifier:
                 detail=dip_detail),
             self._result(
                 "no-session-unresolved",
-                [f"{session}: no terminal event" for session in unresolved],
+                unmatched + [f"{session}: no terminal event"
+                             for session in unresolved],
                 ok_detail=f"all {len(sessions)} sessions reached a terminal "
                           "event"),
         )

@@ -1,8 +1,14 @@
 """Hypothesis property tests on core data structures and invariants."""
 
+from collections import OrderedDict
+
 from hypothesis import given, settings, strategies as st
 
+from repro.cache import CacheConfig, ResponseCache
+from repro.core.blinding import BlindingAgility
 from repro.crypto import AES, CfbCipher, CtrCipher, RC4, shannon_entropy
+from repro.faults import Endpoint
+from repro.fleet import SessionRouter
 from repro.gfw.flow_table import canonical_flow
 from repro.measure import percentile, summarize
 from repro.net import IPv4Address, Prefix
@@ -146,3 +152,88 @@ def test_store_fifo_order(items):
         store.put(item)
     sim.run()
     assert received == list(items)
+
+
+# -- rendezvous eviction --------------------------------------------------------------
+
+@given(st.integers(2, 6), st.data(),
+       st.lists(st.text(min_size=1, max_size=12), min_size=1, max_size=40,
+                unique=True))
+@settings(max_examples=50, deadline=None)
+def test_rendezvous_eviction_moves_only_the_victims_keys(count, data, keys):
+    endpoints = [Endpoint(IPv4Address(f"47.88.1.{100 + j}"), 443,
+                          name=f"pop-{j + 1}") for j in range(count)]
+    router = SessionRouter(Simulator(seed=0), endpoints)
+    for key in keys:
+        router.bind(key, router.route(key))
+    before = {key: router.route(key) for key in keys}
+    victim = endpoints[data.draw(st.integers(0, count - 1))]
+
+    displaced = router.evict(victim)
+
+    assert set(displaced) == {key for key in keys if before[key] == victim}
+    for key in keys:
+        if key in displaced:
+            assert router.route(key) == router.rank(key)[1]
+        else:
+            assert router.route(key) == before[key]
+
+
+# -- response cache eviction ------------------------------------------------------------
+
+class _Clock:
+    now = 0.0
+
+
+#: (insert?, key index, size): mostly inserts of a few hundred bytes
+#: into a cache that holds a handful, so most runs evict.
+_CACHE_OPS = st.lists(
+    st.tuples(st.sampled_from([True, True, False]), st.integers(0, 4),
+              st.integers(1, 400)),
+    min_size=1, max_size=60)
+
+
+@given(_CACHE_OPS, st.integers(100, 1200),
+       st.floats(min_value=0.05, max_value=1.0))
+@settings(max_examples=100, deadline=None)
+def test_cache_eviction_matches_an_lru_model(ops, capacity, low):
+    """Inserts and lookups against an OrderedDict model (oldest first):
+    evictions run LRU-first, a hit refreshes recency, occupancy never
+    exceeds the capacity, and an insert that evicts drains the others
+    to the low watermark."""
+    config = CacheConfig(ttl=1e9, capacity_bytes=capacity, low_watermark=low)
+    cache = ResponseCache(_Clock(), config, BlindingAgility())
+    model: "OrderedDict[tuple, int]" = OrderedDict()
+
+    def key(index):
+        return ("GET", "scholar.google.com", 443, "https", f"/q{index}",
+                False)
+
+    for is_insert, index, size in ops:
+        if not is_insert:
+            hit = cache.lookup(key(index)) is not None
+            assert hit == (key(index) in model)
+            if hit:
+                model.move_to_end(key(index))
+            continue
+        evictions = cache.evictions
+        stored = cache.insert(key(index), "response", wire_length=size,
+                              avoided_bytes=0)
+        assert stored == (size <= capacity)
+        if not stored:
+            continue
+        model.pop(key(index), None)
+        target = min(int(low * capacity), capacity - size)
+        evicted = 0
+        if sum(model.values()) + size > capacity:
+            while model and sum(model.values()) > target:
+                model.popitem(last=False)
+                evicted += 1
+        model[key(index)] = size
+        assert cache.evictions - evictions == evicted
+        assert cache.bytes_in_cache <= capacity
+        if evicted:
+            assert cache.bytes_in_cache - size <= target
+        for probe in range(5):
+            assert cache.wire_length_of(key(probe)) == model.get(key(probe),
+                                                                 0)

@@ -191,6 +191,31 @@ class TestSurvivalVerifier:
                    .invariant("migrations-within-budget"))
         assert not verdict.passed
 
+    def test_terminal_event_without_a_start_is_a_violation(self):
+        events = _log(
+            (0.0, "session-start", "s1", "beijing", ("beijing", 10)),
+            (1.0, "chunk", "s1", "beijing", (0, 10)),
+            (2.0, "session-complete", "s1", "beijing", (10,)),
+            (3.0, "session-complete", "s2", "beijing", (10,)))
+        report = SurvivalVerifier().verify(events, _REGIONS)
+        verdict = report.invariant("no-session-unresolved")
+        assert not verdict.passed
+        assert "s2" in verdict.violations[0]
+        assert "without a session-start" in verdict.violations[0]
+        assert report.completed == 1
+
+    def test_second_terminal_event_is_a_violation(self):
+        events = _log(
+            (0.0, "session-start", "s1", "beijing", ("beijing", 10)),
+            (1.0, "chunk", "s1", "beijing", (0, 10)),
+            (2.0, "session-complete", "s1", "beijing", (10,)),
+            (3.0, "session-complete", "s1", "beijing", (10,)))
+        report = SurvivalVerifier().verify(events, _REGIONS)
+        verdict = report.invariant("no-session-unresolved")
+        assert not verdict.passed
+        assert "after its terminal event" in verdict.violations[0]
+        assert report.completed == 1
+
     def test_hung_session_is_a_violation(self):
         events = _log(
             (0.0, "session-start", "s1", "beijing", ("beijing", 10)),
@@ -311,35 +336,43 @@ class TestCoordinatorPlacement:
 # -- end to end: a session outlives two regional escalations -----------------------
 
 
+def _double_blackout(regions, load_deadline):
+    """One beijing session; beijing goes dark at t=15, then the region
+    the session migrates to goes dark at t=120, both for 600 s."""
+    testbed = FleetTestbed(seed=1, regions=default_fleet_regions(regions),
+                           pops=2, clients_per_region=1,
+                           domestic_backbone=True)
+    sim = testbed.sim
+    fleet = ProxyFleet(testbed)
+    testbed.run_process(fleet.launch(), name="launch")
+    page = survival_document(total_bytes=40 * 2048, chunk_size=2048)
+    testbed.scholar_server.add_page(page)
+    coordinator = SurvivalCoordinator(fleet)
+    coordinator.start()
+
+    # The session's first fallback is a pure function of its key, so
+    # the schedule can black out the *target* region after the move.
+    fallback = next(
+        entry.name for entry in coordinator.entry_router.rank("edge-1")
+        if entry.name != "beijing")
+    schedule = FleetSchedule()
+    schedule.region_blackout("beijing", at=15.0, downtime=600.0)
+    schedule.region_blackout(fallback, at=120.0, downtime=600.0)
+    schedule.install(testbed)
+
+    session = SurvivalSession(
+        coordinator, host=testbed.region("beijing").extra_clients[0],
+        home="beijing", key="edge-1", page=page, chunk_size=2048,
+        load_deadline=load_deadline, chunk_interval=3.0)
+    sim.run(until=sim.process(session.run(), name="edge-session"))
+    return testbed, coordinator, session, fallback
+
+
 class TestSessionSurvivesEscalations:
     def test_checkpoint_resume_after_the_target_region_escalates(self):
-        testbed = FleetTestbed(seed=1, regions=default_fleet_regions(3),
-                               pops=2, clients_per_region=1,
-                               domestic_backbone=True)
-        sim = testbed.sim
-        fleet = ProxyFleet(testbed)
-        testbed.run_process(fleet.launch(), name="launch")
-        page = survival_document(total_bytes=40 * 2048, chunk_size=2048)
-        testbed.scholar_server.add_page(page)
-        coordinator = SurvivalCoordinator(fleet)
-        coordinator.start()
-
-        # The session's first fallback is a pure function of its key, so
-        # the schedule can black out the *target* region after the move.
-        fallback = next(
-            entry.name for entry in coordinator.entry_router.rank("edge-1")
-            if entry.name != "beijing")
-        schedule = FleetSchedule()
-        schedule.region_blackout("beijing", at=15.0, downtime=600.0)
-        schedule.region_blackout(fallback, at=120.0, downtime=600.0)
-        schedule.install(testbed)
-
-        session = SurvivalSession(
-            coordinator, host=testbed.region("beijing").extra_clients[0],
-            home="beijing", key="edge-1", page=page, chunk_size=2048,
-            load_deadline=600.0, chunk_interval=3.0)
-        proc = sim.process(session.run(), name="edge-session")
-        sim.run(until=proc)
+        testbed, coordinator, session, fallback = _double_blackout(
+            regions=3, load_deadline=600.0)
+        page = session.page
 
         assert session.completed and not session.lost
         assert coordinator.migrations_of("edge-1") == 2
@@ -357,8 +390,23 @@ class TestSessionSurvivesEscalations:
         report = SurvivalVerifier(
             migration_budget=coordinator.migration_budget).verify(
             coordinator.events, [r.name for r in testbed.regions],
-            horizon=sim.now)
+            horizon=testbed.sim.now)
         assert report.passed, report.render()
+
+    def test_a_lost_session_is_charged_to_the_region_it_died_in(self):
+        # Two regions: after the fallback goes dark too, no healthy
+        # region is left and the session runs out its deadline there.
+        _, coordinator, session, fallback = _double_blackout(
+            regions=2, load_deadline=300.0)
+        assert session.lost and session.region == fallback
+        mine = [event for event in coordinator.events
+                if event.session == "edge-1"]
+        moved = next(index for index, event in enumerate(mine)
+                     if event.kind == "resume")
+        assert {event.region for event in mine[moved:]
+                if event.kind in ("chunk", "fetch-error")} == {fallback}
+        assert [event.region for event in mine
+                if event.kind == "session-lost"] == [fallback]
 
 
 # -- the longitudinal escalation-to-blackout campaign ------------------------------
