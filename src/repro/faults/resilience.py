@@ -25,7 +25,6 @@ from ..net import IPv4Address
 from ..sim import Simulator
 
 if t.TYPE_CHECKING:  # pragma: no cover
-    from ..overload import Deadline
     from ..transport import TransportLayer
 
 
@@ -200,17 +199,11 @@ class FailoverPool:
 
     def __init__(self, sim: Simulator, endpoints: t.Sequence[Endpoint],
                  failure_threshold: int = 3,
-                 reset_timeout: float = 30.0,
-                 probe_timeout: float = 3.0) -> None:
+                 reset_timeout: float = 30.0) -> None:
         if not endpoints:
             raise ValueError("failover pool needs at least one endpoint")
-        if probe_timeout <= 0:
-            raise ValueError(f"probe timeout must be positive, got {probe_timeout}")
         self.sim = sim
         self.endpoints = list(endpoints)
-        #: Default dial timeout for health probes (:meth:`probe` and
-        #: :meth:`start_health_checks`); a caller's Deadline clamps it.
-        self.probe_timeout = probe_timeout
         self.breakers: t.Dict[Endpoint, CircuitBreaker] = {
             endpoint: CircuitBreaker(
                 sim, failure_threshold=failure_threshold,
@@ -247,36 +240,6 @@ class FailoverPool:
         self.breakers[endpoint].record_failure()
 
     # -- health checks ---------------------------------------------------------
-
-    def probe(self, transport: "TransportLayer", endpoint: Endpoint,
-              deadline: t.Optional["Deadline"] = None, features=None):
-        """Generator: one health-probe dial of ``endpoint``, True if up.
-
-        The probe's verdict lands on the endpoint's breaker either way.
-        With a ``deadline`` (the session the probe gates), the dial
-        timeout is clamped to the deadline's remaining budget — a probe
-        must never outlive the work it gates — and an already-expired
-        deadline fails the probe without dialing at all.
-        """
-        breaker = self.breakers.get(endpoint)
-        if breaker is None:
-            raise ValueError(f"{endpoint} is not a pool member")
-        dial_timeout = self.probe_timeout
-        if deadline is not None:
-            if deadline.expired(self.sim.now):
-                return False
-            dial_timeout = deadline.clamp(self.probe_timeout, self.sim.now)
-        self.probes_sent += 1
-        try:
-            conn = yield transport.connect_tcp(
-                endpoint.address, endpoint.port,
-                features=features, timeout=dial_timeout)
-        except TransportError:
-            breaker.record_failure()
-            return False
-        breaker.record_success()
-        conn.close()
-        return True
 
     def start_health_checks(self, transport: "TransportLayer",
                             interval: float = 15.0, timeout: float = 3.0,

@@ -37,7 +37,7 @@ from ..errors import (
     OverloadError,
     TransportError,
 )
-from ..faults import CircuitBreaker, Endpoint, FailoverPool, RetryPolicy
+from ..faults import CircuitBreaker, Endpoint, RetryPolicy
 from ..http import HttpRequest, Page, PageObject
 from ..http.client import fetch
 from ..measure.metrics import RegionHealth, region_health
@@ -163,9 +163,6 @@ class SurvivalCoordinator:
         self.entry_router = SessionRouter(
             self.sim, list(self.entries.values()),
             name="survival-entry")
-        #: Breaker-guarded probes of the regional front doors (used to
-        #: pre-flight a migration target before committing a session).
-        self.entry_pool = FailoverPool(self.sim, list(self.entries.values()))
         self.retry_rng = self.sim.rng.stream("survival.retry")
         #: The machine-checkable campaign log (SurvivalVerifier input).
         self.events: t.List[SurvivalEvent] = []
@@ -339,18 +336,8 @@ class SurvivalSession:
             self._connectors[region] = connector
         return connector
 
-    def _open_stream(self, target: str, deadline: Deadline, migrating: bool):
+    def _open_stream(self, target: str, deadline: Deadline):
         """Generator: one TLS open through ``target``'s front door."""
-        coordinator = self.coordinator
-        if migrating:
-            # Pre-flight the migration target: one breaker-guarded
-            # probe, clamped to this session's remaining deadline.
-            transport = coordinator.testbed.transport_of(self.host)
-            alive = yield from coordinator.entry_pool.probe(
-                transport, coordinator.entries[target], deadline=deadline)
-            if not alive:
-                raise TransportError(
-                    f"survival: {target} front door failed pre-flight")
         return (yield from self._connector(target).open_once(
             self.page.host, 443, True, deadline))
 
@@ -424,8 +411,7 @@ class SurvivalSession:
                     continue  # no healthy region this instant; back off
                 migrating = self.region is not None and target != self.region
                 try:
-                    stream = yield from self._open_stream(target, deadline,
-                                                          migrating)
+                    stream = yield from self._open_stream(target, deadline)
                 except (TransportError, MiddlewareError,
                         OverloadError) as exc:
                     coordinator.record("fetch-error", session=self.key,

@@ -10,7 +10,7 @@ seed-deterministic.
 import pytest
 
 from repro.errors import FaultError, MeasurementError
-from repro.faults import Endpoint, FailoverPool
+from repro.faults import Endpoint
 from repro.fleet import (
     ACTIVE,
     DOWN,
@@ -28,7 +28,6 @@ from repro.fleet import (
 )
 from repro.measure import availability_over_time, merge_series
 from repro.net import IPv4Address
-from repro.overload import Deadline
 from repro.sim import Simulator
 
 
@@ -259,56 +258,6 @@ class TestReinstatementHysteresis:
         with pytest.raises(FaultError):
             FailureDetector(sim, router, transport=object(),
                             suspicion_threshold=0)
-
-
-# -- health probes respect session deadlines ---------------------------------------
-
-
-class TestFailoverProbeDeadline:
-    def test_expired_deadline_fails_without_dialing(self):
-        sim = Simulator(seed=0)
-        pool = FailoverPool(sim, _endpoints(2))
-        gen = pool.probe(object(), pool.endpoints[0], deadline=Deadline(0.0))
-        with pytest.raises(StopIteration) as stop:
-            next(gen)
-        assert stop.value.value is False
-        assert pool.probes_sent == 0
-
-    def test_live_probe_succeeds_within_a_deadline(self):
-        testbed, fleet = _detector_world()
-        sim = testbed.sim
-        pool = FailoverPool(sim, fleet.endpoints)
-        transport = testbed.transport_of(testbed.control)
-        outcome = {}
-
-        def prober():
-            outcome["up"] = yield from pool.probe(
-                transport, fleet.endpoints[0],
-                deadline=Deadline(sim.now + 60.0))
-
-        sim.run(until=sim.process(prober(), name="probe"))
-        assert outcome["up"] is True
-        assert pool.probes_sent == 1
-
-    def test_probe_timeout_is_clamped_to_the_deadline(self):
-        # probe_timeout says 3s, but the session it gates has only 0.5s
-        # left: the dial must give up by the deadline, not after it.
-        testbed, fleet = _detector_world()
-        sim = testbed.sim
-        pool = FailoverPool(sim, fleet.endpoints, probe_timeout=3.0)
-        transport = testbed.transport_of(testbed.control)
-        testbed.transport_of(testbed.pops[0]).crash()
-        outcome = {}
-
-        def prober():
-            outcome["up"] = yield from pool.probe(
-                transport, fleet.endpoints[0],
-                deadline=Deadline(sim.now + 0.5))
-
-        start = sim.now
-        sim.run(until=sim.process(prober(), name="probe"))
-        assert outcome["up"] is False
-        assert sim.now - start <= 0.6
 
 
 # -- end-to-end: same-seed assignment ----------------------------------------------

@@ -68,9 +68,10 @@ class TestRegionHealth:
 
 
 def test_fleet_close_paths_satisfy_the_leak_rule():
-    # Sessions, pre-flight probes and the fleet's dials open connections
-    # across regions; pyproject extends the leak-on-error-path scope
-    # over repro.fleet so every error path provably closes them.
+    # Survival sessions, the failure detector's probes and the fleet's
+    # dials open connections across regions; pyproject extends the
+    # leak-on-error-path scope over repro.fleet so every error path
+    # provably closes them.
     analyzer = Analyzer(config=parse_config(PYPROJECT))
     findings = analyzer.analyze_paths([SRC / "fleet"])
     leaks = [f for f in findings if f.rule == "leak-on-error-path"
