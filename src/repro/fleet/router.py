@@ -98,9 +98,10 @@ class SessionRouter:
 
         Sticky first: an existing binding is honoured while its pop is
         ACTIVE and passes ``allow``.  Otherwise the best-ranked ACTIVE
-        endpoint that passes ``allow`` wins.  ``allow`` is only consulted until the
-        first acceptance, so a circuit breaker's single half-open trial
-        is never burned ranking endpoints the caller won't dial.
+        endpoint that passes ``allow`` wins.  ``allow`` is only
+        consulted until the first acceptance, so a circuit breaker's
+        single half-open trial is never burned ranking endpoints the
+        caller won't dial.
         """
         bound = self._bindings.get(key)
         if bound is not None and self.status.get(bound) == ACTIVE:

@@ -336,11 +336,6 @@ class SurvivalSession:
             self._connectors[region] = connector
         return connector
 
-    def _open_stream(self, target: str, deadline: Deadline):
-        """Generator: one TLS open through ``target``'s front door."""
-        return (yield from self._connector(target).open_once(
-            self.page.host, 443, True, deadline))
-
     def _pull_chunks(self, stream, region: str, deadline: Deadline):
         """Generator: fetch chunks until done, error, or stall.
 
@@ -411,7 +406,9 @@ class SurvivalSession:
                     continue  # no healthy region this instant; back off
                 migrating = self.region is not None and target != self.region
                 try:
-                    stream = yield from self._open_stream(target, deadline)
+                    # One TLS open through the target's front door.
+                    stream = yield from self._connector(target).open_once(
+                        self.page.host, 443, True, deadline)
                 except (TransportError, MiddlewareError,
                         OverloadError) as exc:
                     coordinator.record("fetch-error", session=self.key,
