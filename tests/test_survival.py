@@ -192,29 +192,24 @@ class TestSurvivalVerifier:
                    .invariant("migrations-within-budget"))
         assert not verdict.passed
 
-    def test_terminal_event_without_a_start_is_a_violation(self):
+    @pytest.mark.parametrize("session, why", [
+        ("s2", "without a session-start"),
+        ("s1", "after its terminal event"),
+    ])
+    def test_unmatched_terminal_event_is_a_violation(self, session, why):
+        # Exactly one terminal event per started session: a completion
+        # for a session that never started, or a second one for a
+        # session that already ended, is neither an outcome nor clean.
         events = _log(
             (0.0, "session-start", "s1", "beijing", ("beijing", 10)),
             (1.0, "chunk", "s1", "beijing", (0, 10)),
             (2.0, "session-complete", "s1", "beijing", (10,)),
-            (3.0, "session-complete", "s2", "beijing", (10,)))
+            (3.0, "session-complete", session, "beijing", (10,)))
         report = SurvivalVerifier().verify(events, _REGIONS)
         verdict = report.invariant("no-session-unresolved")
         assert not verdict.passed
-        assert "s2" in verdict.violations[0]
-        assert "without a session-start" in verdict.violations[0]
-        assert report.completed == 1
-
-    def test_second_terminal_event_is_a_violation(self):
-        events = _log(
-            (0.0, "session-start", "s1", "beijing", ("beijing", 10)),
-            (1.0, "chunk", "s1", "beijing", (0, 10)),
-            (2.0, "session-complete", "s1", "beijing", (10,)),
-            (3.0, "session-complete", "s1", "beijing", (10,)))
-        report = SurvivalVerifier().verify(events, _REGIONS)
-        verdict = report.invariant("no-session-unresolved")
-        assert not verdict.passed
-        assert "after its terminal event" in verdict.violations[0]
+        assert verdict.violations == (
+            f"t=3 {session}: session-complete {why}",)
         assert report.completed == 1
 
     def test_hung_session_is_a_violation(self):
