@@ -75,14 +75,16 @@ def test_fig7_combined_speedup_at_least_2x(benchmark, emit, fig7_points):
 @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                     reason="parallel wall-clock win needs >1 CPU")
 def test_parallel_beats_serial_on_multicore(emit):
+    # 60-client points take 1-2 s each, so the pool's start-up cannot
+    # decide the result the way it did for 0.1-0.3 s 5-client points.
     points = scalability_points(("native-vpn", "openvpn",
-                                 "scholarcloud", "shadowsocks"), (5,),
+                                 "scholarcloud", "shadowsocks"), (60,),
                                 cycles=1, seed=0)
     serial_s = best_time(lambda: serial_map(points), repeat=1)
     parallel_s = best_time(lambda: run_points(points, workers=2), repeat=1)
     speedup = serial_s / parallel_s
     emit("perf_gate_parallel",
-         f"fig7 4-point sweep: serial {serial_s:.2f} s, parallel(2) "
-         f"{parallel_s:.2f} s, speedup {speedup:.2f}x")
+         f"fig7 4-point 60-client sweep: serial {serial_s:.2f} s, "
+         f"parallel(2) {parallel_s:.2f} s, speedup {speedup:.2f}x")
     assert speedup > 1.15, (
         f"parallel runner no faster than serial on {os.cpu_count()} CPUs")

@@ -11,6 +11,8 @@ from .blinding import (
     ByteMapCodec,
     ChainedCodec,
     PaddedCodec,
+    blind_unwrap,
+    blind_wrap,
     default_codec,
 )
 from .deployment import (
@@ -22,7 +24,7 @@ from .deployment import (
 )
 from .domestic_proxy import DOMESTIC_PROXY_PORT, DomesticProxy
 from .pac import DIRECT, PacFile, parse_pac_decision, proxy_decision
-from .remote_proxy import REMOTE_PROXY_PORT, RemoteProxy, blind_unwrap, blind_wrap
+from .remote_proxy import REMOTE_PROXY_PORT, RemoteProxy
 from .scholarcloud import ICP_NUMBER, ScConnector, ScholarCloud
 from .whitelist import Whitelist, WhitelistEntry, scholar_whitelist
 

@@ -11,7 +11,9 @@ asyncio loopback proxies in ``repro.realnet``); inside the simulator
 only their *observable* consequences apply: blinded wire features and
 padding overhead.  Because both proxy ends are operated by one party,
 codecs can be rotated at any time (:class:`BlindingAgility`) — the
-paper's answer to the GFW arms race.
+paper's answer to the GFW arms race.  The inter-proxy frame lives here
+too: :func:`blind_wrap` and :class:`BlindedEncoder`, the one writer of
+a blinded data frame and its wire size.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import functools
 import hashlib
 import typing as t
 
-from ..errors import BlindingError
+from ..errors import BlindingError, MiddlewareError
+from ..middleware.base import unwrap_forward, wrap_forward
 from ..net import WireFeatures
 
 
@@ -276,6 +279,50 @@ def default_codec(secret: bytes = b"scholarcloud-2016") -> PaddedCodec:
     return PaddedCodec(ByteMapCodec(secret), jitter=32)
 
 
+def blind_wrap(epoch: int, length: int, meta: t.Any) -> t.Tuple[str, int, t.Any]:
+    """Frame a relayed message for the blinded inter-proxy leg."""
+    return ("sc", epoch, wrap_forward(length, meta))
+
+
+def blind_unwrap(message: t.Any, epoch: int) -> t.Optional[t.Tuple[int, t.Any]]:
+    """Unframe; None if the message is garbage or from a stale epoch."""
+    if not (isinstance(message, tuple) and len(message) == 3
+            and message[0] == "sc"):
+        return None
+    if message[1] != epoch:
+        return None
+    try:
+        return unwrap_forward(message[2])
+    except MiddlewareError:
+        return None
+
+
+class BlindedEncoder:
+    """Relay encoder for blinded data frames under one codec.
+
+    A stream keeps the encoder it opened with, so its frames keep that
+    codec's padded sizes across a rotation; each frame still carries
+    the epoch current when it is sent, the only one the far end takes.
+    """
+
+    __slots__ = ("agility", "codec", "features")
+
+    def __init__(self, agility: "BlindingAgility", codec: PaddedCodec) -> None:
+        self.agility = agility
+        self.codec = codec
+        self.features = codec.features()
+
+    def length(self, length: int) -> int:
+        """Wire size of a data frame: the codec's 4-byte length prefix,
+        the payload and its padding."""
+        return length + 4 + self.codec.pad_length(length)
+
+    def __call__(self, length: int, meta: t.Any
+                 ) -> t.Tuple[int, t.Tuple[str, int, t.Any], WireFeatures]:
+        return (self.length(length),
+                blind_wrap(self.agility.epoch, length, meta), self.features)
+
+
 class BlindingAgility:
     """Epoch-based codec rotation across both proxies.
 
@@ -289,6 +336,7 @@ class BlindingAgility:
         self.base_secret = base_secret
         self.epoch = 0
         self._codec = self._build(0)
+        self._encoder = BlindedEncoder(self, self._codec)
 
     def _build(self, epoch: int) -> PaddedCodec:
         secret = hashlib.sha256(
@@ -299,8 +347,18 @@ class BlindingAgility:
     def codec(self) -> PaddedCodec:
         return self._codec
 
+    @property
+    def encoder(self) -> BlindedEncoder:
+        """The data-frame encoder of the current codec, one per epoch."""
+        return self._encoder
+
+    def unwrap(self, message: t.Any) -> t.Optional[t.Tuple[int, t.Any]]:
+        """Unframe a blinded message; None unless it is of this epoch."""
+        return blind_unwrap(message, self.epoch)
+
     def rotate(self) -> PaddedCodec:
         """Advance one epoch; both ends switch atomically."""
         self.epoch += 1
         self._codec = self._build(self.epoch)
+        self._encoder = BlindedEncoder(self, self._codec)
         return self._codec

@@ -21,7 +21,7 @@ import typing as t
 from dataclasses import replace
 
 from ..cache import ResponseCache, canonical_key
-from ..errors import MiddlewareError, OverloadError, TransportError
+from ..errors import OverloadError, TransportError
 from ..faults import Endpoint, FailoverPool, RetryPolicy
 from ..http.messages import HttpRequest, HttpResponse
 from ..net import IPv4Address
@@ -29,9 +29,10 @@ from ..overload import AdmissionController, Deadline, OverloadConfig, deadline_f
 from ..sim import ProcessorSharingServer, Simulator, Store
 from ..transport import TcpConnection, TransportLayer
 from ..transport import tls as tls_sizes
-from ..middleware.base import unwrap_forward, wrap_forward
-from .blinding import BlindingAgility
-from .remote_proxy import REMOTE_PROXY_PORT, blind_unwrap, blind_wrap
+from ..middleware.base import (RELAY_END, Decoder, cpu_charge, decode_forward,
+                               forward_encoder, relay, wrap_forward)
+from .blinding import BlindingAgility, blind_wrap
+from .remote_proxy import REMOTE_PROXY_PORT
 from .whitelist import Whitelist
 
 #: Port the domestic proxy serves browsers on.
@@ -47,6 +48,20 @@ DIAL_TIMEOUT = 5.0
 #: when there is more than one remote to choose between).
 HEALTH_CHECK_INTERVAL = 15.0
 HEALTH_CHECK_TIMEOUT = 3.0
+
+
+def _remote_leg_decoder(agility: BlindingAgility) -> Decoder:
+    """Decoder for what a remote proxy sends back: it drops the
+    pipelined open's ``sc-ready`` ack and ends the stream on
+    ``sc-error``."""
+    def decode(message: t.Any) -> t.Any:
+        frame = agility.unwrap(message)
+        if frame is None or frame[1] == ("sc-ready",):
+            return None
+        if frame[1] == ("sc-error",):
+            return RELAY_END
+        return frame
+    return decode
 
 
 class DomesticProxy:
@@ -103,10 +118,10 @@ class DomesticProxy:
         self.refused = 0
         self.dials_failed = 0
         self.deadline_drops = 0
-        #: Endpoint-change events across successful dials (mirrors the
-        #: pool's failover semantics for the router-driven path too).
-        self.endpoint_switches = 0
-        self._last_endpoint: t.Optional[Endpoint] = None
+        # Relay callables, shared by every stream.
+        self._charge = cpu_charge(cpu, PER_BYTE_DEMAND)
+        self._decode_remote = _remote_leg_decoder(agility)
+        self._encode_browser = forward_encoder(None)
         #: Session admission (None = historical unbounded behaviour).
         self.admission: t.Optional[AdmissionController] = None
         if overload is not None:
@@ -205,14 +220,17 @@ class DomesticProxy:
             conn.close()
             self._release(session)
             return
-        up = self.sim.process(self._pump_to_remote(conn, remote),
-                              name="scd-up")
-        self.sim.process(self._pump_to_browser(conn, remote),
-                         name="scd-down")
+        # Browser frames keep the codec current now for the stream's life.
+        up = self.sim.process(
+            relay(conn, remote, decode_forward, self.agility.encoder,
+                  self._charge), name="scd-up")
+        self.sim.process(
+            relay(remote, conn, self._decode_remote, self._encode_browser,
+                  self._charge), name="scd-down")
         if session is not None:
-            # The session's slot frees when the browser-facing pump is
+            # The session's slot frees when the browser-facing relay is
             # done — the moment the browser connection delivers EOF or
-            # fails.  Not both pumps: the remote-facing one can linger
+            # fails.  Not both relays: the remote-facing one can linger
             # on a half-closed transpacific conn whose peer only FINs
             # back once the whole relay chain unwinds, and admission
             # counts browser connections, not transpacific ones.
@@ -286,17 +304,7 @@ class DomesticProxy:
                 continue
             self.pool.record_success(endpoint)
             if self.router is not None:
-                # Routed: a switch is a *session* landing somewhere
-                # other than its sticky binding (different sessions
-                # hashing to different PoPs is spread, not churn).
-                previous = self.router.last_endpoint(session_key)
-                if previous is not None and previous != endpoint:
-                    self.endpoint_switches += 1
                 self.router.bind(session_key, endpoint)
-            elif (self._last_endpoint is not None
-                    and endpoint != self._last_endpoint):
-                self.endpoint_switches += 1
-            self._last_endpoint = endpoint
             return conn
         self.dials_failed += 1
         return None
@@ -313,7 +321,7 @@ class DomesticProxy:
         remote = yield from self._dial_remote(deadline, source)
         if remote is None:
             return None
-        codec = self.agility.codec
+        encode = self.agility.encoder
         open_meta: t.Tuple = ("sc-open", hostname, target_port)
         if deadline is not None:
             open_meta = open_meta + (deadline.at,)
@@ -321,15 +329,11 @@ class DomesticProxy:
             yield self.cpu.submit(PER_BYTE_DEMAND * first[0])
         try:
             remote.send_message(
-                24 + codec.pad_length(24),
+                24 + encode.codec.pad_length(24),
                 meta=blind_wrap(self.agility.epoch, 24, open_meta),
-                features=codec.features())
+                features=encode.features)
             if first is not None:
-                length, meta = first
-                remote.send_message(
-                    length + 4 + codec.pad_length(length),
-                    meta=blind_wrap(self.agility.epoch, length, meta),
-                    features=codec.features())
+                remote.send_message(*encode(*first))
         except TransportError:
             remote.close()
             return None
@@ -367,10 +371,10 @@ class DomesticProxy:
                     return
                 if message is None:
                     return
-                try:
-                    length, meta = unwrap_forward(message)
-                except MiddlewareError:
+                frame = decode_forward(message)
+                if frame is None:
                     continue  # malformed browser frame: skip, keep serving
+                length, meta = frame
                 wrapped = (isinstance(meta, tuple) and len(meta) == 2
                            and meta[0] == "tls-app"
                            and isinstance(meta[1], HttpRequest))
@@ -468,65 +472,8 @@ class DomesticProxy:
                            response_length: int) -> int:
         """Blinded transpacific bytes one future hit keeps off the
         border link: the padded request and response frames."""
-        pad = self.agility.codec.pad_length
-        return (request_length + 4 + pad(request_length)
-                + response_length + 4 + pad(response_length))
-
-    # -- pumps ----------------------------------------------------------------------------------
-
-    def _pump_to_remote(self, browser: TcpConnection, remote: TcpConnection):
-        codec = self.agility.codec
-        while True:
-            try:
-                message = yield browser.recv_message()
-            except TransportError:
-                remote.close()
-                return
-            if message is None:
-                remote.close()
-                return
-            try:
-                length, meta = unwrap_forward(message)
-            except MiddlewareError:
-                continue  # malformed browser frame: skip, keep pumping
-            yield self.cpu.submit(PER_BYTE_DEMAND * length)
-            padded = length + 4 + codec.pad_length(length)
-            try:
-                remote.send_message(
-                    padded, meta=blind_wrap(self.agility.epoch, length, meta),
-                    features=codec.features())
-            except TransportError:
-                browser.close()
-                return
-
-    def _pump_to_browser(self, browser: TcpConnection, remote: TcpConnection):
-        while True:
-            try:
-                message = yield remote.recv_message()
-            except TransportError:
-                browser.close()
-                return
-            if message is None:
-                browser.close()
-                return
-            unwrapped = blind_unwrap(message, self.agility.epoch)
-            if unwrapped is None:
-                continue
-            length, meta = unwrapped
-            if meta in (("sc-ready",), ("sc-error",)):
-                # Control acks from the pipelined open; the browser
-                # already got its optimistic ready.
-                if meta == ("sc-error",):
-                    browser.close()
-                    remote.close()
-                    return
-                continue
-            yield self.cpu.submit(PER_BYTE_DEMAND * length)
-            try:
-                browser.send_message(length, meta=wrap_forward(length, meta))
-            except TransportError:
-                remote.close()
-                return
+        encode = self.agility.encoder
+        return encode.length(request_length) + encode.length(response_length)
 
 
 class _EdgeUpstream:
@@ -554,12 +501,7 @@ class _EdgeUpstream:
 
     def send(self, length: int, meta: t.Any) -> None:
         """Blind-wrap and send one frame toward the remote proxy."""
-        codec = self.proxy.agility.codec
-        padded = length + 4 + codec.pad_length(length)
-        self.remote.send_message(
-            padded,
-            meta=blind_wrap(self.proxy.agility.epoch, length, meta),
-            features=codec.features())
+        self.remote.send_message(*self.proxy.agility.encoder(length, meta))
 
     def recv(self):
         """Generator: next ``(length, meta)`` frame; ``(0, None)`` at EOF."""
@@ -572,31 +514,25 @@ class _EdgeUpstream:
         return item
 
     def _pump(self):
-        proxy = self.proxy
+        decode = self.proxy._decode_remote
         while True:
             try:
                 message = yield self.remote.recv_message()
             except TransportError:
                 message = None
-            if message is None:
+            frame = RELAY_END if message is None else decode(message)
+            if frame is None:
+                continue
+            if frame is RELAY_END:
                 self._eof = True
                 # Single EOF sentinel, then the pump exits.
                 self._inbox.put((0, None))  # reprolint: disable=unbounded-queue
-                return
-            unwrapped = blind_unwrap(message, proxy.agility.epoch)
-            if unwrapped is None:
-                continue
-            length, meta = unwrapped
-            if meta == ("sc-ready",):
-                continue  # pipelined-open ack; the edge has no use for it
-            if meta == ("sc-error",):
-                self._eof = True
-                self._inbox.put((0, None))  # reprolint: disable=unbounded-queue
-                self.remote.close()
+                if message is not None:
+                    self.remote.close()  # sc-error: the remote gave up
                 return
             # One request/response in flight per serve loop keeps this
             # bounded at a handful of handshake/response frames.
-            self._inbox.put((length, meta))  # reprolint: disable=unbounded-queue
+            self._inbox.put(frame)  # reprolint: disable=unbounded-queue
 
     def origin_handshake(self, hostname: str):
         """Generator: the proxy-side TLS client handshake with the

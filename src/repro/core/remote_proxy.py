@@ -15,12 +15,12 @@ from __future__ import annotations
 import typing as t
 
 from ..dns import StubResolver
-from ..errors import MiddlewareError, NameResolutionError, TransportError
+from ..errors import NameResolutionError, TransportError
 from ..overload import deadline_from_wire
 from ..sim import ProcessorSharingServer, Simulator
 from ..transport import TcpConnection, TransportLayer
-from ..middleware.base import estimate_meta_length, unwrap_forward, wrap_forward
-from .blinding import BlindingAgility
+from ..middleware.base import cpu_charge, decode_raw, encode_raw, relay
+from .blinding import BlindingAgility, blind_wrap
 
 #: Port the remote proxy listens on (looks like HTTPS).
 REMOTE_PROXY_PORT = 443
@@ -28,24 +28,6 @@ REMOTE_PROXY_PORT = 443
 #: Shadowsocks: no per-session auth machinery).
 CONNECT_DEMAND = 0.003
 PER_BYTE_DEMAND = 3e-7
-
-
-def blind_wrap(epoch: int, length: int, meta: t.Any) -> t.Tuple[str, int, t.Any]:
-    """Frame a relayed message for the blinded inter-proxy leg."""
-    return ("sc", epoch, wrap_forward(length, meta))
-
-
-def blind_unwrap(message: t.Any, epoch: int) -> t.Optional[t.Tuple[int, t.Any]]:
-    """Unframe; None if the message is garbage or from a stale epoch."""
-    if not (isinstance(message, tuple) and len(message) == 3
-            and message[0] == "sc"):
-        return None
-    if message[1] != epoch:
-        return None
-    try:
-        return unwrap_forward(message[2])
-    except MiddlewareError:
-        return None
 
 
 class RemoteProxy:
@@ -69,6 +51,9 @@ class RemoteProxy:
         self.streams_opened = 0
         self.decoys_served = 0
         self.deadline_drops = 0
+        # Relay callables, shared by every stream.
+        self._decode = agility.unwrap
+        self._charge = cpu_charge(cpu, PER_BYTE_DEMAND)
         transport = t.cast(TransportLayer, host.transport)
         transport.listen_tcp(port, self._accept)
 
@@ -80,7 +65,7 @@ class RemoteProxy:
             first = yield conn.recv_message()
         except TransportError:
             return
-        opened = blind_unwrap(first, self.agility.epoch)
+        opened = self.agility.unwrap(first)
         if opened is None or not (isinstance(opened[1], tuple)
                                   and len(opened[1]) in (3, 4)
                                   and opened[1][0] == "sc-open"):
@@ -130,9 +115,11 @@ class RemoteProxy:
             target.close()
             conn.close()
             return
-        self.sim.process(self._pump_upstream(conn, target), name="sc-up")
-        self.sim.process(self._pump_downstream(conn, target),
-                         name="sc-down")
+        # Replies keep the codec current at the open for the stream's life.
+        self.sim.process(relay(conn, target, self._decode, encode_raw,
+                               self._charge), name="sc-up")
+        self.sim.process(relay(target, conn, decode_raw, self.agility.encoder,
+                               self._charge), name="sc-down")
 
     def _send_error(self, conn: TcpConnection) -> None:
         """Best-effort ``sc-error`` ack; the peer may already be gone."""
@@ -142,46 +129,3 @@ class RemoteProxy:
                 features=self.agility.codec.features())
         except TransportError:
             pass
-
-    def _pump_upstream(self, conn: TcpConnection, target: TcpConnection):
-        while True:
-            try:
-                message = yield conn.recv_message()
-            except TransportError:
-                target.close()
-                return
-            if message is None:
-                target.close()
-                return
-            unwrapped = blind_unwrap(message, self.agility.epoch)
-            if unwrapped is None:
-                continue
-            length, meta = unwrapped
-            yield self.cpu.submit(PER_BYTE_DEMAND * length)
-            try:
-                target.send_message(length, meta=meta)
-            except TransportError:
-                conn.close()
-                return
-
-    def _pump_downstream(self, conn: TcpConnection, target: TcpConnection):
-        codec = self.agility.codec
-        while True:
-            try:
-                message = yield target.recv_message()
-            except TransportError:
-                conn.close()
-                return
-            if message is None:
-                conn.close()
-                return
-            length = estimate_meta_length(message)
-            yield self.cpu.submit(PER_BYTE_DEMAND * length)
-            padded = length + 4 + codec.pad_length(length)
-            try:
-                conn.send_message(
-                    padded, meta=blind_wrap(self.agility.epoch, length, message),
-                    features=codec.features())
-            except TransportError:
-                target.close()
-                return

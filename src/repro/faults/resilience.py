@@ -216,7 +216,6 @@ class FailoverPool:
         #: every pick made while the primary happens to be down, so
         #: "6 failovers" means six actual switches.
         self.failovers = 0
-        self.probes_sent = 0
         self._current: Endpoint = self.endpoints[0]
 
     @property
@@ -274,7 +273,6 @@ class FailoverPool:
             yield self.sim.timeout(interval)
             if not breaker.allow():
                 continue  # open and inside its reset window
-            self.probes_sent += 1
             try:
                 conn = yield transport.connect_tcp(
                     endpoint.address, endpoint.port,

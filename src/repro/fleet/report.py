@@ -101,27 +101,13 @@ class FleetReport:
                    for region in self.regions)
 
     def availability_dip(self) -> float:
-        """Worst fleet-wide bucket rate below the best observed rate.
-
-        0.0 means no bucket ever dipped; 0.08 means the worst bucket
-        ran 8 points below the campaign's best bucket — the "bounded
-        dip" number the blackout acceptance bar is stated in.
-        """
-        rates = [rate for rate in self.overall.rates if rate is not None]
-        if not rates:
-            return 0.0
-        return max(rates) - min(rates)
+        """The fleet-wide series' dip (:meth:`AvailabilitySeries.dip`)."""
+        return self.overall.dip()
 
     def recovered(self) -> bool:
-        """Did the final observed bucket climb back to the best rate?
-
-        Within one bucket's sampling noise: the last bucket with data
-        must be within 2 points of the best bucket.
-        """
-        rates = [rate for rate in self.overall.rates if rate is not None]
-        if not rates:
-            return True
-        return rates[-1] >= max(rates) - 0.02
+        """Did the fleet-wide series recover
+        (:meth:`AvailabilitySeries.recovered`)?"""
+        return self.overall.recovered()
 
     def render(self) -> str:
         """The plain-text artifact: one block per region, then the fleet."""

@@ -118,11 +118,6 @@ class SessionRouter:
         """Current sticky endpoint for ``key``, or None if unbound."""
         return self._bindings.get(key)
 
-    def last_endpoint(self, key: str) -> t.Optional[Endpoint]:
-        """Where ``key`` lives — or last lived, if its pop was evicted."""
-        bound = self._bindings.get(key)
-        return bound if bound is not None else self._displaced.get(key)
-
     def bind(self, key: str, endpoint: Endpoint) -> None:
         """Record a successful dial: ``key`` now lives on ``endpoint``."""
         previous = self._bindings.get(key)

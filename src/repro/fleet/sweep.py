@@ -139,14 +139,15 @@ def run_fleet_region_point(
 
     router = fleet.router
     assert router is not None
-    domestic = fleet.domestics[region]
     completed = sum(1 for _, succeeded in samples if succeeded)
     edge_cache = fleet.caches.get(region)
     return FleetRegionResult(
         region=region, pops=pops, clients=clients, seed=seed, mode=mode,
         completed=completed, failed=len(samples) - completed,
         duration=testbed.sim.now, samples=samples,
-        failovers=domestic.endpoint_switches, remaps=router.remaps,
+        # One proxy binds through this router, so each remap is one of
+        # its sessions failing over to another PoP.
+        failovers=router.remaps, remaps=router.remaps,
         evictions=router.evictions, reinstatements=router.reinstatements,
         events=tuple(router.events),
         assignment_digest=_assignment_digest(router.assignment()),

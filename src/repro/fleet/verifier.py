@@ -19,8 +19,8 @@ every claim mechanically:
    exceed the campaign's per-session budget.
 4. **availability-dip-bounded** — the availability series folded from
    session outcomes must dip no more than ``dip_ceiling`` from its best
-   bucket and must end recovered (within ``recovery_margin`` of the
-   best rate).
+   bucket and must end recovered
+   (:meth:`~repro.measure.metrics.AvailabilitySeries.recovered`).
 5. **no-session-unresolved** — every started session must reach
    exactly one terminal event (complete or lost); a hung session
    dodging invariant 1 is itself a violation, and so is a terminal
@@ -107,8 +107,7 @@ class SurvivalVerifier:
 
     def __init__(self, migration_budget: int = 3,
                  dip_ceiling: float = 0.15,
-                 bucket: float = 60.0,
-                 recovery_margin: float = 0.02) -> None:
+                 bucket: float = 60.0) -> None:
         if migration_budget < 0:
             raise MeasurementError(
                 f"migration budget must be >= 0, got {migration_budget}")
@@ -118,7 +117,6 @@ class SurvivalVerifier:
         self.migration_budget = migration_budget
         self.dip_ceiling = dip_ceiling
         self.bucket = bucket
-        self.recovery_margin = recovery_margin
 
     # -- entry points ------------------------------------------------------------
 
@@ -126,8 +124,7 @@ class SurvivalVerifier:
         """Verify a :class:`~repro.fleet.survival.SurvivalCampaignResult`."""
         verifier = SurvivalVerifier(
             migration_budget=result.migration_budget,
-            dip_ceiling=self.dip_ceiling, bucket=self.bucket,
-            recovery_margin=self.recovery_margin)
+            dip_ceiling=self.dip_ceiling, bucket=self.bucket)
         return verifier.verify(result.events, result.regions,
                                horizon=result.duration)
 
@@ -259,14 +256,9 @@ class SurvivalVerifier:
             return 0.0, True, "no finished sessions (vacuously bounded)"
         series = availability_over_time(sorted(samples), self.bucket,
                                         horizon=horizon)
-        observed = [rate for rate in series.rates if rate is not None]
-        best = max(observed)
-        worst = min(observed)
-        last = next(rate for rate in reversed(series.rates)
-                    if rate is not None)
-        dip = best - worst
-        recovering = last >= best - self.recovery_margin
+        dip, recovering = series.dip(), series.recovered()
+        observed = series.observed
         return dip, recovering, (
             f"dip={dip * 100:.1f}pt (ceiling {self.dip_ceiling * 100:.0f}pt), "
-            f"last bucket {last:.0%} vs best {best:.0%} "
+            f"last bucket {observed[-1]:.0%} vs best {max(observed):.0%} "
             f"({'recovered' if recovering else 'NOT recovered'})")

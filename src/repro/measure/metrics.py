@@ -295,6 +295,11 @@ class Availability:
                 f"({self.success_rate:.0%}), worst TTR {ttr}")
 
 
+#: How far below its best bucket a series' last observed bucket may sit
+#: and still count as recovered: one bucket's sampling noise.
+RECOVERY_MARGIN = 0.02
+
+
 @dataclass(frozen=True)
 class AvailabilitySeries:
     """Availability over time: fixed buckets of session outcomes.
@@ -314,10 +319,25 @@ class AvailabilitySeries:
             (ok / n) if n else None
             for ok, n in zip(self.successes, self.attempts))
 
-    def worst_rate(self) -> float:
-        """Lowest observed bucket rate (1.0 if nothing was observed)."""
-        observed = [rate for rate in self.rates if rate is not None]
-        return min(observed) if observed else 1.0
+    @property
+    def observed(self) -> t.Tuple[float, ...]:
+        """Rates of the buckets that saw attempts, in time order."""
+        return tuple(rate for rate in self.rates if rate is not None)
+
+    def dip(self) -> float:
+        """Best observed bucket rate minus the worst (0.0 with no data).
+
+        0.08 means the worst bucket ran 8 points below the best — the
+        "bounded dip" the blackout acceptance bars are stated in.
+        """
+        observed = self.observed
+        return max(observed) - min(observed) if observed else 0.0
+
+    def recovered(self) -> bool:
+        """Did the last observed bucket climb back to within
+        :data:`RECOVERY_MARGIN` of the best?  True with no data."""
+        observed = self.observed
+        return not observed or observed[-1] >= max(observed) - RECOVERY_MARGIN
 
     def __str__(self) -> str:
         cells = ["-" if rate is None else f"{rate:.0%}"

@@ -10,7 +10,7 @@ from .base import (
     MessageChannel,
     RelayedChannel,
     estimate_meta_length,
-    pump_between,
+    relay,
     unwrap_forward,
     wrap_forward,
 )
@@ -34,7 +34,7 @@ __all__ = [
     "TorMethod",
     "WEB_PROXY_PORT",
     "estimate_meta_length",
-    "pump_between",
+    "relay",
     "unwrap_forward",
     "wrap_forward",
 ]

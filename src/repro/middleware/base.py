@@ -11,7 +11,9 @@ channel interface.
 Relay framing: proxies forward application messages wrapped as
 ``("fwd", length, meta)`` so every hop knows how many bytes to put on
 its wire; each hop chooses its own wire features, which is how tunnel
-legs control what the GFW can see.
+legs control what the GFW can see.  Every proxy hop moves those frames
+with one loop, :func:`relay`, and names only its frame formats: a
+decoder for what it receives and an encoder for what it sends.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import typing as t
 from ..errors import MiddlewareError, TransportError
 from ..http.client import Connector, Stream
 from ..net import WireFeatures
-from ..sim import Event, Simulator, Store
+from ..sim import Event, ProcessorSharingServer, Simulator, Store
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from ..measure.testbed import Testbed
@@ -124,14 +126,13 @@ class RelayedChannel(MessageChannel):
                 # One EOF sentinel, then the pump exits — nothing grows.
                 self._inbox.put(None)  # reprolint: disable=unbounded-queue
                 return
-            try:
-                _length, meta = unwrap_forward(message)
-            except MiddlewareError:
+            frame = decode_forward(message)
+            if frame is None:
                 continue  # drop junk rather than crash the pump
             # Bounded by the sender: this inbox mirrors one TCP stream
             # whose sender paces on ACKs, and capping it would change
             # the calibrated Figure 4-6 wire traces.
-            self._inbox.put(meta)  # reprolint: disable=unbounded-queue
+            self._inbox.put(frame[1])  # reprolint: disable=unbounded-queue
 
     def _fail_waiters(self, exc: Exception) -> None:
         while self._inbox._getters:
@@ -156,49 +157,6 @@ class ChannelStream(Stream):
     @property
     def alive(self) -> bool:
         return getattr(self.channel, "state", "ESTABLISHED") == "ESTABLISHED"
-
-
-def pump_between(sim: Simulator, source: MessageChannel, sink: MessageChannel,
-                 rewrap: t.Callable[[int, t.Any], t.Tuple[int, t.Any, t.Optional[WireFeatures]]],
-                 name: str = "pump"):
-    """Generator: forward relay frames from ``source`` into ``sink``.
-
-    ``rewrap(length, meta)`` returns the (length, meta, features) to
-    send on the sink side — how a proxy hop swaps framing/features.
-    Ends on EOF or transport failure, closing the sink.
-    """
-    # Fluid mode drains the source's already-delivered frames in one
-    # wakeup (one event per quantum) instead of one event round-trip
-    # per message.  Only raw TCP inboxes qualify: a RelayedChannel's
-    # inbox holds unwrapped metas, not relay frames.
-    inbox = getattr(source, "_inbox", None) if hasattr(source, "handle_segment") else None
-    while True:
-        try:
-            message = yield source.recv_message()
-        except TransportError:
-            sink.close()
-            return
-        while True:
-            if message is None:
-                sink.close()
-                return
-            try:
-                length, meta = unwrap_forward(message)
-            except MiddlewareError:
-                pass  # drop junk rather than crash the pump
-            else:
-                out_length, out_meta, out_features = rewrap(length, meta)
-                try:
-                    sink.send_message(out_length, meta=out_meta,
-                                      features=out_features)
-                except TransportError:
-                    source.close()
-                    return
-            if sim.fluid is None or inbox is None:
-                break
-            ready, message = inbox.get_nowait()
-            if not ready:
-                break
 
 
 def estimate_meta_length(meta: t.Any) -> int:
@@ -229,6 +187,89 @@ def estimate_meta_length(meta: t.Any) -> int:
         if meta[0] == "echo":
             return 64
     return 600
+
+
+#: What a relay's ``decode`` returns to end the relay: the sink closes,
+#: then the source.
+RELAY_END = object()
+
+#: A relayed message: its application length and meta.
+Frame = t.Tuple[int, t.Any]
+#: ``decode(message)``: a :data:`Frame`, None to drop the message, or
+#: :data:`RELAY_END`.
+Decoder = t.Callable[[t.Any], t.Any]
+#: ``encode(length, meta)``: the ``(length, meta, features)`` to send.
+Encoder = t.Callable[[int, t.Any],
+                     t.Tuple[int, t.Any, t.Optional[WireFeatures]]]
+
+
+def decode_forward(message: t.Any) -> t.Optional[Frame]:
+    """A forward-framed message's frame; None drops a malformed one."""
+    try:
+        return unwrap_forward(message)
+    except MiddlewareError:
+        return None
+
+
+def decode_raw(message: t.Any) -> Frame:
+    """An unframed application meta, sized by :func:`estimate_meta_length`."""
+    return estimate_meta_length(message), message
+
+
+def encode_raw(length: int, meta: t.Any) -> t.Tuple[int, t.Any, None]:
+    """Send the payload unframed, with the sink's own wire features."""
+    return length, meta, None
+
+
+def forward_encoder(features: t.Optional[WireFeatures]) -> Encoder:
+    """An encoder that forward-frames each payload and sends it with
+    ``features``."""
+    def encode(length: int, meta: t.Any):
+        return length, wrap_forward(length, meta), features
+    return encode
+
+
+def cpu_charge(cpu: ProcessorSharingServer,
+               per_byte: float) -> t.Callable[[int], Event]:
+    """A relay charge: ``per_byte`` of ``cpu`` work per relayed byte."""
+    def charge(length: int) -> Event:
+        return cpu.submit(per_byte * length)
+    return charge
+
+
+def relay(source: MessageChannel, sink: MessageChannel, decode: Decoder,
+          encode: Encoder,
+          charge: t.Optional[t.Callable[[int], Event]] = None):
+    """Generator: relay frames from ``source`` to ``sink`` until one side
+    ends.  Every proxy hop runs one per direction.
+
+    Per frame: receive, decode, wait for ``charge(length)`` (the hop's
+    CPU work, if it models any), encode, send.  EOF or a receive error
+    closes the sink; a send error closes the source; :data:`RELAY_END`
+    closes the sink, then the source.
+    """
+    while True:
+        try:
+            message = yield source.recv_message()
+        except TransportError:
+            message = None
+        if message is None:
+            sink.close()
+            return
+        frame = decode(message)
+        if frame is None:
+            continue
+        if frame is RELAY_END:
+            sink.close()
+            source.close()
+            return
+        if charge is not None:
+            yield charge(frame[0])
+        try:
+            sink.send_message(*encode(*frame))
+        except TransportError:
+            source.close()
+            return
 
 
 class AccessMethod:

@@ -24,7 +24,8 @@ from ..dns.resolver import _CacheEntry
 from ..errors import MiddlewareError
 from ..http.client import Connector, DirectConnector
 from ..net import WireFeatures
-from .base import AccessMethod, ChannelStream, RelayedChannel, estimate_meta_length, unwrap_forward, wrap_forward
+from .base import (AccessMethod, ChannelStream, RelayedChannel, decode_forward,
+                   decode_raw, encode_raw, forward_encoder, relay)
 
 #: Port the public web proxy listens on.
 WEB_PROXY_PORT = 8000
@@ -126,6 +127,10 @@ class PublicWebProxy(AccessMethod):
         self.gateway_addr = None
         self.deployed = False
         self.fetches = 0
+        # Replies carry the page content in cleartext too.
+        self._encode_page = forward_encoder(WireFeatures(
+            protocol_tag="plain-http", plaintext="proxied page content",
+            entropy=4.8))
 
     def setup(self):
         from ..measure.testbed import GOOGLE_DNS_ADDR
@@ -172,49 +177,9 @@ class PublicWebProxy(AccessMethod):
             return
         self.fetches += 1
         conn.send_message(16, meta=("wp-ready",))
-        self.testbed.sim.process(self._pump_up(conn, session), name="wp-up")
-        self.testbed.sim.process(self._pump_down(conn, session), name="wp-down")
-
-    def _pump_up(self, conn, session):
-        from ..errors import TransportError
-        while True:
-            try:
-                message = yield conn.recv_message()
-            except TransportError:
-                session.conn.close()
-                return
-            if message is None:
-                session.conn.close()
-                return
-            try:
-                length, meta = unwrap_forward(message)
-            except MiddlewareError:
-                continue
-            try:
-                session.send(length, meta=meta)
-            except TransportError:
-                conn.close()
-                return
-
-    def _pump_down(self, conn, session):
-        from ..errors import TransportError
-        while True:
-            try:
-                message = yield session.recv()
-            except TransportError:
-                conn.close()
-                return
-            if message is None:
-                conn.close()
-                return
-            length = estimate_meta_length(message)
-            try:
-                # Replies carry the page content in cleartext too.
-                conn.send_message(
-                    length, meta=wrap_forward(length, message),
-                    features=WireFeatures(protocol_tag="plain-http",
-                                          plaintext="proxied page content",
-                                          entropy=4.8))
-            except TransportError:
-                session.conn.close()
-                return
+        # The gateway models no CPU, so its relays charge nothing.
+        sim = self.testbed.sim
+        sim.process(relay(conn, session, decode_forward, encode_raw),
+                    name="wp-up")
+        sim.process(relay(session, conn, decode_raw, self._encode_page),
+                    name="wp-down")

@@ -17,13 +17,15 @@ Behavioural details that drive the paper's measurements:
 
 from __future__ import annotations
 
+import functools
 import typing as t
 
 from ...dns import StubResolver
-from ...errors import MiddlewareError, NameResolutionError, TransportError
-from ...sim import ProcessorSharingServer, Simulator
+from ...errors import NameResolutionError, TransportError
+from ...sim import Event, ProcessorSharingServer, Simulator
 from ...transport import TcpConnection, TransportLayer
-from ..base import estimate_meta_length, unwrap_forward, wrap_forward
+from ..base import (cpu_charge, decode_forward, decode_raw, encode_raw,
+                    forward_encoder, relay)
 from .protocol import DEFAULT_KEEPALIVE, SS_PORT, data_features
 
 #: Server CPU work per auth: multi-user deployments of the era
@@ -61,6 +63,9 @@ class SsServer:
         self.auths = 0
         self.relays_opened = 0
         self.garbage_connections = 0
+        # Relay callables, shared by every stream.
+        self._charge = cpu_charge(cpu, PER_BYTE_DEMAND)
+        self._encode_client = forward_encoder(data_features())
         transport = t.cast(TransportLayer, host.transport)
         transport.listen_tcp(port, self._accept)
 
@@ -79,6 +84,11 @@ class SsServer:
                       if now - last > self.keepalive]:
             del self._sessions[stale]
         self._sessions[client] = now
+
+    def _charge_client_frame(self, client: str, length: int) -> Event:
+        """A relayed client frame is session activity, then CPU work."""
+        self._touch(client)
+        return self._charge(length)
 
     # -- connection handling -----------------------------------------------------------
 
@@ -174,52 +184,10 @@ class SsServer:
             target.close()
             conn.close()
             return
-        self.sim.process(self._pump_upstream(conn, target, client),
-                         name="ss-up")
-        self.sim.process(self._pump_downstream(conn, target, client),
-                         name="ss-down")
-
-    def _pump_upstream(self, conn: TcpConnection, target: TcpConnection,
-                       client: str):
-        """Client frames -> target."""
-        while True:
-            try:
-                message = yield conn.recv_message()
-            except TransportError:
-                target.close()
-                return
-            if message is None:
-                target.close()
-                return
-            try:
-                length, meta = unwrap_forward(message)
-            except MiddlewareError:
-                continue  # malformed frame from the client: drop it
-            self._touch(client)
-            yield self.cpu.submit(PER_BYTE_DEMAND * length)
-            try:
-                target.send_message(length, meta=meta)
-            except TransportError:
-                conn.close()
-                return
-
-    def _pump_downstream(self, conn: TcpConnection, target: TcpConnection,
-                         client: str):
-        """Target replies -> encrypted frames back to the client."""
-        while True:
-            try:
-                message = yield target.recv_message()
-            except TransportError:
-                conn.close()
-                return
-            if message is None:
-                conn.close()
-                return
-            length = estimate_meta_length(message)
-            yield self.cpu.submit(PER_BYTE_DEMAND * length)
-            try:
-                conn.send_message(length, meta=wrap_forward(length, message),
-                                  features=data_features())
-            except TransportError:
-                target.close()
-                return
+        self.sim.process(
+            relay(conn, target, decode_forward, encode_raw,
+                  functools.partial(self._charge_client_frame, client)),
+            name="ss-up")
+        self.sim.process(
+            relay(target, conn, decode_raw, self._encode_client,
+                  self._charge), name="ss-down")

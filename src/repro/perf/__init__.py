@@ -38,7 +38,6 @@ from .fluid import (
 from .runner import (
     SweepPoint,
     run_points,
-    scalability_sweep,
     serial_map,
 )
 
@@ -52,6 +51,5 @@ __all__ = [
     "band_failures",
     "fluid_config_for_mode",
     "run_points",
-    "scalability_sweep",
     "serial_map",
 ]

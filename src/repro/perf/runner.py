@@ -138,23 +138,3 @@ def scalability_points(
         for method in methods
         for level in levels
     ]
-
-
-def scalability_sweep(
-    methods: t.Sequence[str],
-    levels: t.Sequence[int],
-    cycles: int = 1,
-    seed: int = 0,
-    workers: t.Optional[int] = None,
-    parallel: bool = True,
-    mode: str = "packet",
-) -> t.Dict[t.Tuple[t.Any, ...], t.Any]:
-    """Run the Figure 7 grid; returns ``{(method, level, seed): Summary}``.
-
-    Identical results whether ``parallel`` is on or off — the parallel
-    path only reorders wall-clock execution, never the merge.
-    """
-    points = scalability_points(methods, levels, cycles=cycles, seed=seed,
-                                mode=mode)
-    return merge_by_label(points, run_points(points, workers=workers,
-                                             parallel=parallel))

@@ -149,3 +149,16 @@ class TlsSession:
                 unwrapped.fail(TransportError(f"non-TLS data on TLS session: {value!r}"))
         inner.add_callback(on_message)
         return unwrapped
+
+    # -- message channel: a TLS leg can be either end of a relay ----------------------
+
+    def send_message(self, length: int, meta: t.Any = None,
+                     features: t.Optional[WireFeatures] = None) -> None:
+        """:meth:`send`; records always carry the TLS app features."""
+        self.send(length, meta)
+
+    def recv_message(self):
+        return self.recv()
+
+    def close(self) -> None:
+        self.conn.close()

@@ -90,6 +90,73 @@ def test_blinding_rotation_mid_flight_keeps_working():
     assert first.succeeded and second.succeeded
 
 
+def test_an_open_stream_keeps_its_codec_across_a_rotation():
+    """A relayed stream pins the codec it opened with; the next stream
+    opened after a rotation uses the new one.
+
+    Frames keep the old codec's padded size in both directions, yet
+    carry the current epoch, so the remote (which accepts only that
+    one) keeps relaying.
+    """
+    from repro.measure import ECHO_PORT, SCHOLAR_HOST
+    from repro.net import IP_HEADER, TCP_HEADER
+
+    testbed, system = sc_world()
+    capture = testbed.capture_border()
+    connector = system.connector()
+    old = system.agility.codec
+    times = {}
+    replies = []
+
+    def ping(sim, stream, tags):
+        for tag in tags:
+            stream.send(64, meta=("ping", tag))
+            replies.append((yield stream.recv()))
+            yield sim.timeout(1.0)
+
+    def body(sim):
+        stream = yield from connector.open(SCHOLAR_HOST, ECHO_PORT,
+                                           use_tls=False)
+        yield from ping(sim, stream, range(2))
+        times["rotated"] = sim.now
+        system.rotate_blinding()
+        yield from ping(sim, stream, range(2, 5))
+        times["reopened"] = sim.now
+        fresh = yield from connector.open(SCHOLAR_HOST, ECHO_PORT,
+                                          use_tls=False)
+        yield from ping(sim, fresh, [5])
+        # The fresh stream's dial and open are behind it now.
+        times["fresh"] = sim.now
+        yield from ping(sim, fresh, [6])
+        stream.close()
+        fresh.close()
+
+    testbed.run_process(body(testbed.sim))
+    assert replies == [("echo", ("ping", i)) for i in range(7)]
+    new = system.agility.codec
+    # A length whose padding differs between the two epochs.
+    assert old.pad_length(64) != new.pad_length(64)
+
+    domestic = str(testbed.domestic_vm.address)
+
+    def frame_sizes(since, until):
+        """Blinded payload sizes crossing the border, by direction."""
+        sizes = {"up": set(), "down": set()}
+        for packet in capture.packets:
+            payload = packet.size - IP_HEADER - TCP_HEADER
+            if packet.protocol == "tcp" and payload > 0 \
+                    and since < packet.time < until:
+                sizes["up" if packet.src == domestic else "down"].add(payload)
+        return sizes
+
+    pinned = 64 + 4 + old.pad_length(64)
+    assert frame_sizes(times["rotated"], times["reopened"]) == \
+        {"up": {pinned}, "down": {pinned}}
+    rotated = 64 + 4 + new.pad_length(64)
+    assert frame_sizes(times["fresh"], float("inf")) == \
+        {"up": {rotated}, "down": {rotated}}
+
+
 def test_arms_race_new_classifier_defeated_by_rotation():
     """If the GFW learns the current blinded signature, rotating the
     codec (new padding profile) stales the classifier."""

@@ -92,7 +92,7 @@ def test_dormant_registry_is_byte_identical_to_packet(seed):
     """A registry that never fluidizes must not perturb the trace.
 
     This exercises every hook on the packet path (send_message, close,
-    pump_between, reject, link/policy notifications) with a live
+    reject, link/policy notifications) with a live
     registry whose threshold no message can meet — the strongest
     packet-safety test available without a second interpreter.
     """

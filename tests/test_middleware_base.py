@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.errors import MiddlewareError
+from repro.errors import MiddlewareError, TransportError
 from repro.http import HttpRequest, HttpResponse
 from repro.middleware import (
     estimate_meta_length,
+    relay,
     unwrap_forward,
     wrap_forward,
 )
-from repro.middleware.base import ChannelStream, RelayedChannel
+from repro.middleware.base import RELAY_END, ChannelStream, RelayedChannel
 from repro.net import Network, OPAQUE_STREAM
 from repro.sim import Simulator
 from repro.transport import install_transport
@@ -114,3 +115,68 @@ def test_channel_stream_adapts_channel():
         return stream.alive
 
     assert sim.run(until=sim.process(body(sim))) in (True, False)
+
+
+class ScriptedChannel:
+    """An in-memory channel: receives a script, records sends and closes."""
+
+    def __init__(self, sim, name, log, script=(), send_error=False):
+        self.sim = sim
+        self.name = name
+        self.log = log
+        self.script = list(script)
+        self.send_error = send_error
+        self.sent = []
+
+    def send_message(self, length, meta=None, features=None):
+        if self.send_error:
+            raise TransportError(f"{self.name}: reset")
+        self.sent.append((length, meta))
+
+    def recv_message(self):
+        event = self.sim.event()
+        item = self.script.pop(0)
+        if isinstance(item, Exception):
+            return event.fail(item)
+        return event.succeed(item)
+
+    def close(self):
+        self.log.append(f"{self.name} closed")
+
+
+@pytest.mark.parametrize("script, send_error, sent, closed", [
+    # EOF, or a receive error, closes the sink only.
+    (["ab", "cde", None], False,
+     [(2, ("ab", 1.0)), (3, ("cde", 2.0))], ["sink closed"]),
+    (["ab", TransportError("reset")], False,
+     [(2, ("ab", 1.0))], ["sink closed"]),
+    # A send error closes the source only.
+    (["ab", "cde"], True, [], ["source closed"]),
+    # The end marker closes the sink, then the source.
+    (["ab", "end", "cde"], False,
+     [(2, ("ab", 1.0))], ["sink closed", "source closed"]),
+    # A dropped frame is neither charged nor sent.
+    (["junk", "ab", None], False, [(2, ("ab", 1.0))], ["sink closed"]),
+], ids=["eof", "recv-error", "send-error", "end-marker", "dropped-frame"])
+def test_relay_frame_order_and_close_rules(script, send_error, sent, closed):
+    sim = Simulator()
+    log = []
+    source = ScriptedChannel(sim, "source", log, script=script)
+    sink = ScriptedChannel(sim, "sink", log, send_error=send_error)
+
+    def decode(message):
+        if message == "end":
+            return RELAY_END
+        if message == "junk":
+            return None
+        return len(message), message
+
+    def encode(length, meta):
+        # The clock moves only while a charge is waited for, so a frame
+        # stamped 1.0 s per charge was encoded after its charge.
+        return length, (meta, sim.now), None
+
+    sim.run(until=sim.process(relay(source, sink, decode, encode,
+                                    lambda length: sim.timeout(1.0))))
+    assert sink.sent == sent
+    assert log == closed
