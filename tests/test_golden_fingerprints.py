@@ -11,7 +11,8 @@ direct timer callbacks, address-keyed demux, stub default routes),
 proxy's serving paths were merged into one, and ``query-bursts``,
 ``overload-pdf`` and ``scalability-shadowsocks`` before the Figure 7,
 overload, repeated-query and fleet-region client loops were folded into
-one load driver; any change that alters a single simulated event, drop
+one load driver, and ``other-methods`` before the options, counters and
+functions no caller used were deleted; any change that alters a single simulated event, drop
 or timing changes a digest.
 
 ``packet_id`` is left out everywhere: it comes from a process-global
@@ -23,8 +24,9 @@ tunnels and NAT, Tor, a fault script (brownout, proxy crash, policy
 escalation, IP-block burst, DNS-poison burst), the firewall's DNS and
 RST injection, keyword penalties, active probing, ICMP and UDP, the
 fluid fast path, the edge cache with admission control, the edge
-cache handing a non-HTTP stream to the relay, and a fleet region whose
-session router fails sessions over from a blacked-out PoP.  The last
+cache handing a non-HTTP stream to the relay, a fleet region whose
+session router fails sessions over from a blacked-out PoP, and the
+survey's other methods (a public web proxy and a hosts-file pin).  The last
 four digest the harness's returned result, every field included.
 """
 
@@ -55,8 +57,9 @@ from repro.measure.testbed import (
     REMOTE_VM_ADDR,
     SCHOLAR_ADDR,
     SCHOLAR_HOST,
+    Testbed,
 )
-from repro.middleware import NativeVpn
+from repro.middleware import HostsFileMethod, NativeVpn, PublicWebProxy
 from repro.net import OPAQUE_STREAM, WireFeatures
 from repro.overload import OverloadConfig
 
@@ -74,6 +77,7 @@ EXPECTED: t.Dict[str, str] = {
     "faults-tor": "a21d3056ca7090042ed2fd73",
     "fleet-blackout-cache": "285c2f3b7839fdffb0a1cee3",
     "hybrid-pdf": "a77bdc9e49cd55b2874d6d18",
+    "other-methods": "84fa7b52b09b741177ee45ca",
     "overload-pdf": "55e4eb4d34fcb68201618845",
     "query-bursts": "b44a2a63cb872f01d7fe29c0",
     "scalability-shadowsocks": "fdf78aa247b6464d1a645f78",
@@ -84,9 +88,8 @@ def _outcome(result) -> t.Any:
     return result.plt if result.succeeded else result.error
 
 
-def fingerprint(testbed, plts: t.Sequence[t.Any],
-                extra: t.Sequence[t.Any] = ()) -> str:
-    """Digest of one finished scenario (``packet_id`` excluded)."""
+def border_and_trace(testbed) -> t.List[t.Any]:
+    """The border link's per-direction counters and every trace record."""
     link = testbed.border_link
     border = [(name, link.bytes_sent[name], link.packets_sent[name],
                link.packets_dropped[name]) for name in sorted(link.bytes_sent)]
@@ -94,6 +97,13 @@ def fingerprint(testbed, plts: t.Sequence[t.Any],
               sorted((key, value) for key, value in record.fields.items()
                      if key != "packet_id"))
              for record in testbed.trace.records]
+    return [border, trace]
+
+
+def fingerprint(testbed, plts: t.Sequence[t.Any],
+                extra: t.Sequence[t.Any] = ()) -> str:
+    """Digest of one finished scenario (``packet_id`` excluded)."""
+    border, trace = border_and_trace(testbed)
     parts = [list(plts), border,
              sorted(dataclasses.asdict(testbed.gfw.stats).items()),
              trace, list(extra)]
@@ -305,6 +315,39 @@ def edge_passthrough() -> str:
         dataclasses.astuple(world.method.cache.report())])
 
 
+def other_methods() -> str:
+    """The survey's other methods, three loads each: the public web
+    proxy under the firewall (its cleartext hostname draws a reset),
+    then a hosts-file pin (the SNI filter resets it); and the web proxy
+    relaying whole loads on a testbed without a firewall, whose
+    outcomes, border counters, trace and fetch count are extras."""
+    def load_through(testbed, methods) -> t.List[t.Any]:
+        outcomes: t.List[t.Any] = []
+
+        def body(sim):
+            for method in methods:
+                yield from method.setup()
+                browser = Browser(sim, method.connector(),
+                                  name=f"golden-{method.name}")
+                for _ in range(3):
+                    result = yield sim.process(
+                        browser.load(testbed.scholar_page))
+                    outcomes.append((method.name, _outcome(result)))
+                    yield sim.timeout(60.0)
+
+        testbed.run_process(body(testbed.sim))
+        return outcomes
+
+    censored = Testbed(seed=SEED)
+    outcomes = load_through(censored, [PublicWebProxy(censored),
+                                       HostsFileMethod(censored)])
+    uncensored = Testbed(seed=SEED, gfw_enabled=False)
+    web_proxy = PublicWebProxy(uncensored)
+    relayed = load_through(uncensored, [web_proxy])
+    return fingerprint(censored, outcomes, [
+        relayed, *border_and_trace(uncensored), web_proxy.fetches])
+
+
 def result_digest(result) -> str:
     """Digest of a returned result dataclass, every field included."""
     return hashlib.blake2b(repr(dataclasses.astuple(result)).encode(),
@@ -354,6 +397,7 @@ SCENARIOS: t.Dict[str, t.Callable[[], str]] = {
        for method in METHOD_NAMES},
     "censorship": censorship,
     "hybrid-pdf": hybrid_pdf,
+    "other-methods": other_methods,
     "cache-admission": cache_and_admission,
     "edge-passthrough": edge_passthrough,
     "fleet-blackout-cache": fleet_blackout_cache,
