@@ -77,9 +77,12 @@ def test_fig7_combined_speedup_at_least_2x(benchmark, emit, fig7_points):
 def test_parallel_beats_serial_on_multicore(emit):
     # 60-client points take 1-2 s each, so the pool's start-up cannot
     # decide the result the way it did for 0.1-0.3 s 5-client points.
-    points = scalability_points(("native-vpn", "openvpn",
-                                 "scholarcloud", "shadowsocks"), (60,),
-                                cycles=1, seed=0)
+    # Points are dispatched in order, and shadowsocks takes about as
+    # long as the other three together: listed last, it starts only
+    # once a worker frees up, which caps two workers near 1.6x; first,
+    # the bound is about 2x.
+    points = scalability_points(("shadowsocks", "native-vpn", "openvpn",
+                                 "scholarcloud"), (60,), cycles=1, seed=0)
     serial_s = best_time(lambda: serial_map(points), repeat=1)
     parallel_s = best_time(lambda: run_points(points, workers=2), repeat=1)
     speedup = serial_s / parallel_s

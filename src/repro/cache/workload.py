@@ -21,7 +21,7 @@ from ..http.page import Page, PageObject
 
 #: Default corpus size (distinct queries clients draw from).
 DEFAULT_CORPUS = 24
-#: Default Zipf exponent; ~1.1 matches measured web-query popularity.
+#: Zipf exponent of query popularity; ~1.1 matches measured web queries.
 DEFAULT_ZIPF_S = 1.1
 #: Scraper burst cap: one client loads at most this many result pages
 #: back-to-back per measurement cycle.
@@ -68,7 +68,8 @@ def query_corpus(size: int = DEFAULT_CORPUS) -> t.List[Page]:
 
 
 class ZipfSampler:
-    """Deterministic Zipf(``s``) rank sampler over ``size`` items.
+    """Deterministic Zipf(:data:`DEFAULT_ZIPF_S`) rank sampler over
+    ``size`` items.
 
     Draws come from an injected named RNG stream (the caller owns the
     stream; see the rng manifest), via inverse-CDF lookup on the
@@ -76,10 +77,10 @@ class ZipfSampler:
     a pure function of the stream's draw sequence.
     """
 
-    def __init__(self, size: int, s: float = DEFAULT_ZIPF_S) -> None:
+    def __init__(self, size: int) -> None:
         if size < 1:
             raise ValueError("corpus size must be >= 1")
-        weights = [1.0 / (rank + 1) ** s for rank in range(size)]
+        weights = [1.0 / (rank + 1) ** DEFAULT_ZIPF_S for rank in range(size)]
         total = sum(weights)
         self._cdf: t.List[float] = []
         running = 0.0
@@ -96,13 +97,13 @@ class ZipfSampler:
                 return rank
         return len(self._cdf) - 1  # pragma: no cover - cdf[-1] == 1.0
 
-    def burst_length(self, rng, cap: int = MAX_BURST) -> int:
-        """Scraper burst size in ``[1, cap]``, heavy-tailed.
+    def burst_length(self, rng) -> int:
+        """Scraper burst size in ``[1, MAX_BURST]``, heavy-tailed.
 
         Reuses the Zipf shape over burst sizes so most sessions load
         one page and a minority page through several result sets.
         """
-        weights = [1.0 / (k ** 2) for k in range(1, cap + 1)]
+        weights = [1.0 / (k ** 2) for k in range(1, MAX_BURST + 1)]
         total = sum(weights)
         draw = rng.uniform(0.0, 1.0)
         running = 0.0
@@ -110,4 +111,4 @@ class ZipfSampler:
             running += weight / total
             if draw <= running:
                 return index + 1
-        return cap
+        return MAX_BURST

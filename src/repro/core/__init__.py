@@ -9,7 +9,6 @@ from .blinding import (
     BlindingAgility,
     BlindingCodec,
     ByteMapCodec,
-    ChainedCodec,
     PaddedCodec,
     blind_unwrap,
     blind_wrap,
@@ -23,7 +22,7 @@ from .deployment import (
     evaluate_deployment,
 )
 from .domestic_proxy import DOMESTIC_PROXY_PORT, DomesticProxy
-from .pac import DIRECT, PacFile, parse_pac_decision, proxy_decision
+from .pac import DIRECT, PacFile, proxy_decision
 from .remote_proxy import REMOTE_PROXY_PORT, RemoteProxy
 from .scholarcloud import ICP_NUMBER, ScConnector, ScholarCloud
 from .whitelist import Whitelist, WhitelistEntry, scholar_whitelist
@@ -33,7 +32,6 @@ __all__ = [
     "BlindingAgility",
     "BlindingCodec",
     "ByteMapCodec",
-    "ChainedCodec",
     "DIRECT",
     "DOMESTIC_PROXY_PORT",
     "DeploymentReport",
@@ -54,7 +52,6 @@ __all__ = [
     "blind_wrap",
     "default_codec",
     "evaluate_deployment",
-    "parse_pac_decision",
     "proxy_decision",
     "scholar_whitelist",
 ]

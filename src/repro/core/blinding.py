@@ -182,28 +182,6 @@ class AffineCodec(BlindingCodec):
         return bytes(out)
 
 
-class ChainedCodec(BlindingCodec):
-    """Composition of codecs, applied in order."""
-
-    codec_name = "chained"
-
-    def __init__(self, codecs: t.Sequence[BlindingCodec]) -> None:
-        if not codecs:
-            raise BlindingError("chained codec needs at least one stage")
-        self.codecs = list(codecs)
-        self.padding_overhead = sum(c.padding_overhead for c in codecs)
-
-    def encode(self, data: bytes) -> bytes:
-        for codec in self.codecs:
-            data = codec.encode(data)
-        return data
-
-    def decode(self, data: bytes) -> bytes:
-        for codec in reversed(self.codecs):
-            data = codec.decode(data)
-        return data
-
-
 @functools.lru_cache(maxsize=4096)
 def _length_digest(length: int) -> int:
     """First digest byte of SHA-256(length) — the padding die roll.

@@ -77,8 +77,6 @@ class DomesticProxy:
         remote_addrs: t.Sequence[t.Union[str, IPv4Address]],
         port: int = DOMESTIC_PROXY_PORT,
         remote_port: int = REMOTE_PROXY_PORT,
-        dial_timeout: float = DIAL_TIMEOUT,
-        retry: t.Optional[RetryPolicy] = None,
         overload: t.Optional[OverloadConfig] = None,
         router: t.Optional[t.Any] = None,
         cache: t.Optional[ResponseCache] = None,
@@ -96,12 +94,11 @@ class DomesticProxy:
         self.cpu = cpu
         self.port = port
         self.remote_port = remote_port
-        self.dial_timeout = dial_timeout
         self.pool = FailoverPool(
             sim,
             [Endpoint(IPv4Address(address), remote_port)
              for address in remote_addrs])
-        self.retry = retry if retry is not None else RetryPolicy(
+        self.retry = RetryPolicy(
             attempts=4, base=0.5, cap=4.0,
             rng=sim.rng.stream("resilience.sc-domestic"))
         self.router = router
@@ -181,13 +178,6 @@ class DomesticProxy:
                 self._reject(conn, "shed")
                 return
             session = source
-            if deadline is not None and deadline.expired(self.sim.now):
-                # Expired while queued in the waiting room.
-                self.deadline_drops += 1
-                self.admission.record_expired(source, priority)
-                self.admission.release(source)
-                self._reject(conn, "expired")
-                return
         yield self.cpu.submit(CONNECT_DEMAND)
         # Optimistic pipelining: acknowledge the browser immediately
         # and queue its frames while the transpacific leg dials, so a
@@ -284,7 +274,7 @@ class DomesticProxy:
         else:
             attempt_delays = self.retry.delays(
                 clock=lambda: self.sim.now, deadline=deadline.at)
-        dialed_timeout = self.dial_timeout
+        dialed_timeout = DIAL_TIMEOUT
         for delay in attempt_delays:
             if delay > 0.0:
                 yield self.sim.timeout(delay)
@@ -292,8 +282,7 @@ class DomesticProxy:
             if endpoint is None:
                 continue  # every breaker open; back off and re-ask
             if deadline is not None:
-                dialed_timeout = deadline.clamp(self.dial_timeout,
-                                                self.sim.now)
+                dialed_timeout = deadline.clamp(DIAL_TIMEOUT, self.sim.now)
             try:
                 conn = yield transport.connect_tcp(
                     endpoint.address, endpoint.port,

@@ -9,8 +9,6 @@ the simulated browser's routing hook.
 
 from __future__ import annotations
 
-import typing as t
-
 from ..errors import ConfigurationError
 from ..http import parse_url
 from .whitelist import Whitelist
@@ -67,17 +65,3 @@ class PacFile:
             '    return "DIRECT";\n'
             "}\n"
         )
-
-
-def parse_pac_decision(decision: str) -> t.Optional[t.Tuple[str, int]]:
-    """Parse ``PROXY host:port`` into a tuple; None for DIRECT."""
-    decision = decision.strip()
-    if decision.upper() == DIRECT:
-        return None
-    if not decision.upper().startswith("PROXY "):
-        raise ConfigurationError(f"unparseable PAC decision: {decision!r}")
-    hostport = decision[6:].strip()
-    host, sep, port_text = hostport.rpartition(":")
-    if not sep or not port_text.isdigit():
-        raise ConfigurationError(f"unparseable proxy endpoint: {hostport!r}")
-    return host, int(port_text)

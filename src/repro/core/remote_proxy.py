@@ -48,8 +48,6 @@ class RemoteProxy:
         self.cpu = cpu
         self.agility = agility
         self.port = port
-        self.streams_opened = 0
-        self.decoys_served = 0
         self.deadline_drops = 0
         # Relay callables, shared by every stream.
         self._decode = agility.unwrap
@@ -70,7 +68,6 @@ class RemoteProxy:
                                   and len(opened[1]) in (3, 4)
                                   and opened[1][0] == "sc-open"):
             # Garbage, probe, or stale epoch: answer like a web server.
-            self.decoys_served += 1
             try:
                 conn.send_message(480, meta=("http-400", "Bad Request"))
             except TransportError:
@@ -104,7 +101,6 @@ class RemoteProxy:
             self._send_error(conn)
             conn.close()
             return
-        self.streams_opened += 1
         try:
             conn.send_message(
                 24, meta=blind_wrap(self.agility.epoch, 16, ("sc-ready",)),

@@ -26,7 +26,7 @@ from .blinding import BlindingAgility
 from .domestic_proxy import DOMESTIC_PROXY_PORT, DomesticProxy
 from .pac import PacFile
 from .remote_proxy import RemoteProxy
-from .whitelist import Whitelist, scholar_whitelist
+from .whitelist import scholar_whitelist
 
 #: The deployed service's ICP registration number (from the paper).
 ICP_NUMBER = "ICP-15063437"
@@ -138,12 +138,11 @@ class ScholarCloud(AccessMethod):
     display_name = "ScholarCloud"
     requires_client_software = False  # one browser PAC setting
 
-    def __init__(self, testbed, whitelist: t.Optional[Whitelist] = None,
-                 secret: bytes = b"scholarcloud-2016",
+    def __init__(self, testbed, secret: bytes = b"scholarcloud-2016",
                  overload: t.Optional[OverloadConfig] = None,
                  cache: t.Optional[CacheConfig] = None) -> None:
         super().__init__(testbed)
-        self.whitelist = whitelist if whitelist is not None else scholar_whitelist()
+        self.whitelist = scholar_whitelist()
         #: Session admission at the domestic proxy (None = off, the
         #: calibrated paper configuration).
         self.overload = overload

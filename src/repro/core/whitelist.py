@@ -34,11 +34,9 @@ class WhitelistEntry:
 class Whitelist:
     """Suffix-matched domain whitelist with an audit trail."""
 
-    def __init__(self, entries: t.Iterable[WhitelistEntry] = ()) -> None:
+    def __init__(self) -> None:
         self._entries: t.Dict[str, WhitelistEntry] = {}
         self.audit_log: t.List[t.Tuple[float, str, str]] = []
-        for entry in entries:
-            self._entries[entry.domain.lower().rstrip(".")] = entry
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -1,25 +1,20 @@
-"""Pure-Python crypto substrate: AES, CFB/CTR/CBC, RC4, KDFs, entropy.
+"""Pure-Python crypto substrate: AES, CFB/CTR, KDFs, entropy.
 
 Educational implementations — adequate for the reproduction's loopback
 proxies, never for protecting real traffic.
 """
 
 from .aes import AES
-from .entropy import looks_like_ciphertext, shannon_entropy
+from .entropy import shannon_entropy
 from .kdf import evp_bytes_to_key, hkdf_like, hmac_sha256
-from .modes import CfbCipher, CtrCipher, cbc_decrypt, cbc_encrypt
-from .rc4 import RC4
+from .modes import CfbCipher, CtrCipher
 
 __all__ = [
     "AES",
     "CfbCipher",
     "CtrCipher",
-    "RC4",
-    "cbc_decrypt",
-    "cbc_encrypt",
     "evp_bytes_to_key",
     "hkdf_like",
     "hmac_sha256",
-    "looks_like_ciphertext",
     "shannon_entropy",
 ]

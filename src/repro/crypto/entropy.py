@@ -25,11 +25,3 @@ def shannon_entropy(data: bytes) -> float:
         p = count / total
         entropy -= p * math.log2(p)
     return entropy
-
-
-def looks_like_ciphertext(data: bytes, threshold: float = 7.0,
-                          minimum_length: int = 64) -> bool:
-    """Heuristic: long, near-uniform byte strings look encrypted."""
-    if len(data) < minimum_length:
-        return False
-    return shannon_entropy(data) >= threshold

@@ -1,4 +1,4 @@
-"""Block cipher modes: CFB (as Shadowsocks' AES-256-CFB), CTR, CBC.
+"""Block cipher modes: CFB (as Shadowsocks' AES-256-CFB) and CTR.
 
 CFB here is the full-block (CFB-128) variant with ciphertext feedback
 across partial final blocks, matching OpenSSL's ``aes-256-cfb`` that
@@ -114,51 +114,3 @@ class CtrCipher:
 
     encrypt = process
     decrypt = process
-
-
-def _pkcs7_pad(data: bytes) -> bytes:
-    pad = 16 - (len(data) % 16)
-    return data + bytes([pad]) * pad
-
-
-def _pkcs7_unpad(data: bytes) -> bytes:
-    if not data or len(data) % 16:
-        raise CryptoError("invalid padded length")
-    pad = data[-1]
-    if not 1 <= pad <= 16 or data[-pad:] != bytes([pad]) * pad:
-        raise CryptoError("invalid PKCS#7 padding")
-    return data[:-pad]
-
-
-def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
-    """One-shot CBC encryption with PKCS#7 padding."""
-    if len(iv) != 16:
-        raise CryptoError(f"CBC IV must be 16 bytes, got {len(iv)}")
-    aes = AES(key)
-    data = _pkcs7_pad(plaintext)
-    previous = iv
-    out = bytearray()
-    for offset in range(0, len(data), 16):
-        block = (int.from_bytes(data[offset:offset + 16], "big")
-                 ^ int.from_bytes(previous, "big")).to_bytes(16, "big")
-        previous = aes.encrypt_block(block)
-        out.extend(previous)
-    return bytes(out)
-
-
-def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
-    """One-shot CBC decryption with PKCS#7 unpadding."""
-    if len(iv) != 16:
-        raise CryptoError(f"CBC IV must be 16 bytes, got {len(iv)}")
-    if len(ciphertext) % 16:
-        raise CryptoError("CBC ciphertext length must be a block multiple")
-    aes = AES(key)
-    previous = iv
-    out = bytearray()
-    for offset in range(0, len(ciphertext), 16):
-        block = ciphertext[offset:offset + 16]
-        plain = aes.decrypt_block(block)
-        out += (int.from_bytes(plain, "big")
-                ^ int.from_bytes(previous, "big")).to_bytes(16, "big")
-        previous = block
-    return _pkcs7_unpad(bytes(out))

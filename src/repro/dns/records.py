@@ -39,8 +39,8 @@ class Zone:
     def add_a(self, name: str, address: t.Union[str, IPv4Address], ttl: float = 300.0) -> DnsRecord:
         return self.add(name, "A", str(IPv4Address(address)), ttl)
 
-    def add_cname(self, name: str, target: str, ttl: float = 300.0) -> DnsRecord:
-        return self.add(name, "CNAME", target.lower().rstrip("."), ttl)
+    def add_cname(self, name: str, target: str) -> DnsRecord:
+        return self.add(name, "CNAME", target.lower().rstrip("."))
 
     def lookup(self, name: str) -> t.List[DnsRecord]:
         """Records for ``name``, following at most 8 CNAME hops in-zone."""

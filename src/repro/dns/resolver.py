@@ -155,7 +155,6 @@ class RecursiveResolver(_ResolverCore):
         super().__init__(sim, host, IPv4Address("0.0.0.0"), client_port=5354)
         self._authorities: t.List[t.Tuple[str, IPv4Address]] = []
         host.transport.listen_udp(DNS_PORT, self._on_client_query)
-        self.client_queries = 0
 
     def add_authority(self, suffix: str, address: t.Union[str, IPv4Address]) -> None:
         """Route queries for ``*.suffix`` to the authority at ``address``."""
@@ -174,7 +173,6 @@ class RecursiveResolver(_ResolverCore):
                          src: IPv4Address, sport: int) -> None:
         if not isinstance(payload, DnsQuery):
             return
-        self.client_queries += 1
         self.sim.process(self._serve(payload, src, sport),
                          name=f"recurse:{payload.name}")
 

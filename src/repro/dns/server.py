@@ -20,18 +20,13 @@ class AuthoritativeServer:
         self.sim = sim
         self.host = host
         self.zones = list(zones)
-        self.queries_served = 0
         transport = t.cast(TransportLayer, host.transport)
         transport.listen_udp(DNS_PORT, self._on_query)
-
-    def add_zone(self, zone: Zone) -> None:
-        self.zones.append(zone)
 
     def _on_query(self, payload: t.Any, length: int,
                   src: IPv4Address, sport: int) -> None:
         if not isinstance(payload, DnsQuery):
             return
-        self.queries_served += 1
         response = self._answer(payload)
         transport = t.cast(TransportLayer, self.host.transport)
         transport.send_udp(

@@ -42,19 +42,17 @@ def _unblock_remote_vm(gfw: "GreatFirewall") -> None:
 
 
 def overload_storm(rng: random.Random, clients: int = 24,
-                   spike_at: float = 60.0, spike_duration: float = 90.0,
-                   crash_at: float = 120.0, crash_downtime: float = 40.0,
                    hostname: str = "scholar.google.com") -> FaultSchedule:
     """Overload composed with faults: a flash crowd, then a crash in it.
 
-    1. a flash crowd of ``clients`` held sessions floods the domestic
-       proxy — with admission control on, the excess is shed rather
-       than queued;
-    2. mid-storm, the remote VM crashes and restarts — the failover
-       pool's breaker opens under the combined pressure and must
-       recover once the VM returns;
-    3. a border-link brownout overlaps the tail, so the recovery
-       happens on a degraded path.
+    1. at ~60 s a flash crowd of ``clients`` held sessions floods the
+       domestic proxy for 90 s — with admission control on, the excess
+       is shed rather than queued;
+    2. mid-storm, at ~120 s, the remote VM crashes and restarts 40 s
+       later — the failover pool's breaker opens under the combined
+       pressure and must recover once the VM returns;
+    3. a border-link brownout from ~150 s overlaps the tail, so the
+       recovery happens on a degraded path.
 
     Timing is jittered from ``rng`` like :func:`standard_fault_script`,
     so one seed yields one byte-identical storm.
@@ -63,12 +61,10 @@ def overload_storm(rng: random.Random, clients: int = 24,
         return max(0.0, base + rng.uniform(-spread, spread))
 
     script = FaultSchedule()
-    script.load_spike("domestic-vm", at=jittered(spike_at, 5.0),
-                      duration=spike_duration, clients=clients,
-                      hostname=hostname)
-    script.proxy_crash("remote-vm", at=jittered(crash_at, 8.0),
-                       downtime=crash_downtime)
-    script.link_degrade("border", at=jittered(crash_at + 30.0, 5.0),
+    script.load_spike("domestic-vm", at=jittered(60.0, 5.0),
+                      duration=90.0, clients=clients, hostname=hostname)
+    script.proxy_crash("remote-vm", at=jittered(120.0, 8.0), downtime=40.0)
+    script.link_degrade("border", at=jittered(150.0, 5.0),
                         duration=jittered(40.0, 5.0), loss=0.05)
     return script
 

@@ -34,7 +34,6 @@ from .sweep import (
     fleet_points,
     fleet_sweep,
     run_fleet_region_point,
-    survival_fleet_report,
 )
 from .testbed import FleetTestbed, Region
 from .verifier import InvariantResult, SurvivalVerifier, VerifierReport
@@ -72,5 +71,4 @@ __all__ = [
     "run_fleet_region_point",
     "run_survival_campaign",
     "survival_document",
-    "survival_fleet_report",
 ]

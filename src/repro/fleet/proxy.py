@@ -25,7 +25,6 @@ from ..core import (
     REMOTE_PROXY_PORT,
     RemoteProxy,
     ScConnector,
-    Whitelist,
     scholar_whitelist,
 )
 from ..dns import StubResolver
@@ -58,7 +57,6 @@ class ProxyFleet:
     def __init__(
         self,
         testbed: FleetTestbed,
-        whitelist: t.Optional[Whitelist] = None,
         secret: bytes = b"scholarcloud-2016",
         detector_interval: float = 10.0,
         detector_timeout: float = 3.0,
@@ -68,7 +66,7 @@ class ProxyFleet:
         per regional front door — None, the default, keeps the fleet
         cacheless and byte-identical to the historical traces."""
         self.testbed = testbed
-        self.whitelist = whitelist if whitelist is not None else scholar_whitelist()
+        self.whitelist = scholar_whitelist()
         self.agility = BlindingAgility(secret)
         self.detector_interval = detector_interval
         self.detector_timeout = detector_timeout

@@ -30,11 +30,6 @@ class RegionReport:
     failovers: int
     #: Sessions forcibly re-bound to a different PoP.
     remaps: int
-    #: Survival-layer counters: sessions migrated *away from* this
-    #: region, and sessions lost while bound here (zero outside
-    #: migration campaigns).
-    migrations: int = 0
-    sessions_lost: int = 0
     #: Edge-cache counters for this region's front door (zero when the
     #: fleet runs cacheless).
     cache_lookups: int = 0
@@ -64,9 +59,6 @@ class FleetReport:
     events: t.Tuple[t.Tuple[float, str, str], ...] = ()
     evictions: int = 0
     reinstatements: int = 0
-    #: Survival-layer counters (zero for campaigns without migration).
-    migrations: int = 0
-    sessions_lost: int = 0
 
     @property
     def overall(self) -> AvailabilitySeries:
@@ -120,9 +112,6 @@ class FleetReport:
             if region.cache_lookups:
                 line += (f" cache-hit-rate={region.cache_hit_rate:.1%}"
                          f" avoided={region.transpacific_bytes_avoided}B")
-            if region.migrations or region.sessions_lost:
-                line += (f" migrations={region.migrations}"
-                         f" lost={region.sessions_lost}")
             lines.append(line)
             lines.append(f"  {region.series}")
         lines.append("")
@@ -136,10 +125,6 @@ class FleetReport:
                 f"  cache: hit-rate={self.cache_hit_rate:.1%} "
                 f"({self.total_cache_hits}/{self.total_cache_lookups}) "
                 f"transpacific-avoided={self.total_transpacific_avoided}B")
-        if self.migrations or self.sessions_lost:
-            lines.append(
-                f"  survival: migrations={self.migrations} "
-                f"sessions_lost={self.sessions_lost}")
         lines.append(f"  {self.overall}")
         if self.events:
             lines.append("")

@@ -189,7 +189,6 @@ class FailureDetector:
         timeout: float = 3.0,
         suspicion_threshold: int = 2,
         reinstate_threshold: int = 2,
-        rng: t.Optional[t.Any] = None,
     ) -> None:
         if suspicion_threshold < 1:
             raise FaultError(
@@ -208,7 +207,7 @@ class FailureDetector:
         #: alternating ok/fail verdicts therefore never re-admits a pop
         #: the next flap would evict again.
         self.reinstate_threshold = reinstate_threshold
-        self.rng = rng if rng is not None else sim.rng.stream("fleet.detector")
+        self.rng = sim.rng.stream("fleet.detector")
         # Key space = the router's endpoint set, fixed at fleet launch.
         self.suspicion: t.Dict[Endpoint, int] = {}  # reprolint: disable=unbounded-cache-field
         self.healthy_streak: t.Dict[Endpoint, int] = {}  # reprolint: disable=unbounded-cache-field

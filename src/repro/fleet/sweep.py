@@ -64,7 +64,7 @@ class FleetRegionResult:
     assignment_digest: str
     #: Fault injector timeline, when a campaign ran.
     timeline: t.Tuple[t.Tuple[float, str, str, str], ...] = ()
-    #: Survival-layer counters (zero outside migration campaigns).
+    #: Always zero; kept because recorded fleet digests hash every field.
     migrations: int = 0
     sessions_lost: int = 0
     #: This region's edge-cache report (None when run cacheless).
@@ -212,8 +212,6 @@ def aggregate_fleet(results: t.Sequence[FleetRegionResult],
                                           horizon=horizon),
             completed=result.completed, failed=result.failed,
             failovers=result.failovers, remaps=result.remaps,
-            migrations=result.migrations,
-            sessions_lost=result.sessions_lost,
             cache_lookups=(result.cache.lookups
                            if result.cache is not None else 0),
             cache_hits=(result.cache.hits
@@ -227,9 +225,7 @@ def aggregate_fleet(results: t.Sequence[FleetRegionResult],
     return FleetReport(
         regions=regions, events=events,
         evictions=sum(result.evictions for result in results),
-        reinstatements=sum(result.reinstatements for result in results),
-        migrations=sum(result.migrations for result in results),
-        sessions_lost=sum(result.sessions_lost for result in results))
+        reinstatements=sum(result.reinstatements for result in results))
 
 
 def fleet_sweep(
@@ -241,7 +237,6 @@ def fleet_sweep(
     mode: str = "hybrid",
     workload: str = "home",
     workers: t.Optional[int] = None,
-    parallel: bool = True,
     blackout_pop: t.Optional[str] = None,
     blackout_at: float = 90.0,
     blackout_downtime: float = 60.0,
@@ -253,7 +248,7 @@ def fleet_sweep(
     ``regions x clients`` is the concurrent-session scale: the headline
     configuration (4 regions x 2,500 clients, ``mode="hybrid"``)
     simulates 10,000 concurrent sessions.  Results are byte-identical
-    whether ``parallel`` is on or off.
+    for any number of ``workers``.
     """
     points = fleet_points(regions, pops=pops, clients=clients, cycles=cycles,
                           seed=seed, mode=mode, workload=workload,
@@ -261,48 +256,5 @@ def fleet_sweep(
                           blackout_at=blackout_at,
                           blackout_downtime=blackout_downtime,
                           cache=cache)
-    results = run_points(points, workers=workers, parallel=parallel)
+    results = run_points(points, workers=workers)
     return aggregate_fleet(results, bucket=bucket), list(results)
-
-
-def survival_fleet_report(campaign, bucket: float = REPORT_BUCKET,
-                          ) -> FleetReport:
-    """Fold a survival campaign into the fleet availability report.
-
-    Gives migration campaigns the same operator-facing artifact the
-    blackout sweeps get, with the survival counters attributed
-    per region: ``migrations`` to the region a session moved *away
-    from*, ``sessions_lost`` to the region the session was bound to
-    when it died.  ``campaign`` is a
-    :class:`~repro.fleet.survival.SurvivalCampaignResult`.
-    """
-    horizon = campaign.duration
-    samples: t.Dict[str, t.List[t.Tuple[float, bool]]] = {
-        region: [] for region in campaign.regions}
-    migrations: t.Dict[str, int] = {region: 0 for region in campaign.regions}
-    lost: t.Dict[str, int] = {region: 0 for region in campaign.regions}
-    for event in campaign.events:
-        if event.kind in ("session-complete", "session-lost"):
-            samples.setdefault(event.region, []).append(
-                (event.time, event.kind == "session-complete"))
-            if event.kind == "session-lost":
-                lost[event.region] = lost.get(event.region, 0) + 1
-        elif event.kind == "migrate":
-            # detail = (from_region, to_region, resume_offset)
-            source = event.detail[0]
-            migrations[source] = migrations.get(source, 0) + 1
-    regions = tuple(
-        RegionReport(
-            region=region,
-            series=availability_over_time(samples.get(region, []), bucket,
-                                          horizon=horizon),
-            completed=sum(1 for _, ok in samples.get(region, []) if ok),
-            failed=sum(1 for _, ok in samples.get(region, []) if not ok),
-            failovers=0, remaps=0,
-            migrations=migrations.get(region, 0),
-            sessions_lost=lost.get(region, 0))
-        for region in campaign.regions)
-    return FleetReport(
-        regions=regions,
-        migrations=campaign.migrations,
-        sessions_lost=campaign.lost)

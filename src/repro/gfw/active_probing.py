@@ -33,6 +33,10 @@ PERSONALITY_UNREACHABLE = "unreachable"
 
 #: Behaviours considered proof of a circumvention proxy.
 DEFAULT_FINGERPRINTS = frozenset({PERSONALITY_HANG})
+#: Seconds between a suspicion and its probe.
+PROBE_DELAY = 10.0
+#: Seconds the prober waits for an answer to its garbage.
+REPLY_TIMEOUT = 5.0
 
 
 class ProbeResult(t.NamedTuple):
@@ -45,19 +49,9 @@ class ProbeResult(t.NamedTuple):
 class ActiveProber:
     """Probes suspects from a dedicated vantage host."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        transport: TransportLayer,
-        probe_delay: float = 10.0,
-        reply_timeout: float = 5.0,
-        fingerprints: t.FrozenSet[str] = DEFAULT_FINGERPRINTS,
-    ) -> None:
+    def __init__(self, sim: Simulator, transport: TransportLayer) -> None:
         self.sim = sim
         self.transport = transport
-        self.probe_delay = probe_delay
-        self.reply_timeout = reply_timeout
-        self.fingerprints = fingerprints
         self.results: t.List[ProbeResult] = []
         self._suspected: t.Set[t.Tuple[str, int]] = set()
 
@@ -74,7 +68,7 @@ class ActiveProber:
 
     def _probe(self, address: str, port: int,
                on_confirm: t.Callable[[str], None]):
-        yield self.sim.timeout(self.probe_delay)
+        yield self.sim.timeout(PROBE_DELAY)
         try:
             conn = yield self.transport.connect_tcp(
                 address, port, features=OPAQUE_STREAM, timeout=10.0)
@@ -86,7 +80,7 @@ class ActiveProber:
             conn.send_message(48, meta=("probe-garbage",),
                               features=OPAQUE_STREAM)
             outcome = yield self.sim.any_of(
-                [conn.recv_message(), self.sim.timeout(self.reply_timeout,
+                [conn.recv_message(), self.sim.timeout(REPLY_TIMEOUT,
                                                        value="timeout")])
         except TransportError:
             # A reset during the garbage send classifies the same as a
@@ -106,7 +100,7 @@ class ActiveProber:
 
     def _record(self, address: str, port: int, personality: str,
                 on_confirm: t.Callable[[str], None]) -> None:
-        confirmed = personality in self.fingerprints
+        confirmed = personality in DEFAULT_FINGERPRINTS
         self.results.append(ProbeResult(address, port, personality, confirmed))
         if confirmed:
             on_confirm(address)

@@ -44,6 +44,9 @@ KNOWN_MEEK_FRONTS = frozenset({
 #: First-frame length window of a Shadowsocks request:
 #: 16-byte IV plus the encrypted SOCKS-style address block.
 SS_FIRST_FRAME_RANGE = (17, 120)
+#: Shannon entropy (bits/byte) above which a first frame reads as
+#: ciphertext.
+SS_ENTROPY_THRESHOLD = 7.5
 
 
 class Classifier:
@@ -166,14 +169,11 @@ class ShadowsocksClassifier(Classifier):
     name = "shadowsocks"
     match_tags = frozenset({"unknown-stream"})
 
-    def __init__(self, entropy_threshold: float = 7.5) -> None:
-        self.entropy_threshold = entropy_threshold
-
     def classify(self, packet, state, policy):
         features = packet.features
         if features.protocol_tag != "unknown-stream":
             return None
-        if features.entropy < self.entropy_threshold:
+        if features.entropy < SS_ENTROPY_THRESHOLD:
             return None
         signature = features.length_signature
         if signature is None:

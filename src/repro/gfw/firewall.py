@@ -76,7 +76,6 @@ class GreatFirewall(Middlebox):
         rng: t.Optional[random.Random] = None,
         trace: t.Optional[TraceLog] = None,
         prober: t.Optional[ActiveProber] = None,
-        classifiers: t.Optional[t.List[Classifier]] = None,
         name: t.Optional[str] = None,
     ) -> None:
         # Per-instance name so multi-region deployments (one firewall
@@ -89,7 +88,7 @@ class GreatFirewall(Middlebox):
         self.rng = rng if rng is not None else sim.rng.stream("gfw.interference")
         self.trace = trace
         self.prober = prober
-        self.classifiers = classifiers if classifiers is not None else default_classifiers()
+        self.classifiers: t.List[Classifier] = default_classifiers()
         self.flows = FlowTable()
         self.poisoner = DnsPoisoner(sim, policy)
         self.stats = GfwStats()

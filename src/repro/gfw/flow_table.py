@@ -23,6 +23,10 @@ FlowKey = t.Tuple[t.Any, ...]
 #: packet for the life of the connection — exactly the unbounded-queue
 #: pattern reprolint polices.
 RECENT_TIMES_MAX = 64
+#: Flow-table size at which idle flows are evicted.
+MAX_FLOWS = 100_000
+#: Seconds without a packet after which a flow counts as idle.
+IDLE_TIMEOUT = 120.0
 
 
 def canonical_flow(flow: t.Optional[FlowKey]) -> t.Optional[FlowKey]:
@@ -59,9 +63,7 @@ class FlowState:
 class FlowTable:
     """Bounded flow-state store with idle eviction."""
 
-    def __init__(self, idle_timeout: float = 120.0, max_flows: int = 100_000) -> None:
-        self.idle_timeout = idle_timeout
-        self.max_flows = max_flows
+    def __init__(self) -> None:
         self._flows: t.Dict[FlowKey, FlowState] = {}
         #: (src, dst) address pairs under a temporary reset penalty,
         #: with expiry.
@@ -112,9 +114,9 @@ class FlowTable:
         return self._flows.get(key)
 
     def _evict_if_needed(self, now: float) -> None:
-        if len(self._flows) < self.max_flows:
+        if len(self._flows) < MAX_FLOWS:
             return
-        cutoff = now - self.idle_timeout
+        cutoff = now - IDLE_TIMEOUT
         self._flows = {key: state for key, state in self._flows.items()
                        if state.last_seen >= cutoff}
 
@@ -134,6 +136,3 @@ class FlowTable:
             self._penalties.pop((dst, src), None)
             return False
         return True
-
-    def labeled(self, label: str) -> t.List[FlowState]:
-        return [state for state in self._flows.values() if state.label == label]

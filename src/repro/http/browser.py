@@ -34,6 +34,9 @@ from .server import ACCOUNT_RECORD_PATH
 MAX_CONNECTIONS_PER_ORIGIN = 6
 #: Idle keep-alive horizon after which pooled connections are discarded.
 KEEPALIVE_SECONDS = 30.0
+#: Backoff before the first retry of a failed fetch; each later retry
+#: doubles it.
+RETRY_BACKOFF = 1.0
 
 
 @dataclass
@@ -76,24 +79,18 @@ class Browser:
         self,
         sim: Simulator,
         connector: Connector,
-        max_per_origin: int = MAX_CONNECTIONS_PER_ORIGIN,
-        keepalive: float = KEEPALIVE_SECONDS,
         name: str = "browser",
         retries: int = 0,
-        retry_backoff: float = 1.0,
         read_timeout: t.Optional[float] = None,
         total_deadline: t.Optional[float] = None,
     ) -> None:
         self.sim = sim
         self.connector = connector
-        self.max_per_origin = max_per_origin
-        self.keepalive = keepalive
         self.name = name
         #: Per-object transport retries (0 = a failure fails the load,
         #: the historical behaviour).  Fault-tolerance experiments turn
         #: this up so the browser degrades gracefully.
         self.retries = retries
-        self.retry_backoff = retry_backoff
         #: Response deadline per request (None = wait forever).  Without
         #: it a stream whose far leg silently blackholes (e.g. a mid-path
         #: IP block) stalls a load until the fault lifts; with it the
@@ -114,7 +111,6 @@ class Browser:
         self._origins: t.Dict[t.Tuple[str, str, int, bool], _Origin] = {}
         self._visited: t.Set[str] = set()
         self._cached_objects: t.Set[t.Tuple[str, str]] = set()
-        self.loads: t.List[PageLoadResult] = []
         self.connections_opened = 0
 
     # -- cache control ---------------------------------------------------------------
@@ -128,9 +124,6 @@ class Browser:
                 stream.close()
             origin.idle.clear()
         self._origins.clear()
-
-    def has_visited(self, url: str) -> bool:
-        return url in self._visited
 
     # -- page loading ------------------------------------------------------------------
 
@@ -160,7 +153,6 @@ class Browser:
         )
         if error is None:
             self._visited.add(page.url)
-        self.loads.append(result)
         return result
 
     def _load_document(self, page: Page, first_visit: bool,
@@ -253,7 +245,7 @@ class Browser:
                     attempt += 1
                     if attempt > self.retries:
                         raise
-                    backoff = self.retry_backoff * (2 ** (attempt - 1))
+                    backoff = RETRY_BACKOFF * (2 ** (attempt - 1))
                     if (deadline is not None
                             and deadline.expired(self.sim.now + backoff)):
                         # The next attempt could not even start in time.
@@ -297,7 +289,7 @@ class Browser:
         key = (connector.name, host, port, use_tls)
         origin = self._origins.get(key)
         if origin is None:
-            origin = _Origin(slots=Resource(self.sim, self.max_per_origin))
+            origin = _Origin(slots=Resource(self.sim, MAX_CONNECTIONS_PER_ORIGIN))
             self._origins[key] = origin
         return origin
 
@@ -306,7 +298,7 @@ class Browser:
                   deadline: t.Optional[Deadline] = None):
         while origin.idle:
             stream, idle_since = origin.idle.pop()
-            if stream.alive and self.sim.now - idle_since <= self.keepalive:
+            if stream.alive and self.sim.now - idle_since <= KEEPALIVE_SECONDS:
                 return stream
             stream.close()
         if deadline is not None and getattr(connector, "supports_deadline",

@@ -30,6 +30,9 @@ PER_BYTE_DEMAND = 2e-8
 ACCOUNT_RECORD_BODY = 60
 #: Path of the account-recording endpoint.
 ACCOUNT_RECORD_PATH = "/gen_204"
+#: Capacity of an origin's processor-sharing CPU: enough that origins
+#: are never the bottleneck.
+CPU_CAPACITY = 8.0
 
 
 class WebServer:
@@ -39,18 +42,16 @@ class WebServer:
         self,
         sim: Simulator,
         host: Host,
-        cpu_capacity: float = 8.0,
         https_only: bool = True,
     ) -> None:
         self.sim = sim
         self.host = host
-        self.cpu = ProcessorSharingServer(sim, capacity=cpu_capacity,
+        self.cpu = ProcessorSharingServer(sim, capacity=CPU_CAPACITY,
                                           name=f"{host.name}-cpu")
         self.https_only = https_only
         self._documents: t.Dict[t.Tuple[str, str], Page] = {}
         self._objects: t.Dict[t.Tuple[str, str], PageObject] = {}
         self._hostnames: t.Set[str] = set()
-        self.requests_served = 0
         self.accounts_recorded: t.List[t.Tuple[str, str]] = []
         transport = t.cast(TransportLayer, host.transport)
         transport.listen_tcp(80, self._accept_plain)
@@ -65,9 +66,6 @@ class WebServer:
             object_host = obj.host or page.host
             self._hostnames.add(object_host)
             self._objects[(object_host, obj.path)] = obj
-
-    def serves(self, hostname: str) -> bool:
-        return hostname in self._hostnames
 
     # -- connection handling --------------------------------------------------------
 
@@ -118,7 +116,6 @@ class WebServer:
         return self._respond(request)
 
     def _respond(self, request: HttpRequest) -> HttpResponse:
-        self.requests_served += 1
         if request.path == ACCOUNT_RECORD_PATH:
             self.accounts_recorded.append((request.host, request.path))
             return HttpResponse(status=204, path=request.path,

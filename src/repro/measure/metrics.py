@@ -222,8 +222,8 @@ class RegionHealth:
                    + HEALTH_WEIGHT_BREAKERS * self.breaker_open_fraction)
         return max(0.0, 1.0 - min(1.0, penalty))
 
-    def degraded(self, threshold: float = HEALTH_DEGRADED_BELOW) -> bool:
-        return self.score < threshold
+    def degraded(self) -> bool:
+        return self.score < HEALTH_DEGRADED_BELOW
 
     def __str__(self) -> str:
         return (f"{self.region}: score={self.score:.2f} "

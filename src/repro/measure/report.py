@@ -31,13 +31,3 @@ def format_table(headers: t.Sequence[str], rows: t.Iterable[Row],
     lines.append(render_row(["-" * w for w in widths]))
     lines.extend(render_row(row) for row in materialized)
     return "\n".join(lines)
-
-
-def paper_vs_measured(title: str, rows: t.Iterable[t.Tuple[str, str, str]]) -> str:
-    """Three-column comparison used by EXPERIMENTS.md and the benches."""
-    return format_table(("quantity", "paper", "measured"), rows, title=title)
-
-
-def banner(text: str) -> str:
-    bar = "#" * (len(text) + 4)
-    return f"{bar}\n# {text} #\n{bar}"

@@ -217,8 +217,7 @@ class TrafficResult:
     connections: int
 
 
-def run_traffic_experiment(method: str, seed: int = 0,
-                           background: bool = True) -> TrafficResult:
+def run_traffic_experiment(method: str, seed: int = 0) -> TrafficResult:
     """Client access-link bytes per measurement cycle (Figure 6a).
 
     Includes everything the method makes the client emit: tunnel
@@ -227,8 +226,7 @@ def run_traffic_experiment(method: str, seed: int = 0,
     """
     world = prepare(method, seed=seed)
     testbed, browser = world.testbed, world.browser
-    if background:
-        testbed.start_background_traffic()
+    testbed.start_background_traffic()
     if isinstance(world.method, NativeVpn):
         world.method.start_keepalives()
     # Settle into steady state, then measure one cycle containing a
@@ -242,7 +240,7 @@ def run_traffic_experiment(method: str, seed: int = 0,
     return TrafficResult(method, capture.bytes_total(), result.connections_opened)
 
 
-def run_direct_us_traffic(seed: int = 0, background: bool = True) -> TrafficResult:
+def run_direct_us_traffic(seed: int = 0) -> TrafficResult:
     """The dotted 19 KB line: a direct access with no GFW.
 
     Measured identically to the method cycles (same background noise,
@@ -250,8 +248,7 @@ def run_direct_us_traffic(seed: int = 0, background: bool = True) -> TrafficResu
     """
     testbed = Testbed(seed=seed, gfw_enabled=False)
     browser = testbed.browser()
-    if background:
-        testbed.start_background_traffic()
+    testbed.start_background_traffic()
     testbed.sim.run(until=testbed.sim.now + MEASUREMENT_INTERVAL)
     capture = testbed.capture_client_link()
     start = testbed.sim.now
@@ -278,26 +275,21 @@ class AvailabilityResult:
     dials_failed: int = 0
 
 
-def run_fault_experiment(method: str, attempts: int = 18,
-                         interval: float = 30.0, seed: int = 0,
-                         script: t.Optional[FaultSchedule] = None,
-                         remote_replicas: int = 1,
-                         retries: int = 1,
-                         read_timeout: float = 20.0) -> AvailabilityResult:
-    """Repeated page-load sessions while a fault script runs.
+def run_fault_experiment(method: str, attempts: int = 18, seed: int = 0,
+                         script: t.Optional[FaultSchedule] = None
+                         ) -> AvailabilityResult:
+    """Repeated page-load sessions, 30 s apart, while a fault script runs.
 
     Every method faces the same timeline (same seed → byte-identical
     faults); the browser is configured with one transport retry and a
-    response deadline so transient failures are absorbed rather than
-    stalled through, and the testbed carries ``remote_replicas``
-    standby remote VMs for methods that can use them (ScholarCloud's
-    failover pool).
+    20 s response deadline so transient failures are absorbed rather
+    than stalled through, and the testbed carries one standby remote
+    VM for methods that can use it (ScholarCloud's failover pool).
     """
-    world = prepare(method, seed=seed, remote_replicas=remote_replicas)
+    world = prepare(method, seed=seed, remote_replicas=1)
     testbed = world.testbed
     browser = Browser(testbed.sim, world.method.connector(),
-                      name=f"fault-{method}", retries=retries,
-                      read_timeout=read_timeout)
+                      name=f"fault-{method}", retries=1, read_timeout=20.0)
     if script is None:
         script = standard_fault_script(testbed.rng.stream("faults.schedule"))
     injector = script.install(testbed)
@@ -307,7 +299,7 @@ def run_fault_experiment(method: str, attempts: int = 18,
         for _ in range(attempts):
             result = yield sim.process(browser.load(testbed.scholar_page))
             samples.append((round(result.started_at, 6), result.succeeded))
-            yield sim.timeout(interval)
+            yield sim.timeout(30.0)
 
     testbed.run_process(driver(testbed.sim), name=f"faults:{method}")
     failovers = dials_failed = 0

@@ -8,7 +8,6 @@ respondent populations whose empirical distribution converges to them
 
 from __future__ import annotations
 
-import random
 import typing as t
 from dataclasses import dataclass
 
@@ -54,22 +53,18 @@ def expected_counts(total: int = TOTAL_RESPONDENTS) -> t.Dict[str, float]:
 
 
 def sample_population(total: int = TOTAL_RESPONDENTS,
-                      seed: int = 2015,
-                      rng: t.Optional[random.Random] = None) -> t.List[Respondent]:
+                      seed: int = 2015) -> t.List[Respondent]:
     """Draw a synthetic population matching the published marginals.
 
-    Sampling draws from the ``"survey.population"`` registry stream, so
-    regeneration is seed-stable with the rest of the testbed; pass
-    ``rng=testbed.rng.stream("survey.population")`` to tie a survey to a
-    running experiment, or a private ``random.Random`` in tests.
+    Sampling draws from a ``"survey.population"`` registry stream seeded
+    with ``seed``, so regeneration is seed-stable.
     """
     if total <= 0:
         raise MeasurementError("population must be positive")
-    if rng is None:
-        # Standalone Figure-3 harness: no Simulator (and hence no
-        # kernel-owned registry) exists here, so a private registry
-        # seeded from the explicit argument is the deterministic choice.
-        rng = RngRegistry(seed).stream("survey.population")  # reprolint: disable=rng-stream-registry
+    # Standalone Figure-3 harness: no Simulator (and hence no
+    # kernel-owned registry) exists here, so a private registry
+    # seeded from the explicit argument is the deterministic choice.
+    rng = RngRegistry(seed).stream("survey.population")  # reprolint: disable=rng-stream-registry
     population: t.List[Respondent] = []
     methods = list(METHOD_SHARES)
     weights = [METHOD_SHARES[m] for m in methods]

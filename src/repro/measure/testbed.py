@@ -225,11 +225,10 @@ class Testbed:
     def transport_of(self, host: Host) -> TransportLayer:
         return t.cast(TransportLayer, host.transport)
 
-    def direct_connector(self, host: t.Optional[Host] = None,
-                         resolver: t.Optional[StubResolver] = None) -> DirectConnector:
+    def direct_connector(self, host: t.Optional[Host] = None) -> DirectConnector:
         client = host or self.client
         return DirectConnector(self.sim, self.transport_of(client),
-                               resolver or self.resolver)
+                               self.resolver)
 
     def browser(self, connector=None, host: t.Optional[Host] = None) -> Browser:
         if connector is None:
@@ -247,9 +246,9 @@ class Testbed:
         """Run one process to completion and return its value."""
         return self.sim.run(until=self.sim.process(generator, name=name))
 
-    def start_background_traffic(self, interval: float = 2.0,
-                                 size: int = 120) -> None:
-        """A light domestic flow from the client (IM heartbeats etc.).
+    def start_background_traffic(self) -> None:
+        """A light domestic flow from the client (IM heartbeats etc.):
+        a 120-byte UDP datagram every 2 s.
 
         Native VPN's full-tunnel routing drags this traffic through the
         tunnel too — the paper's explanation for why it adds the most
@@ -260,8 +259,8 @@ class Testbed:
         def heartbeat(sim):
             while True:
                 transport.send_udp(DOMESTIC_SITE_ADDR, 5005,
-                                   payload="heartbeat", length=size)
-                yield sim.timeout(interval)
+                                   payload="heartbeat", length=120)
+                yield sim.timeout(2.0)
 
         self.transport_of(self.domestic_site).listen_udp(
             5005, lambda *args: None)

@@ -46,7 +46,6 @@ class SsLocal:
         self.keepalive = keepalive
         self._last_auth_activity: t.Optional[float] = None
         self.auth_rounds = 0
-        self.streams_opened = 0
 
     # -- session (TCP 1) -----------------------------------------------------------
 
@@ -119,7 +118,6 @@ class SsLocal:
         except BaseException:
             conn.close()  # failed relay open must not strand the dial
             raise
-        self.streams_opened += 1
         self.touch()
         return RelayedChannel(self.testbed.sim, conn, overhead=0,
                               features=data_features(), name="ss")

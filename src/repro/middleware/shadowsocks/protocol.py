@@ -54,8 +54,8 @@ def derive_iv(password: str, host: str, port: int) -> bytes:
     Real Shadowsocks draws a fresh ``os.urandom`` IV per connection;
     inside the deterministic testbed the IV only feeds the measured
     wire features, so a keyed digest keeps the ciphertext realistic
-    while keeping runs bit-for-bit reproducible.  Pass ``iv=`` to the
-    frame functions to model the real thing.
+    while keeping runs bit-for-bit reproducible.  Pass ``iv=`` to
+    :func:`first_frame` to model the real thing.
     """
     return hashlib.md5(f"{password}|{host}|{port}".encode()).digest()[:IV_LENGTH]
 
@@ -68,8 +68,7 @@ def first_frame(password: str, host: str, port: int,
     return iv + cipher.encrypt(address_block(host, port))
 
 
-def first_frame_features(password: str, host: str, port: int,
-                         iv: t.Optional[bytes] = None) -> WireFeatures:
+def first_frame_features(password: str, host: str, port: int) -> WireFeatures:
     """Wire features computed from genuine ciphertext.
 
     The length signature is the true first-frame length.  The entropy
@@ -78,7 +77,7 @@ def first_frame_features(password: str, host: str, port: int,
     cipher were swapped for something weaker, the measured entropy —
     and thus GFW detectability — would change with it.
     """
-    iv = iv if iv is not None else derive_iv(password, host, port)
+    iv = derive_iv(password, host, port)
     cipher = CfbCipher(derive_key(password), iv)
     header = cipher.encrypt(address_block(host, port))
     continuation = cipher.encrypt(

@@ -61,8 +61,6 @@ class SsServer:
         #: client address -> last authenticated-activity time
         self._sessions: t.Dict[str, float] = {}
         self.auths = 0
-        self.relays_opened = 0
-        self.garbage_connections = 0
         # Relay callables, shared by every stream.
         self._charge = cpu_charge(cpu, PER_BYTE_DEMAND)
         self._encode_client = forward_encoder(data_features())
@@ -122,7 +120,6 @@ class SsServer:
             if isinstance(first, tuple) and first[0] == "ss-connect":
                 if not (conn_authed and self.session_alive(client)):
                     # Unauthenticated relay attempt: hang, like garbage.
-                    self.garbage_connections += 1
                     while (yield conn.recv_message()) is not None:
                         pass
                     return
@@ -130,7 +127,6 @@ class SsServer:
                 return
             # Garbage (active probe, scanner): swallow and hang. Never
             # answer, never reset — the fingerprintable Shadowsocks tell.
-            self.garbage_connections += 1
             while (yield conn.recv_message()) is not None:
                 pass
             return
@@ -173,7 +169,6 @@ class SsServer:
         except (NameResolutionError, TransportError):
             conn.close()
             return
-        self.relays_opened += 1
         self._touch(client)
         try:
             conn.send_message(20, meta=("ss-ready",),

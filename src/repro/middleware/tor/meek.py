@@ -27,6 +27,8 @@ RESPONSE_OVERHEAD = 80
 #: Client poll cadence while idle.  meek's real poller backs off when
 #: idle but polls aggressively (~100 ms) while traffic is flowing.
 DEFAULT_POLL_INTERVAL = 0.08
+#: Longest the front holds a POST's response waiting for bridge data.
+MAX_HOLD = 0.35
 
 _session_ids = itertools.count(1)
 
@@ -35,13 +37,11 @@ class CdnFront:
     """The CDN edge: terminates client TLS, forwards bodies to bridges."""
 
     def __init__(self, sim: Simulator, host: Host, bridge_addr,
-                 front_domain: str, max_hold: float = 0.35) -> None:
+                 front_domain: str) -> None:
         self.sim = sim
         self.host = host
         self.bridge_addr = bridge_addr
         self.front_domain = front_domain
-        self.max_hold = max_hold
-        self.posts_served = 0
         # Key space = one long-lived session id per meek client; the
         # bridge leg survives the client's polling, so dropping state
         # between polls would sever the tunnel.
@@ -63,7 +63,6 @@ class CdnFront:
                 if not (isinstance(message, tuple) and message[0] == "meek-post"):
                     continue
                 _tag, session_id, batch = message
-                self.posts_served += 1
                 state = yield from self._session_state(session_id)
                 if state is None:
                     session.send(RESPONSE_OVERHEAD,
@@ -79,7 +78,7 @@ class CdnFront:
                 queued: Store = state["queue"]
                 if not len(queued):
                     yield self.sim.any_of(
-                        [queued.watch(), self.sim.timeout(self.max_hold)])
+                        [queued.watch(), self.sim.timeout(MAX_HOLD)])
                 downstream = []
                 total = 0
                 while len(queued):

@@ -51,7 +51,6 @@ class TorRelay:
         self.name = name or host.name
         self.resolver = resolver
         self._circuits: t.Dict[t.Tuple[int, int], _Circuit] = {}
-        self.cells_relayed = 0
         transport = t.cast(TransportLayer, host.transport)
         transport.listen_tcp(OR_PORT, self._accept)
 
@@ -93,7 +92,6 @@ class TorRelay:
                     yield from self._extend(circuit, payload)
                 elif command in (cells.BEGIN, cells.DATA, cells.END):
                     if circuit.downstream is not None:
-                        self.cells_relayed += 1
                         circuit.downstream.send_message(
                             cells.wire_bytes(_payload_length(payload)),
                             meta=message, features=relay_link_features())
@@ -151,7 +149,6 @@ class TorRelay:
             if not cells.is_cell(message):
                 continue
             payload = message[3]
-            self.cells_relayed += 1
             try:
                 circuit.upstream.send_message(
                     cells.wire_bytes(_payload_length(payload)),

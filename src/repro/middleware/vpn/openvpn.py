@@ -47,10 +47,8 @@ class OpenVpn(AccessMethod):
     display_name = "OpenVPN"
     requires_client_software = True
 
-    def __init__(self, testbed,
-                 routed_prefixes: t.Sequence[Prefix] = DEFAULT_ROUTED_PREFIXES) -> None:
+    def __init__(self, testbed) -> None:
         super().__init__(testbed)
-        self.routed_prefixes = list(routed_prefixes)
         self.server: t.Optional[VpnTunnelServer] = None
         self.client: t.Optional[VpnTunnelClient] = None
         self._resolver: t.Optional[StubResolver] = None
@@ -89,7 +87,7 @@ class OpenVpn(AccessMethod):
         self.server.attach_client(testbed.client.address)
         # Route DNS through the tunnel too (the pushed dhcp-option DNS).
         from ...measure.testbed import GOOGLE_DNS_ADDR
-        prefixes = self.routed_prefixes + [Prefix(f"{GOOGLE_DNS_ADDR}/32")]
+        prefixes = [*DEFAULT_ROUTED_PREFIXES, Prefix(f"{GOOGLE_DNS_ADDR}/32")]
         self.client = VpnTunnelClient(
             testbed.sim, testbed.client, server_host.address,
             "udp", OPENVPN_OVERHEAD, openvpn_features(),
@@ -129,7 +127,7 @@ class OpenVpn(AccessMethod):
             control.close()  # a failed handshake must not strand the dial
             raise
         self.server.attach_client(host.address)
-        prefixes = self.routed_prefixes + [Prefix(f"{GOOGLE_DNS_ADDR}/32")]
+        prefixes = [*DEFAULT_ROUTED_PREFIXES, Prefix(f"{GOOGLE_DNS_ADDR}/32")]
         VpnTunnelClient(
             testbed.sim, host, testbed.remote_vm.address,
             "udp", OPENVPN_OVERHEAD, openvpn_features(),
@@ -159,5 +157,5 @@ class OpenVpn(AccessMethod):
                 if message == ("openvpn", "push-request"):
                     session.send(
                         240, meta=("openvpn", "push-reply",
-                                   tuple(str(p) for p in self.routed_prefixes)))
+                                   tuple(str(p) for p in DEFAULT_ROUTED_PREFIXES)))
         sim.process(control_server(sim), name="openvpn-control")

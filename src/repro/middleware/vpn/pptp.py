@@ -50,13 +50,11 @@ class NativeVpn(AccessMethod):
     display_name = "Native VPN"
     requires_client_software = False  # built into the OS
 
-    def __init__(self, testbed, flavor: str = "pptp",
-                 keepalive_interval: float = KEEPALIVE_INTERVAL) -> None:
+    def __init__(self, testbed, flavor: str = "pptp") -> None:
         super().__init__(testbed)
         if flavor not in ("pptp", "l2tp"):
             raise TunnelError(f"unknown native VPN flavor: {flavor}")
         self.flavor = flavor
-        self.keepalive_interval = keepalive_interval
         self.overhead = PPTP_OVERHEAD if flavor == "pptp" else L2TP_OVERHEAD
         self.protocol = "gre" if flavor == "pptp" else "udp"
         self.features = pptp_features() if flavor == "pptp" else l2tp_features()
@@ -198,6 +196,6 @@ class NativeVpn(AccessMethod):
                 client_transport.send_udp(server_addr, 5999,
                                           payload=("lcp", "echo"),
                                           length=KEEPALIVE_SIZE, sport=5998)
-                yield sim.timeout(self.keepalive_interval)
+                yield sim.timeout(KEEPALIVE_INTERVAL)
         self.testbed.sim.process(keepalive(self.testbed.sim),
                                  name="lcp-keepalive")

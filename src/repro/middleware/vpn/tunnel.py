@@ -34,15 +34,10 @@ class VpnTunnelServer:
         self.nat = NatTable(host.address)
         #: client address -> active (so multiple clients can attach)
         self.clients: t.Set[str] = set()
-        self.packets_decapsulated = 0
-        self.packets_returned = 0
         host.inbound_hooks.append(self._hook)
 
     def attach_client(self, client_addr: IPv4Address) -> None:
         self.clients.add(str(client_addr))
-
-    def detach_client(self, client_addr: IPv4Address) -> None:
-        self.clients.discard(str(client_addr))
 
     def remove(self) -> None:
         if self._hook in self.host.inbound_hooks:
@@ -57,7 +52,6 @@ class VpnTunnelServer:
             translated = self.nat.outbound(inner)
             if translated is None:
                 return None
-            self.packets_decapsulated += 1
             self.host.send(translated)
             return None
         # Reply from the open Internet matching a NAT entry: wrap it
@@ -65,7 +59,6 @@ class VpnTunnelServer:
         if packet.dst == self.host.address and not packet.is_tunneled:
             restored = self.nat.inbound(packet)
             if restored is not None:
-                self.packets_returned += 1
                 wrapped = restored.encapsulate(
                     src=self.host.address, dst=restored.dst,
                     protocol=self.protocol, overhead=self.overhead,
@@ -89,7 +82,6 @@ class VpnTunnelClient:
         self.features = features
         self.selector = selector
         self.packets_tunneled = 0
-        self.bytes_overhead = 0
         host.outbound_hooks.append(self._outbound)
         host.inbound_hooks.append(self._inbound)
 
@@ -105,7 +97,6 @@ class VpnTunnelClient:
         if not self.selector(packet):
             return packet
         self.packets_tunneled += 1
-        self.bytes_overhead += self.overhead
         return packet.encapsulate(
             src=self.host.address, dst=self.server_addr,
             protocol=self.protocol, overhead=self.overhead,

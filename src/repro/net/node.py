@@ -12,7 +12,7 @@ import typing as t
 
 from ..errors import NetworkError, RoutingError
 from ..sim import Simulator, TraceLog
-from .addresses import IPv4Address, Prefix
+from .addresses import IPv4Address
 from .link import Link
 from .packet import Packet
 
@@ -33,14 +33,12 @@ class Node:
         self.addresses: t.List[IPv4Address] = []
         self._owned: t.Set[IPv4Address] = set()
         self.links: t.List[Link] = []
-        # Next-hop routing: exact destination -> link, prefix routes in
-        # longest-prefix-first order, and an optional default link.
+        # Next-hop routing: exact destination -> link, and an optional
+        # default link.
         self._host_routes: t.Dict[IPv4Address, Link] = {}
-        self._prefix_routes: t.List[t.Tuple[Prefix, Link]] = []
         self._default_route: t.Optional[Link] = None
         self.outbound_hooks: t.List[PacketHook] = []
         self.inbound_hooks: t.List[PacketHook] = []
-        self.packets_forwarded = 0
 
     # -- configuration --------------------------------------------------------
 
@@ -63,27 +61,18 @@ class Node:
     def add_host_route(self, destination: t.Union[str, IPv4Address], link: Link) -> None:
         self._host_routes[IPv4Address(destination)] = link
 
-    def add_prefix_route(self, prefix: t.Union[str, Prefix], link: Link) -> None:
-        pfx = prefix if isinstance(prefix, Prefix) else Prefix(prefix)
-        self._prefix_routes.append((pfx, link))
-        self._prefix_routes.sort(key=lambda entry: -entry[0].length)
-
     def set_default_route(self, link: Link) -> None:
         self._default_route = link
 
     def clear_routes(self) -> None:
         self._host_routes.clear()
-        self._prefix_routes.clear()
         self._default_route = None
 
     def route_for(self, destination: IPv4Address) -> Link:
-        """Longest-match route lookup; raises :class:`RoutingError`."""
+        """Host route, else the default route; raises :class:`RoutingError`."""
         link = self._host_routes.get(destination)
         if link is not None:
             return link
-        for prefix, prefix_link in self._prefix_routes:
-            if destination in prefix:
-                return prefix_link
         if self._default_route is not None:
             return self._default_route
         raise RoutingError(f"{self.name}: no route to {destination}")
@@ -126,7 +115,6 @@ class Node:
         """
         if packet.ttl <= 0:
             return  # silently drop expired packets
-        self.packets_forwarded += 1
         packet.ttl -= 1
         try:
             link = self.route_for(packet.dst)

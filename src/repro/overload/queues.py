@@ -68,8 +68,6 @@ class ConcurrencyLimiter:
         self._seq = 0
         self._waiters: t.List[_Waiter] = []
         #: Counters for degradation metrics.
-        self.admitted = 0
-        self.rejected = 0
         self.evicted = 0
         self.timed_out = 0
         self.deadline_drops = 0
@@ -95,18 +93,15 @@ class ConcurrencyLimiter:
         event = self.sim.event()
         if self._in_use < self.capacity:
             self._in_use += 1
-            self.admitted += 1
             self.queue_delays.append(0.0)
             event.succeed(0.0)
             return event
         if self.max_waiting <= 0:
-            self.rejected += 1
             event.fail(OverloadError(f"{self.name}: at capacity"))
             return event
         if len(self._waiters) >= self.max_waiting:
             victim = self._worst_waiter()
             if victim is None or victim.priority <= priority:
-                self.rejected += 1
                 event.fail(OverloadError(f"{self.name}: waiting room full"))
                 return event
             self._shed(victim, "evicted by higher-priority arrival")
@@ -132,7 +127,6 @@ class ConcurrencyLimiter:
                     f"{self.name}: deadline expired while queued"))
                 continue
             delay = self.sim.now - best.enqueued_at
-            self.admitted += 1
             self.queue_delays.append(delay)
             self._fire_waiter(best, delay)
             return

@@ -460,7 +460,7 @@ def main(argv: t.Optional[t.Sequence[str]] = None) -> int:
                         help="required fig7 parallel speedup over serial on "
                              "multi-core machines (0 disables the gate)")
     parser.add_argument("--mode", choices=list(MODES), default="packet",
-                        help="simulation mode axis: hybrid/fluid adds the "
+                        help="simulation mode axis: hybrid adds the "
                              "fluid-vs-packet fig7 bench and its tolerance "
                              "gate (default: packet)")
     parser.add_argument("--require-multicore", action="store_true",

@@ -22,8 +22,8 @@ The contract, enforced by ``tests/test_fluid_equivalence.py``:
   (:meth:`~repro.gfw.GreatFirewall.apply_policy`), an active-probe
   confirmation, fault injection on a link, a connection reset, an
   overload shed, or a deadline expiry drops affected connections back
-  to packet level; they re-qualify only after ``requalify_packets``
-  packet-mode segments.
+  to packet level; they re-qualify only after
+  :data:`REQUALIFY_PACKETS` packet-mode segments.
 
 Eligibility is deliberately conservative: anything the DPI pipeline
 still needs per-packet visibility for — plaintext (keyword filter),
@@ -51,7 +51,16 @@ if t.TYPE_CHECKING:  # pragma: no cover
 _HEADER = IP_HEADER + TCP_HEADER
 
 #: The supported simulation modes for the ``--mode`` axis.
-MODES = ("packet", "hybrid", "fluid")
+MODES = ("packet", "hybrid")
+
+#: A firewall-crossing flow must have shown this many packets to the
+#: GFW before it counts as classified-and-steady.
+MIN_FLOW_PACKETS = 12
+#: Packet-mode segments a de-fluidized connection must send before it
+#: may re-qualify.
+REQUALIFY_PACKETS = 4
+#: Route-walk guard.
+MAX_HOPS = 16
 
 #: Declared tolerance bands for hybrid-vs-packet aggregate metrics,
 #: as relative error (or absolute, where noted).  These are the bands
@@ -72,14 +81,6 @@ class FluidConfig:
     #: messages stay on the packet path (they are cheap there and the
     #: DPI classifiers key on them).
     min_message_bytes: int = 2 * MSS
-    #: A firewall-crossing flow must have shown this many packets to
-    #: the GFW before it counts as classified-and-steady.
-    min_flow_packets: int = 12
-    #: Packet-mode segments a de-fluidized connection must send before
-    #: it may re-qualify.
-    requalify_packets: int = 4
-    #: Route-walk guard.
-    max_hops: int = 16
 
 
 def aggregate_overload(results: t.Sequence[t.Any],
@@ -107,19 +108,16 @@ def aggregate_overload(results: t.Sequence[t.Any],
 
 
 def band_failures(reference: t.Mapping[str, float],
-                  candidate: t.Mapping[str, float],
-                  bands: t.Optional[t.Mapping[str, float]] = None,
-                  ) -> t.List[str]:
-    """Tolerance check: candidate aggregates vs the packet reference.
+                  candidate: t.Mapping[str, float]) -> t.List[str]:
+    """Tolerance check: candidate aggregates vs the packet reference,
+    within :data:`TOLERANCE_BANDS`.
 
     ``goodput`` and ``plt`` are held to *relative* error, ``shed_rate``
     and ``availability`` (already fractions) to *absolute* error.
     Returns human-readable failure strings; empty means in-band.
     """
-    if bands is None:
-        bands = TOLERANCE_BANDS
     failures = []
-    for metric, band in bands.items():
+    for metric, band in TOLERANCE_BANDS.items():
         ref = reference[metric]
         new = candidate[metric]
         if metric in ("goodput", "plt"):
@@ -142,12 +140,6 @@ def fluid_config_for_mode(mode: str) -> t.Optional[FluidConfig]:
         return None
     if mode == "hybrid":
         return FluidConfig()
-    if mode == "fluid":
-        # Aggressive: fluidize anything larger than one segment after a
-        # short warm-up.  Trades fidelity for speed; hybrid is the
-        # tolerance-gated default.
-        return FluidConfig(min_message_bytes=MSS + 1, min_flow_packets=4,
-                           requalify_packets=2)
     raise ValueError(f"unknown simulation mode {mode!r}; pick one of {MODES}")
 
 
@@ -213,7 +205,7 @@ class FluidRegistry:
 
     def defluidize(self, conn: TcpConnection, reason: str) -> None:
         """Force ``conn`` back to packet level until it re-qualifies."""
-        conn._fluid_block = conn.packets_sent + self.config.requalify_packets
+        conn._fluid_block = conn.packets_sent + REQUALIFY_PACKETS
         conn._fluid_path = None
         conn._fluid_peer = None
         self._count(self.stats.defluidized, reason)
@@ -320,7 +312,7 @@ class FluidRegistry:
         if not gfw.config.dpi:
             return True
         state = gfw.flows.get(conn.flow)
-        if state is None or state.packets < self.config.min_flow_packets:
+        if state is None or state.packets < MIN_FLOW_PACKETS:
             return False
         if state.label is None and -1.0 in state.recent_times:
             # Meek candidate: the polling-cadence detector needs
@@ -362,7 +354,7 @@ class FluidRegistry:
         if node.outbound_hooks:
             return None
         hops: t.List[PathHop] = []
-        for _ in range(self.config.max_hops):
+        for _ in range(MAX_HOPS):
             if node.owns(dst):
                 break
             try:

@@ -68,24 +68,22 @@ def default_workers() -> int:
 def run_points(
     points: t.Sequence[SweepPoint],
     workers: t.Optional[int] = None,
-    parallel: bool = True,
 ) -> t.List[t.Any]:
     """Execute every point; return results in point order.
 
-    With ``parallel=True`` and more than one worker available, points
-    fan out across a process pool (fork start method where the platform
-    offers it) and results are merged back by point index — a
-    deterministic, seed-keyed ordered merge.  Any worker exception
-    propagates to the caller.  With one worker, one point, or
-    ``parallel=False`` this degrades to :func:`serial_map`, so callers
-    never need two code paths.
+    With more than one worker available, points fan out across a
+    process pool (fork start method where the platform offers it) and
+    results are merged back by point index — a deterministic,
+    seed-keyed ordered merge.  Any worker exception propagates to the
+    caller.  With one worker or one point this degrades to
+    :func:`serial_map`, so callers never need two code paths.
     """
     labels = [point.label for point in points]
     if len(set(labels)) != len(labels):
         raise MeasurementError("sweep points must have unique labels")
     count = default_workers() if workers is None else max(1, int(workers))
     count = min(count, len(points))
-    if not parallel or count <= 1 or len(points) <= 1:
+    if count <= 1 or len(points) <= 1:
         return serial_map(points)
 
     # The runner is host-side orchestration: every worker runs a whole,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import typing as t
 from dataclasses import dataclass, field
 
-from ..sim import RngRegistry, Simulator
+from ..sim import Simulator
 from ..units import DAY
 from .icp import APPROVED, IcpRegistry
 
@@ -61,10 +61,6 @@ class MIIT:
         #: Current legislation flags; the VPN rule changed in 2015/2017.
         self.registered_vpn_legal = True
 
-    def database(self):
-        """The public miitbeian.gov.cn lookup."""
-        return self.registry.all_registrations()
-
 
 class TCA:
     """City-level Telecommunication Administration: intake window."""
@@ -81,11 +77,10 @@ class SecurityMinistry:
     """MPS/MSS: investigations and legal shutdowns."""
 
     def __init__(self, sim: Simulator, registry: IcpRegistry,
-                 rng: t.Optional[RngRegistry] = None,
                  investigation_days: float = 45.0) -> None:
         self.sim = sim
         self.registry = registry
-        self.rng = (rng if rng is not None else sim.rng).stream("mps")
+        self.rng = sim.rng.stream("mps")
         self.investigation_days = investigation_days
         self.services: t.List[ServiceListing] = []
         self.investigations: t.List[Investigation] = []
@@ -130,15 +125,14 @@ class SecurityMinistry:
 class RegulatoryEnvironment:
     """The four agencies wired together over one registry."""
 
-    def __init__(self, sim: Simulator, rng: t.Optional[RngRegistry] = None,
-                 review_days: float = 30.0,
+    def __init__(self, sim: Simulator, review_days: float = 30.0,
                  investigation_days: float = 45.0) -> None:
         self.sim = sim
         self.registry = IcpRegistry(sim, review_days=review_days)
         self.miit = MIIT(self.registry)
         self.tca = TCA(self.registry)
-        self.security = SecurityMinistry(sim, self.registry, rng=rng,
-                                         investigation_days=investigation_days)
+        self.security = SecurityMinistry(
+            sim, self.registry, investigation_days=investigation_days)
 
     def legalize(self, **registration_kwargs) -> str:
         """File and (after the review delay elapses) hold a valid ICP."""

@@ -132,6 +132,3 @@ class IcpRegistry:
         registration = self.lookup(number)
         registration.status = REVOKED
         registration.record(self.sim.now, f"revoked: {reason}")
-
-    def all_registrations(self) -> t.List[IcpRegistration]:
-        return list(self._by_number.values())

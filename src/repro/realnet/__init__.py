@@ -1,6 +1,6 @@
 """Live loopback deployment: real sockets, real crypto, 127.0.0.1 only."""
 
-from .framing import FramedStream, MAX_FRAME, pump
+from .framing import FramedStream, MAX_FRAME
 from .scholar_origin import ScholarOrigin
 from .shadowsocks_live import SsLiveLocal, SsLiveServer, socks5_fetch
 from .split_proxy import DomesticProxyServer, RemoteProxyServer, fetch_via_proxy
@@ -14,6 +14,5 @@ __all__ = [
     "SsLiveLocal",
     "SsLiveServer",
     "fetch_via_proxy",
-    "pump",
     "socks5_fetch",
 ]

@@ -97,13 +97,3 @@ class FramedStream:
 
     def close(self) -> None:
         self.writer.close()
-
-
-async def pump(source: FramedStream, sink: FramedStream) -> None:
-    """Forward frames until EOF, then close the sink."""
-    while True:
-        frame = await source.recv()
-        if frame is None:
-            sink.close()
-            return
-        await sink.send(frame)

@@ -46,7 +46,6 @@ class ScholarOrigin:
         self.host = host
         self.port = port
         self._server: t.Optional[asyncio.base_events.Server] = None
-        self.requests_served = 0
 
     async def start(self) -> "ScholarOrigin":
         self._server = await asyncio.start_server(
@@ -69,7 +68,6 @@ class ScholarOrigin:
                     break
             parts = request_line.split()
             path = parts[1].decode() if len(parts) >= 2 else "/"
-            self.requests_served += 1
             if path.startswith("/scholar"):
                 _, _, query = path.partition("q=")
                 body = RESULT_TEMPLATE.format(query=query or "everything").encode()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import asyncio
 import typing as t
 
-from ..core.blinding import BlindingCodec, default_codec
+from ..core.blinding import default_codec
 from ..core.whitelist import Whitelist
 from ..crypto import hkdf_like
 from ..errors import MiddlewareError
@@ -28,10 +28,9 @@ def tunnel_key(secret: bytes = b"scholarcloud-tunnel") -> bytes:
 class RemoteProxyServer:
     """Outside-the-wall end: deblinds requests, fetches, blinds replies."""
 
-    def __init__(self, codec: t.Optional[BlindingCodec] = None,
-                 host: str = "127.0.0.1", port: int = 0,
+    def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  cipher_key: t.Optional[bytes] = None) -> None:
-        self.codec = codec or default_codec()
+        self.codec = default_codec()
         self.cipher_key = cipher_key or tunnel_key()
         self.host = host
         self.port = port
@@ -89,7 +88,6 @@ class DomesticProxyServer:
 
     def __init__(self, whitelist: Whitelist, remote_host: str,
                  remote_port: int,
-                 codec: t.Optional[BlindingCodec] = None,
                  host: str = "127.0.0.1", port: int = 0,
                  resolve: t.Optional[t.Callable[[str], t.Tuple[str, int]]] = None,
                  cipher_key: t.Optional[bytes] = None) -> None:
@@ -101,14 +99,13 @@ class DomesticProxyServer:
         self.whitelist = whitelist
         self.remote_host = remote_host
         self.remote_port = remote_port
-        self.codec = codec or default_codec()
+        self.codec = default_codec()
         self.cipher_key = cipher_key or tunnel_key()
         self.host = host
         self.port = port
         self.resolve = resolve or (lambda name: (name, 80))
         self._server: t.Optional[asyncio.base_events.Server] = None
         self.refused = 0
-        self.relayed = 0
 
     async def start(self) -> "DomesticProxyServer":
         self._server = await asyncio.start_server(
@@ -154,7 +151,6 @@ class DomesticProxyServer:
         if response is None:
             writer.write(b"HTTP/1.1 502 Bad Gateway\r\n\r\n")
         else:
-            self.relayed += 1
             writer.write(response)
         await writer.drain()
         writer.close()

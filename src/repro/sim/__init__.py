@@ -15,17 +15,15 @@ Public surface::
 
 from .events import AllOf, AnyOf, Event, FlowEvent, Timeout
 from .kernel import Process, Simulator
-from .monitor import Counter, Gauge, TraceLog, TraceRecord
+from .monitor import TraceLog, TraceRecord
 from .resources import ProcessorSharingServer, Resource, Store
 from .rng import RngRegistry
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Counter",
     "Event",
     "FlowEvent",
-    "Gauge",
     "Process",
     "ProcessorSharingServer",
     "Resource",

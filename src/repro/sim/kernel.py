@@ -114,17 +114,15 @@ class Simulator:
     The simulator owns the experiment's :class:`RngRegistry`: every
     stochastic component defaults to a named stream from ``sim.rng``
     (``"link.loss"``, ``"gfw.interference"``, ...), so one ``seed``
-    fixes the entire trace.  Components still accept an injected
-    ``rng=`` for tests that want a private stream.
+    fixes the entire trace.
     """
 
-    def __init__(self, seed: int = 0,
-                 rng: t.Optional[RngRegistry] = None) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._now = 0.0
         self._queue: t.List[t.Tuple[float, int, int, Event]] = []
         self._seq = 0
         self._running = False
-        self.rng = rng if rng is not None else RngRegistry(seed)
+        self.rng = RngRegistry(seed)
         #: Optional fluid-flow registry (see :mod:`repro.perf.fluid`).
         #: ``None`` means pure packet mode; components must treat that
         #: as "no fast path" so packet-mode traces are bit-unchanged.

@@ -1,15 +1,14 @@
-"""Trace recording and time-series probes.
+"""Trace recording.
 
 :class:`TraceLog` collects timestamped structured records during a
 simulation run; the measurement harness and the Figure 4 session-trace
-bench both read from it.  :class:`Counter` and :class:`Gauge` are tiny
-metric helpers for components that only need aggregates.
+bench both read from it.
 """
 
 from __future__ import annotations
 
 import typing as t
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .kernel import Simulator
 
@@ -59,31 +58,3 @@ class TraceLog:
     def clear(self) -> None:
         """Drop all records (subscribers are kept)."""
         self.records.clear()
-
-
-@dataclass
-class Counter:
-    """Monotonic counter."""
-
-    name: str
-    value: float = 0.0
-
-    def add(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-
-@dataclass
-class Gauge:
-    """Last-value gauge with min/max tracking."""
-
-    name: str
-    value: float = 0.0
-    minimum: float = field(default=float("inf"))
-    maximum: float = field(default=float("-inf"))
-    samples: int = 0
-
-    def set(self, value: float) -> None:
-        self.value = value
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-        self.samples += 1

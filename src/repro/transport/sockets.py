@@ -69,9 +69,6 @@ class TransportLayer:
             raise TransportError(f"{self.host.name}: port {port} already bound")
         self._tcp_listeners[port] = acceptor
 
-    def close_tcp_listener(self, port: int) -> None:
-        self._tcp_listeners.pop(port, None)
-
     def connect_tcp(
         self,
         remote_addr: t.Union[str, IPv4Address],

@@ -53,18 +53,14 @@ class TlsSession:
         self.conn = conn
         self.sni = sni
         self.established = False
-        self.resumed = False
-        self.handshake_bytes = 0
 
     # -- handshakes (generator processes) ------------------------------------------
 
     def client_handshake(self, resumed: bool = False):
         """Run the client side; yields inside a simulation process."""
-        self.resumed = resumed
         self.conn.send_message(
             CLIENT_HELLO, meta=("tls", "client-hello", self.sni, resumed),
             features=handshake_features(self.sni))
-        self.handshake_bytes += CLIENT_HELLO
         reply = yield self.conn.recv_message()
         if not (isinstance(reply, tuple) and reply[0] == "tls"):
             raise TransportError(f"unexpected TLS handshake reply: {reply!r}")
@@ -74,13 +70,11 @@ class TlsSession:
             self.conn.send_message(
                 CLIENT_KEY_EXCHANGE_FINISHED, meta=("tls", "client-finished"),
                 features=WireFeatures(protocol_tag="tls", handshake=True, entropy=7.0))
-            self.handshake_bytes += CLIENT_KEY_EXCHANGE_FINISHED
             self.established = True
             return self
         self.conn.send_message(
             CLIENT_KEY_EXCHANGE_FINISHED, meta=("tls", "client-finished"),
             features=WireFeatures(protocol_tag="tls", handshake=True, entropy=7.0))
-        self.handshake_bytes += CLIENT_KEY_EXCHANGE_FINISHED
         finished = yield self.conn.recv_message()
         if not (isinstance(finished, tuple) and finished[:2] == ("tls", "server-finished")):
             raise TransportError(f"unexpected TLS finished message: {finished!r}")
@@ -93,14 +87,11 @@ class TlsSession:
         if not (isinstance(hello, tuple) and hello[:2] == ("tls", "client-hello")):
             raise TransportError(f"expected ClientHello, got {hello!r}")
         self.sni = hello[2]
-        resumed = bool(hello[3])
-        self.resumed = resumed
-        if resumed:
+        if hello[3]:
             self.conn.send_message(
                 ABBREVIATED_SERVER_HELLO,
                 meta=("tls", "server-hello-abbreviated"),
                 features=WireFeatures(protocol_tag="tls", handshake=True, entropy=6.0))
-            self.handshake_bytes += ABBREVIATED_SERVER_HELLO
             finished = yield self.conn.recv_message()
             if not (isinstance(finished, tuple) and finished[1] == "client-finished"):
                 raise TransportError(f"expected Finished, got {finished!r}")
@@ -109,14 +100,12 @@ class TlsSession:
         self.conn.send_message(
             SERVER_HELLO_WITH_CERT, meta=("tls", "server-hello"),
             features=WireFeatures(protocol_tag="tls", handshake=True, entropy=6.0))
-        self.handshake_bytes += SERVER_HELLO_WITH_CERT
         finished = yield self.conn.recv_message()
         if not (isinstance(finished, tuple) and finished[1] == "client-finished"):
             raise TransportError(f"expected Finished, got {finished!r}")
         self.conn.send_message(
             SERVER_FINISHED, meta=("tls", "server-finished"),
             features=WireFeatures(protocol_tag="tls", handshake=True, entropy=7.0))
-        self.handshake_bytes += SERVER_FINISHED
         self.established = True
         return self
 

@@ -66,18 +66,3 @@ def MiB(value: float) -> int:
 def Mbps(value: float) -> float:
     """Convert megabits per second to bytes per second."""
     return value * 1e6 / 8.0
-
-
-def Kbps(value: float) -> float:
-    """Convert kilobits per second to bytes per second."""
-    return value * 1e3 / 8.0
-
-
-def to_ms(seconds: float) -> float:
-    """Convert seconds to milliseconds (for reporting)."""
-    return seconds / MILLISECOND
-
-
-def to_KB(num_bytes: float) -> float:
-    """Convert bytes to kilobytes (for reporting)."""
-    return num_bytes / KILOBYTE

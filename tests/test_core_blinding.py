@@ -7,7 +7,6 @@ from repro.core import (
     AffineCodec,
     BlindingAgility,
     ByteMapCodec,
-    ChainedCodec,
     PaddedCodec,
     default_codec,
 )
@@ -64,20 +63,7 @@ def test_affine_positional_term_breaks_repetition():
     assert len(set(encoded)) > 16
 
 
-# -- chained & padded ------------------------------------------------------------------
-
-@given(BYTES)
-@settings(max_examples=50)
-def test_chained_roundtrip(data):
-    codec = ChainedCodec([ByteMapCodec(b"a"), AffineCodec(5, 9),
-                          ByteMapCodec(b"b")])
-    assert codec.decode(codec.encode(data)) == data
-
-
-def test_chained_requires_stages():
-    with pytest.raises(BlindingError):
-        ChainedCodec([])
-
+# -- padded ------------------------------------------------------------------
 
 @given(BYTES)
 @settings(max_examples=50)

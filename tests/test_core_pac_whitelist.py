@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import PacFile, Whitelist, parse_pac_decision, scholar_whitelist
+from repro.core import PacFile, Whitelist, scholar_whitelist
 from repro.errors import ConfigurationError, PolicyError
 
 
@@ -78,12 +78,3 @@ def test_pac_validation():
         PacFile(scholar_whitelist(), "", 8080)
     with pytest.raises(ConfigurationError):
         PacFile(scholar_whitelist(), "p", 0)
-
-
-def test_parse_pac_decision():
-    assert parse_pac_decision("DIRECT") is None
-    assert parse_pac_decision("PROXY 1.2.3.4:8080") == ("1.2.3.4", 8080)
-    with pytest.raises(ConfigurationError):
-        parse_pac_decision("SOCKS 1.2.3.4:1080")
-    with pytest.raises(ConfigurationError):
-        parse_pac_decision("PROXY nonsense")

@@ -6,13 +6,9 @@ from repro.crypto import (
     AES,
     CfbCipher,
     CtrCipher,
-    RC4,
-    cbc_decrypt,
-    cbc_encrypt,
     evp_bytes_to_key,
     hkdf_like,
     hmac_sha256,
-    looks_like_ciphertext,
     shannon_entropy,
 )
 from repro.errors import CryptoError
@@ -113,44 +109,6 @@ def test_ctr_symmetric():
         CtrCipher(key, nonce).encrypt(message)) == message
 
 
-# -- CBC ------------------------------------------------------------------------
-
-def test_cbc_roundtrip_and_padding():
-    key, iv = b"c" * 16, b"v" * 16
-    for length in (0, 1, 15, 16, 17, 100):
-        message = bytes(range(256))[:length]
-        ct = cbc_encrypt(key, iv, message)
-        assert len(ct) % 16 == 0
-        assert cbc_decrypt(key, iv, ct) == message
-
-
-def test_cbc_tampered_padding_rejected():
-    key, iv = b"c" * 16, b"v" * 16
-    ct = bytearray(cbc_encrypt(key, iv, b"hello world"))
-    ct[-1] ^= 0xFF
-    with pytest.raises(CryptoError):
-        cbc_decrypt(key, iv, bytes(ct))
-
-
-# -- RC4 (RFC 6229 vector) ---------------------------------------------------------
-
-def test_rc4_known_answer_vectors():
-    assert RC4(b"Key").encrypt(b"Plaintext").hex() == "bbf316e8d940af0ad3"
-    assert RC4(b"Wiki").encrypt(b"pedia").hex() == "1021bf0420"
-    assert RC4(b"Secret").encrypt(b"Attack at dawn").hex() == (
-        "45a01f645fc35b383552544b9bf5")
-
-
-def test_rc4_symmetric():
-    message = b"legacy cipher, kept for the ablation bench"
-    assert RC4(b"key").decrypt(RC4(b"key").encrypt(message)) == message
-
-
-def test_rc4_key_length_validation():
-    with pytest.raises(CryptoError):
-        RC4(b"")
-
-
 # -- KDF -----------------------------------------------------------------------------
 
 def test_evp_bytes_to_key_known_answer():
@@ -185,11 +143,3 @@ def test_entropy_bounds():
     assert shannon_entropy(b"") == 0.0
     assert shannon_entropy(b"aaaa") == 0.0
     assert shannon_entropy(bytes(range(256))) == pytest.approx(8.0)
-
-
-def test_ciphertext_detector():
-    key, iv = b"k" * 32, b"i" * 16
-    ciphertext = CfbCipher(key, iv).encrypt(b"A" * 1024)
-    assert looks_like_ciphertext(ciphertext)
-    assert not looks_like_ciphertext(b"A" * 1024)
-    assert not looks_like_ciphertext(ciphertext[:16])  # too short to judge

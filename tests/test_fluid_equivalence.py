@@ -69,13 +69,12 @@ def _signature(results):
 
 
 def test_mode_axis():
-    assert MODES == ("packet", "hybrid", "fluid")
+    assert MODES == ("packet", "hybrid")
     assert fluid_config_for_mode("packet") is None
     assert isinstance(fluid_config_for_mode("hybrid"), FluidConfig)
-    aggressive = fluid_config_for_mode("fluid")
-    assert aggressive.min_message_bytes < FluidConfig().min_message_bytes
-    with pytest.raises(ValueError):
-        fluid_config_for_mode("warp")
+    for unknown in ("fluid", "warp"):
+        with pytest.raises(ValueError):
+            fluid_config_for_mode(unknown)
 
 
 def test_packet_mode_installs_no_registry():

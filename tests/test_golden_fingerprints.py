@@ -11,22 +11,22 @@ direct timer callbacks, address-keyed demux, stub default routes),
 proxy's serving paths were merged into one, and ``query-bursts``,
 ``overload-pdf`` and ``scalability-shadowsocks`` before the Figure 7,
 overload, repeated-query and fleet-region client loops were folded into
-one load driver, and ``other-methods`` before the options, counters and
-functions no caller used were deleted; any change that alters a single simulated event, drop
-or timing changes a digest.
+one load driver, and ``other-methods`` before the options, counters
+and functions no caller used were deleted; any change that alters a
+single simulated event, drop or timing changes a digest.
 
 ``packet_id`` is left out everywhere: it comes from a process-global
 counter, so it already differs between two same-seed runs in one
 process, and no result depends on it.
 
 The scenarios reach the code the benchmark workloads never do: VPN
-tunnels and NAT, Tor, a fault script (brownout, proxy crash, policy
+tunnels and NAT, Tor, the survey's other methods (a public web proxy
+and a hosts-file pin), a fault script (brownout, proxy crash, policy
 escalation, IP-block burst, DNS-poison burst), the firewall's DNS and
 RST injection, keyword penalties, active probing, ICMP and UDP, the
 fluid fast path, the edge cache with admission control, the edge
-cache handing a non-HTTP stream to the relay, a fleet region whose
-session router fails sessions over from a blacked-out PoP, and the
-survey's other methods (a public web proxy and a hosts-file pin).  The last
+cache handing a non-HTTP stream to the relay, and a fleet region whose
+session router fails sessions over from a blacked-out PoP.  The last
 four digest the harness's returned result, every field included.
 """
 

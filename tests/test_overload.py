@@ -226,6 +226,8 @@ class TestAdmissionController:
         admission.record_expired("alice", PRIORITY_INTERACTIVE)
         assert admission.deadline_drops == 1
         assert admission.shed == 0
+        # Logged, but never offered: offered = admitted + shed holds.
+        assert admission.offered == 0
         assert admission.decisions[-1][2] == "expired"
 
 
@@ -447,6 +449,8 @@ def test_admission_counters_balance_the_decision_log(name):
     outcomes = Counter(decision[2] for decision in result.decisions)
     assert report.shed > 0
     assert report.offered == report.admitted + report.shed
+    # Expired requests are logged without being offered.
+    assert len(result.decisions) == report.offered + report.deadline_drops
     assert outcomes["admit"] + outcomes["admit-sticky"] == report.admitted
     assert outcomes["shed"] == report.shed
     # One queue delay per slot grant; sticky admissions take no slot.

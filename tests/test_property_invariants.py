@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache import CacheConfig, ResponseCache
 from repro.core.blinding import BlindingAgility
-from repro.crypto import AES, CfbCipher, CtrCipher, RC4, shannon_entropy
+from repro.crypto import AES, CfbCipher, CtrCipher, shannon_entropy
 from repro.faults import Endpoint
 from repro.fleet import SessionRouter
 from repro.gfw.flow_table import canonical_flow
@@ -37,12 +37,6 @@ def test_cfb_roundtrip_any_length(data, key, iv):
 def test_ctr_is_an_involution(data, key, nonce):
     once = CtrCipher(key, nonce).process(data)
     assert CtrCipher(key, nonce).process(once) == data
-
-
-@given(st.binary(max_size=512), st.binary(min_size=1, max_size=64))
-@settings(max_examples=30)
-def test_rc4_roundtrip(data, key):
-    assert RC4(key).process(RC4(key).process(data)) == data
 
 
 @given(st.binary(min_size=1, max_size=4096))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import units
-from repro.sim import Counter, Gauge, RngRegistry, Simulator, TraceLog
+from repro.sim import RngRegistry, Simulator, TraceLog
 
 
 # -- RNG registry ---------------------------------------------------------------
@@ -78,19 +78,6 @@ def test_trace_clear_keeps_subscribers():
     assert len(seen) == 2
 
 
-def test_counter_and_gauge():
-    counter = Counter("packets")
-    counter.add()
-    counter.add(2)
-    assert counter.value == 3
-    gauge = Gauge("queue")
-    for value in (3.0, 1.0, 7.0):
-        gauge.set(value)
-    assert gauge.value == 7.0
-    assert gauge.minimum == 1.0 and gauge.maximum == 7.0
-    assert gauge.samples == 3
-
-
 # -- units ------------------------------------------------------------------------------
 
 def test_time_units():
@@ -98,16 +85,13 @@ def test_time_units():
     assert units.us(250) == pytest.approx(0.00025)
     assert units.minutes(2) == 120
     assert units.hours(1) == 3600
-    assert units.to_ms(0.33) == pytest.approx(330)
 
 
 def test_size_units():
     assert units.KB(19) == 19_000
     assert units.MB(1.5) == 1_500_000
     assert units.MiB(2) == 2 * 1024 * 1024
-    assert units.to_KB(52_024) == pytest.approx(52.024)
 
 
 def test_bandwidth_units():
     assert units.Mbps(100) == pytest.approx(12_500_000)  # bytes/second
-    assert units.Kbps(8) == pytest.approx(1000)
