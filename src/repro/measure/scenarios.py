@@ -328,9 +328,8 @@ def run_scalability_point(method: str, clients: int, cycles: int = 3,
     """Mean PLT with ``clients`` concurrent browsers (one Figure 7 point).
 
     The PLT summary of :func:`run_overload_point` with every knob off.
-    ``mode`` selects the simulation mode (``packet``/``hybrid``/
-    ``fluid``, see :mod:`repro.perf.fluid`); ``packet`` is the
-    byte-identical default.
+    ``mode`` selects the simulation mode (``packet`` or ``hybrid``, see
+    :mod:`repro.perf.fluid`); ``packet`` is the byte-identical default.
     """
     plt = run_overload_point(method, clients=clients, cycles=cycles,
                              seed=seed, mode=mode).plt

@@ -18,6 +18,7 @@ ciphertext* produced by the pure-Python AES-CFB, not hand-declared.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import typing as t
 
@@ -68,6 +69,7 @@ def first_frame(password: str, host: str, port: int,
     return iv + cipher.encrypt(address_block(host, port))
 
 
+@functools.lru_cache(maxsize=256)
 def first_frame_features(password: str, host: str, port: int) -> WireFeatures:
     """Wire features computed from genuine ciphertext.
 
@@ -76,6 +78,10 @@ def first_frame_features(password: str, host: str, port: int) -> WireFeatures:
     (a DPI box judges the stream, not just one short packet); if the
     cipher were swapped for something weaker, the measured entropy —
     and thus GFW detectability — would change with it.
+
+    The result depends only on the three arguments and is frozen, so
+    it is memoized: the pure-Python AES runs once per (password, host,
+    port), not once per relay stream.
     """
     iv = derive_iv(password, host, port)
     cipher = CfbCipher(derive_key(password), iv)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from ..errors import NetworkError
 from ..sim import Simulator, TraceLog
+from ..sim.events import Call
 from .middlebox import Middlebox, Verdict
 from .packet import Packet
 
@@ -135,13 +136,20 @@ class Link:
     # -- data path -----------------------------------------------------------
 
     def transmit(self, packet: Packet, sender: "Node") -> None:
-        """Send ``packet`` from ``sender`` toward the other endpoint."""
+        """Send ``packet`` from ``sender`` toward the other endpoint.
+
+        A delivered packet is serialized FIFO behind the direction's
+        earlier packets, then propagates for ``latency``; it arrives as
+        one queued ``receiver.receive`` call.
+        """
         end = self._ends.get(sender)
         if end is None:
             raise NetworkError(f"{sender.name} is not attached to {self.name}")
         receiver, direction = end
-        self.bytes_sent[sender.name] += packet.size
-        self.packets_sent[sender.name] += 1
+        name = sender.name
+        size = packet.size
+        self.bytes_sent[name] += size
+        self.packets_sent[name] += 1
 
         if not self.up:
             self._record_drop(packet, direction, reason="link-down")
@@ -157,7 +165,18 @@ class Link:
             self._record_drop(packet, direction, reason="path-loss")
             return
 
-        self._deliver(packet, sender, receiver)
+        sim = self.sim
+        now = sim._now
+        serialization = size / self.bandwidth
+        busy_until = self._busy_until
+        start = busy_until[name]
+        if start < now:
+            start = now
+        busy_until[name] = start + serialization
+        arrival_delay = (start - now) + serialization + self.latency
+        # ``now + arrival_delay`` is the float ``Simulator.schedule``
+        # would compute; the arrival is never in the past.
+        Call(sim, now + arrival_delay, receiver.receive, (packet, self))
 
     def inject(self, packet: Packet, toward: "Node") -> None:
         """Middlebox API: deliver a forged packet toward ``toward``.

@@ -31,11 +31,14 @@ class Node:
         self.name = name
         self.trace = trace
         self.addresses: t.List[IPv4Address] = []
-        self._owned: t.Set[IPv4Address] = set()
+        # Both tables key on the address's integer value, so a hop's
+        # lookups hash an int in C rather than call
+        # ``IPv4Address.__hash__``.
+        self._owned: t.Set[int] = set()
         self.links: t.List[Link] = []
         # Next-hop routing: exact destination -> link, and an optional
         # default link.
-        self._host_routes: t.Dict[IPv4Address, Link] = {}
+        self._host_routes: t.Dict[int, Link] = {}
         self._default_route: t.Optional[Link] = None
         self.outbound_hooks: t.List[PacketHook] = []
         self.inbound_hooks: t.List[PacketHook] = []
@@ -45,7 +48,7 @@ class Node:
     def add_address(self, address: t.Union[str, IPv4Address]) -> IPv4Address:
         addr = IPv4Address(address)
         self.addresses.append(addr)
-        self._owned.add(addr)
+        self._owned.add(int(addr))
         return addr
 
     @property
@@ -59,7 +62,7 @@ class Node:
         self.links.append(link)
 
     def add_host_route(self, destination: t.Union[str, IPv4Address], link: Link) -> None:
-        self._host_routes[IPv4Address(destination)] = link
+        self._host_routes[int(IPv4Address(destination))] = link
 
     def set_default_route(self, link: Link) -> None:
         self._default_route = link
@@ -70,7 +73,7 @@ class Node:
 
     def route_for(self, destination: IPv4Address) -> Link:
         """Host route, else the default route; raises :class:`RoutingError`."""
-        link = self._host_routes.get(destination)
+        link = self._host_routes.get(destination._value)
         if link is not None:
             return link
         if self._default_route is not None:
@@ -80,7 +83,7 @@ class Node:
     # -- data path -------------------------------------------------------------
 
     def owns(self, address: IPv4Address) -> bool:
-        return address in self._owned
+        return address._value in self._owned
 
     def send(self, packet: Packet) -> None:
         """Originate or forward ``packet`` out of this node."""
@@ -99,7 +102,7 @@ class Node:
             if replacement is None:
                 return
             packet = replacement
-        if self.owns(packet.dst):
+        if packet.dst._value in self._owned:
             self.deliver(packet)
             return
         self.forward(packet)

@@ -14,7 +14,7 @@ Public surface::
 """
 
 from .events import AllOf, AnyOf, Event, FlowEvent, Timeout
-from .kernel import Process, Simulator
+from .kernel import LazyTimer, Process, Simulator
 from .monitor import TraceLog, TraceRecord
 from .resources import ProcessorSharingServer, Resource, Store
 from .rng import RngRegistry
@@ -24,6 +24,7 @@ __all__ = [
     "AnyOf",
     "Event",
     "FlowEvent",
+    "LazyTimer",
     "Process",
     "ProcessorSharingServer",
     "Resource",

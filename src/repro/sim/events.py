@@ -13,6 +13,7 @@ used SimPy can read the scenario code, without pulling in a dependency.
 from __future__ import annotations
 
 import typing as t
+from heapq import heappush
 
 from ..errors import SimulationError
 
@@ -67,7 +68,9 @@ class Event:
         event._ok = ok
         event._value = value
         event._callbacks = callback
-        sim._schedule_event(event, priority, 0.0)
+        seq = sim._seq + 1
+        sim._seq = seq
+        heappush(sim._queue, (sim._now, priority, seq, event))
         return event
 
     # -- state inspection ------------------------------------------------
@@ -116,7 +119,10 @@ class Event:
         self._decided = True
         self._ok = ok
         self._value = value
-        self.sim._schedule_event(self, PRIORITY_NORMAL, 0.0)
+        sim = self.sim
+        seq = sim._seq + 1
+        sim._seq = seq
+        heappush(sim._queue, (sim._now, PRIORITY_NORMAL, seq, self))
 
     def _run_callbacks(self) -> None:
         """Invoked by the kernel when the event is popped from the queue."""
@@ -161,10 +167,17 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: t.Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
-        self.delay = delay
+        # Event.__init__ inlined: a timeout is created per wait.
+        self.sim = sim
+        self._callbacks = None
         self._value = value
-        sim._schedule_event(self, PRIORITY_NORMAL, delay)
+        self._ok = None
+        self._decided = False
+        self._processed = False
+        self.delay = delay
+        seq = sim._seq + 1
+        sim._seq = seq
+        heappush(sim._queue, (sim._now + delay, PRIORITY_NORMAL, seq, self))
 
     def _run_callbacks(self) -> None:
         # A timeout is decided at the moment it fires, not at creation,
@@ -174,22 +187,32 @@ class Timeout(Event):
         super()._run_callbacks()
 
 
-class Call(Timeout):
-    """A :class:`Timeout` that runs ``fn(*args)`` when it fires.
+class Call(Event):
+    """An event that runs ``fn(*args)`` at an absolute simulated time.
 
-    This is what :meth:`~repro.sim.kernel.Simulator.schedule` returns:
-    the call is stored on the event itself, so scheduling a packet
-    delivery or a protocol timer allocates one event and no closure.
-    ``fn`` runs before any callback added to the event.
+    This is what :meth:`~repro.sim.kernel.Simulator.schedule` and
+    :meth:`~repro.sim.kernel.Simulator.schedule_at` return: the call is
+    stored on the event itself, so scheduling a packet delivery or a
+    protocol timer allocates one event and no closure, and the event
+    queues itself in one step.  ``fn`` runs before any callback added
+    to the event.
     """
 
     __slots__ = ("_fn", "_args")
 
-    def __init__(self, sim: "Simulator", delay: float,
+    def __init__(self, sim: "Simulator", when: float,
                  fn: t.Callable[..., t.Any], args: t.Tuple[t.Any, ...]) -> None:
-        super().__init__(sim, delay)
+        self.sim = sim
+        self._callbacks = None
+        self._value = None
+        self._ok = None
+        self._decided = False
+        self._processed = False
         self._fn = fn
         self._args = args
+        seq = sim._seq + 1
+        sim._seq = seq
+        heappush(sim._queue, (when, PRIORITY_NORMAL, seq, self))
 
     def _run_callbacks(self) -> None:
         self._decided = True
@@ -209,10 +232,10 @@ class Call(Timeout):
 class FlowEvent(Timeout):
     """A coarse-grained flow-level event (fluid fast path).
 
-    Where a packet-mode transfer schedules one :class:`Timeout` per
-    segment hop, a fluidized transfer schedules a single ``FlowEvent``
-    for the whole message: ``flow`` identifies the connection 5-tuple
-    and ``kind`` the milestone (``"deliver"``, ``"fin"``, ...).  It is
+    Where a packet-mode transfer schedules one event per segment hop,
+    a fluidized transfer schedules a single ``FlowEvent`` for the
+    whole message: ``flow`` identifies the connection 5-tuple and
+    ``kind`` the milestone (``"deliver"``, ``"fin"``, ...).  It is
     an ordinary :class:`Timeout` underneath — same ``(time, priority,
     seq)`` ordering, same queue — so flow events interleave
     deterministically with packet events in hybrid runs.

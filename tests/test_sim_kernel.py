@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ProcessKilled, SimulationError
-from repro.sim import Simulator
+from repro.sim import LazyTimer, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -299,3 +299,166 @@ def test_step_and_peek():
     assert sim.peek() == float("inf")
     with pytest.raises(SimulationError):
         sim.step()
+
+
+# -- absolute-time scheduling and lazy timers --------------------------------
+
+
+def _advance_to(sim, when):
+    sim.schedule_at(when, lambda: None)
+    sim.run()
+    assert sim.now == when
+
+
+def test_schedule_at_runs_at_exactly_the_float_given():
+    """No ``now + (when - now)`` round trip: at now=0.3 a delay of
+    0.9 - 0.3 lands on 0.9000000000000001, schedule_at(0.9) on 0.9."""
+    sim = Simulator()
+    _advance_to(sim, 0.3)
+    fired = []
+    sim.schedule_at(0.9, lambda: fired.append(("at", sim.now)))
+    sim.schedule(0.9 - 0.3, lambda: fired.append(("delay", sim.now)))
+    sim.run()
+    assert fired == [("at", 0.9), ("delay", 0.3 + (0.9 - 0.3))]
+    assert 0.3 + (0.9 - 0.3) != 0.9
+
+
+def test_schedule_at_ties_with_schedule_in_queueing_order():
+    sim = Simulator()
+    fired = []
+    sim.schedule_at(1.0, fired.append, "a")
+    sim.schedule(1.0, fired.append, "b")
+    sim.timeout(1.0, value="c").add_callback(lambda ev: fired.append(ev.value))
+    sim.schedule_at(1.0, fired.append, "d")
+    sim.schedule_at(0.5, fired.append, "early")
+    sim.run()
+    assert fired == ["early", "a", "b", "c", "d"]
+
+
+def test_schedule_at_rejects_a_past_time_and_accepts_now():
+    sim = Simulator()
+    _advance_to(sim, 2.0)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(1.999, lambda: None)
+    fired = []
+    sim.schedule_at(2.0, fired.append, "now")
+    sim.run()
+    assert fired == ["now"]
+
+
+def test_schedule_and_schedule_at_consume_one_seq_each():
+    sim = Simulator()
+    before = sim._seq
+    sim.schedule_at(5.0, lambda: None)
+    assert sim._seq == before + 1
+    sim.schedule(5.0, lambda: None)
+    assert sim._seq == before + 2
+    with pytest.raises(SimulationError):
+        sim.schedule(-1.0, lambda: None)
+    assert sim._seq == before + 2
+
+
+def test_seq_counts_every_event_taken_or_still_queued():
+    """``_seq`` is the number of events ever queued: every push,
+    whichever kind of event makes it, takes exactly one."""
+    sim = Simulator()
+    timer = LazyTimer(sim, lambda: None)
+
+    def worker(sim, n):
+        for i in range(n):
+            yield sim.timeout(0.25 * i)
+            timer.arm(1.0)
+            done = sim.event()
+            sim.schedule(0.1, done.succeed, i)
+            yield sim.any_of([done, sim.timeout(0.2)])
+            yield sim.all_of([sim.timeout(0.05), sim.schedule_at(sim.now + 0.05, int)])
+
+    def victim(sim):
+        yield sim.timeout(100.0)
+
+    sim.process(worker(sim, 20))
+    sim.process(worker(sim, 7))
+    doomed = sim.process(victim(sim))
+    sim.schedule(1.0, doomed.interrupt, "stop")
+    steps = 0
+    while sim.peek() <= 3.0:
+        sim.step()
+        steps += 1
+    assert steps > 50 and sim._queue
+    assert sim._seq == steps + len(sim._queue)
+    while sim._queue:
+        sim.step()
+        steps += 1
+    assert sim._seq == steps
+
+
+def test_lazy_timer_fires_once_at_the_last_deadline():
+    sim = Simulator()
+    fired = []
+    timer = LazyTimer(sim, lambda: fired.append(sim.now))
+    for i in range(50):
+        sim.schedule_at(0.01 * i, timer.arm, 1.0)
+    sim.run()
+    # The eager design would queue 50 timer events; the lazy one queues
+    # one at 1.0, re-queues it once at 1.49 and fires where the last
+    # arm said.
+    assert fired == [0.01 * 49 + 1.0]
+    assert sim._seq == 50 + 2
+
+
+def test_lazy_timer_earlier_deadline_supersedes_the_queued_event():
+    sim = Simulator()
+    fired = []
+    timer = LazyTimer(sim, lambda: fired.append(sim.now))
+    timer.arm(5.0)
+    sim.schedule_at(1.0, timer.arm, 0.5)   # deadline 1.5 < 5.0
+    sim.run()
+    assert fired == [1.5]
+    assert sim.now == 5.0  # the superseded event still fires, idly
+
+
+def test_lazy_timer_cancel_and_rearm():
+    sim = Simulator()
+    fired = []
+    timer = LazyTimer(sim, lambda: fired.append(sim.now))
+    timer.arm(1.0)
+    sim.schedule_at(0.5, timer.cancel)
+    sim.run()
+    assert fired == []
+    timer.arm(1.0)
+    sim.schedule_at(1.5, timer.cancel)
+    sim.schedule_at(1.75, timer.arm, 1.0)
+    sim.run()
+    assert fired == [2.75]
+
+
+def test_lazy_timer_superseded_event_queues_no_duplicate():
+    """A superseded event that fires must not re-queue: here it fires
+    while the deadline is still ahead, and would queue a second event
+    at the same deadline."""
+    sim = Simulator()
+    fired = []
+    timer = LazyTimer(sim, lambda: fired.append(sim.now))
+    timer.arm(4.0)                          # event A at 4.0
+    sim.schedule_at(1.0, timer.arm, 1.0)    # event B at 2.0 supersedes A
+    sim.schedule_at(1.5, timer.arm, 3.0)    # deadline 4.5; B stays queued
+    sim.run()
+    assert fired == [4.5]
+    # Two scheduled arms, A, B and B's re-queue at 4.5; a duplicate
+    # queued by A at 4.0 would make six.
+    assert sim._seq == 5
+
+
+def test_lazy_timer_can_rearm_from_its_own_callback():
+    sim = Simulator()
+    fired = []
+
+    def tick():
+        fired.append(sim.now)
+        if len(fired) < 3:
+            timer.arm(0.5)
+
+    timer = LazyTimer(sim, tick)
+    timer.arm(0.5)
+    sim.run()
+    assert fired == [0.5, 1.0, 1.5]

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.errors import ConnectionReset, ConnectionTimeout, TransportError
-from repro.net import Network, Verdict, WireFeatures
+from repro.net import Network, Node, Verdict, WireFeatures
 from repro.net.middlebox import Middlebox
 from repro.sim import Simulator
+from repro.sim.events import Call
 from repro.transport import install_transport
 from repro.units import Mbps, ms
 
@@ -171,6 +172,108 @@ def test_transfer_survives_heavy_loss():
     retransmissions = sim.run(until=sim.process(client(sim)))
     assert got and got[0][1] == "bulk"
     assert retransmissions > 0
+
+
+def _retransmission_instants(sim, host):
+    """Record ``sim.now`` each time ``host`` resends a data segment."""
+    sent = set()
+    instants = []
+
+    def hook(packet):
+        segment = packet.payload
+        if segment.length > 0:
+            if segment.seq in sent:
+                instants.append(sim.now)
+            sent.add(segment.seq)
+        return packet
+    host.outbound_hooks.append(hook)
+    return instants
+
+
+def _queued_timers(sim):
+    """Queued calls other than link deliveries: here, the TCP timers
+    (the SYN timer, RTO and delayed ACK) and the test's link flaps."""
+    return sum(1 for *_key, event in sim._queue
+               if isinstance(event, Call)
+               and getattr(event._fn, "__func__", None) is not Node.receive)
+
+
+def _bulk_transfer(size, loss=0.0, flap=None):
+    """One ``size``-byte message over one link; step the run by hand
+    and return what the timer tests read."""
+    sim, _net, ta, tb, link = two_hosts(loss=loss)
+    instants = _retransmission_instants(sim, ta.host)
+    got = []
+
+    def acceptor(conn):
+        def server(sim, conn):
+            meta = yield conn.recv_message()
+            got.append((sim.now, meta))
+        sim.process(server(sim, conn))
+    tb.listen_tcp(80, acceptor)
+
+    def client(sim):
+        conn = yield ta.connect_tcp("203.0.113.1", 80)
+        conn.send_message(size, meta="bulk")
+        yield sim.timeout(120.0)
+        return conn
+
+    if flap is not None:
+        down, up = flap
+        sim.schedule(down, link.set_up, False)
+        sim.schedule(up, link.set_up, True)
+    done = sim.process(client(sim))
+    steps = peak_timers = 0
+    while not done.processed:
+        sim.step()
+        steps += 1
+        peak_timers = max(peak_timers, _queued_timers(sim))
+    return sim, done.value, got, instants, steps, peak_timers
+
+
+def test_rto_and_delayed_ack_keep_a_bounded_number_of_events_queued():
+    """A 1 MB transfer over a 1%-loss link re-arms its RTO on every
+    segment and ACK; one queued event per timer chases the deadline
+    instead of one event per arm (an eager timer queued up to 104)."""
+    sim, conn, got, _instants, steps, peak_timers = _bulk_transfer(
+        1_000_000, loss=0.01)
+    assert got and got[0][1] == "bulk"
+    assert conn.retransmissions > 0
+    # Client RTO + server delayed ACK, a superseded event or two, and
+    # the SYN timer until it fires idly at 1 s.
+    assert peak_timers <= 5
+    assert sim._seq == steps + len(sim._queue)
+
+
+# Retransmission instants recorded with an RTO and a delayed-ACK event
+# queued on every arm; the lazy timers must fire at the same floats.
+FLAP_INSTANTS = [
+    0.7084243200000007, 1.1084243200000006, 1.9084243200000006,
+    3.5084243200000005, 6.708424320000001, 7.0485475200000005,
+    7.38867072,
+]
+LOSS_INSTANTS = [
+    0.4023011200000002, 1.2053267200000002, 1.6480995199999977,
+    3.3322307199999965, 3.5329571199999963,
+]
+
+
+def test_retransmissions_fire_at_the_recorded_instants():
+    """The link goes down 0.5 s into a 200 KB transfer and comes back
+    at 6 s: the RTO backs off 0.4, 0.8, 1.6, 3.2 s while every arm
+    moves the deadline, then recovers.  Separately, a 1 MB transfer on
+    a 1%-loss link."""
+    _sim, conn, got, instants, _steps, _peak = _bulk_transfer(
+        200_000, flap=(0.5, 6.0))
+    assert got == [(7.43878912, "bulk")]
+    assert instants == FLAP_INSTANTS
+    assert conn.retransmissions == len(FLAP_INSTANTS)
+
+    _sim, conn, got, instants, _steps, _peak = _bulk_transfer(
+        1_000_000, loss=0.01)
+    assert got == [(3.683552319999996, "bulk")]
+    assert instants == LOSS_INSTANTS
+    assert conn.retransmissions == len(LOSS_INSTANTS)
 
 
 def test_loss_inflates_completion_time():
