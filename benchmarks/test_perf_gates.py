@@ -77,12 +77,13 @@ def test_fig7_combined_speedup_at_least_2x(benchmark, emit, fig7_points):
 def test_parallel_beats_serial_on_multicore(emit):
     # 60-client points take 0.7-1.7 s each, so the pool's start-up
     # cannot decide the result the way it did for 0.1-0.3 s 5-client
-    # points.  Points are dispatched in order: shadowsocks and
-    # scholarcloud take about 1.7 s each and the two VPNs about 0.75 s
-    # (2 vCPUs), so scholarcloud, listed last, starts after both VPNs
-    # and two workers read about 1.5-1.7x.
-    points = scalability_points(("shadowsocks", "native-vpn", "openvpn",
-                                 "scholarcloud"), (60,), cycles=1, seed=0)
+    # points.  Points are dispatched in order, so they are listed
+    # longest first: shadowsocks and scholarcloud take about 1.7 s each
+    # and the two VPNs about 0.75 s (2 vCPUs), so each of two workers
+    # runs one long point and then one short one.
+    points = scalability_points(("shadowsocks", "scholarcloud",
+                                 "native-vpn", "openvpn"),
+                                (60,), cycles=1, seed=0)
     serial_s = best_time(lambda: serial_map(points), repeat=1)
     parallel_s = best_time(lambda: run_points(points, workers=2), repeat=1)
     speedup = serial_s / parallel_s

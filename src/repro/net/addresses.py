@@ -13,21 +13,25 @@ from ..errors import AddressError
 
 
 class IPv4Address:
-    """An immutable IPv4 address."""
+    """An immutable IPv4 address.
 
-    __slots__ = ("_value",)
+    ``value`` is the address as a 32-bit integer; tables on the packet
+    path key on it directly.
+    """
+
+    __slots__ = ("value",)
 
     def __init__(self, address: t.Union[str, int, "IPv4Address"]) -> None:
         if isinstance(address, IPv4Address):
-            self._value = address._value
+            self.value = address.value
             return
         if isinstance(address, int):
             if not 0 <= address <= 0xFFFFFFFF:
                 raise AddressError(f"address out of range: {address}")
-            self._value = address
+            self.value = address
             return
         if isinstance(address, str):
-            self._value = self._parse(address)
+            self.value = self._parse(address)
             return
         raise AddressError(f"cannot build an address from {address!r}")
 
@@ -47,10 +51,10 @@ class IPv4Address:
         return value
 
     def __int__(self) -> int:
-        return self._value
+        return self.value
 
     def __str__(self) -> str:
-        v = self._value
+        v = self.value
         return f"{(v >> 24) & 255}.{(v >> 16) & 255}.{(v >> 8) & 255}.{v & 255}"
 
     def __repr__(self) -> str:
@@ -58,19 +62,19 @@ class IPv4Address:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IPv4Address):
-            return self._value == other._value
+            return self.value == other.value
         if isinstance(other, str):
             try:
-                return self._value == IPv4Address(other)._value
+                return self.value == IPv4Address(other).value
             except AddressError:
                 return False
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._value)
+        return hash(self.value)
 
     def __lt__(self, other: "IPv4Address") -> bool:
-        return self._value < other._value
+        return self.value < other.value
 
 
 class Prefix:

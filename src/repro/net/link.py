@@ -12,8 +12,7 @@ import typing as t
 from dataclasses import dataclass
 
 from ..errors import NetworkError
-from ..sim import Simulator, TraceLog
-from ..sim.events import Call
+from ..sim import Call, Simulator, TraceLog
 from .middlebox import Middlebox, Verdict
 from .packet import Packet
 
@@ -166,7 +165,7 @@ class Link:
             return
 
         sim = self.sim
-        now = sim._now
+        now = sim.now
         serialization = size / self.bandwidth
         busy_until = self._busy_until
         start = busy_until[name]
@@ -175,7 +174,8 @@ class Link:
         busy_until[name] = start + serialization
         arrival_delay = (start - now) + serialization + self.latency
         # ``now + arrival_delay`` is the float ``Simulator.schedule``
-        # would compute; the arrival is never in the past.
+        # would compute, and it is never in the past, so the arrival
+        # ``Call`` is queued without ``schedule``'s checks.
         Call(sim, now + arrival_delay, receiver.receive, (packet, self))
 
     def inject(self, packet: Packet, toward: "Node") -> None:
@@ -193,14 +193,6 @@ class Link:
             self.trace.emit(
                 "link.inject", link=self.name, toward=toward.name,
                 packet_id=packet.packet_id, protocol=packet.protocol)
-
-    def _deliver(self, packet: Packet, sender: "Node", receiver: "Node") -> None:
-        now = self.sim.now
-        serialization = packet.size / self.bandwidth
-        start = max(now, self._busy_until[sender.name])
-        self._busy_until[sender.name] = start + serialization
-        arrival_delay = (start - now) + serialization + self.latency
-        self.sim.schedule(arrival_delay, receiver.receive, packet, self)
 
     def _record_drop(self, packet: Packet, direction: Direction, reason: str) -> None:
         self.packets_dropped[direction.sender] += 1

@@ -31,9 +31,8 @@ class Node:
         self.name = name
         self.trace = trace
         self.addresses: t.List[IPv4Address] = []
-        # Both tables key on the address's integer value, so a hop's
-        # lookups hash an int in C rather than call
-        # ``IPv4Address.__hash__``.
+        # Both tables key on ``IPv4Address.value``, so a hop's lookups
+        # hash an int in C rather than call ``IPv4Address.__hash__``.
         self._owned: t.Set[int] = set()
         self.links: t.List[Link] = []
         # Next-hop routing: exact destination -> link, and an optional
@@ -48,7 +47,7 @@ class Node:
     def add_address(self, address: t.Union[str, IPv4Address]) -> IPv4Address:
         addr = IPv4Address(address)
         self.addresses.append(addr)
-        self._owned.add(int(addr))
+        self._owned.add(addr.value)
         return addr
 
     @property
@@ -62,7 +61,7 @@ class Node:
         self.links.append(link)
 
     def add_host_route(self, destination: t.Union[str, IPv4Address], link: Link) -> None:
-        self._host_routes[int(IPv4Address(destination))] = link
+        self._host_routes[IPv4Address(destination).value] = link
 
     def set_default_route(self, link: Link) -> None:
         self._default_route = link
@@ -73,7 +72,7 @@ class Node:
 
     def route_for(self, destination: IPv4Address) -> Link:
         """Host route, else the default route; raises :class:`RoutingError`."""
-        link = self._host_routes.get(destination._value)
+        link = self._host_routes.get(destination.value)
         if link is not None:
             return link
         if self._default_route is not None:
@@ -83,7 +82,7 @@ class Node:
     # -- data path -------------------------------------------------------------
 
     def owns(self, address: IPv4Address) -> bool:
-        return address._value in self._owned
+        return address.value in self._owned
 
     def send(self, packet: Packet) -> None:
         """Originate or forward ``packet`` out of this node."""
@@ -102,7 +101,7 @@ class Node:
             if replacement is None:
                 return
             packet = replacement
-        if packet.dst._value in self._owned:
+        if packet.dst.value in self._owned:
             self.deliver(packet)
             return
         self.forward(packet)

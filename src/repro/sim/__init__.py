@@ -13,7 +13,7 @@ Public surface::
     result = sim.run(until=sim.process(proc(sim)))
 """
 
-from .events import AllOf, AnyOf, Event, FlowEvent, Timeout
+from .events import AllOf, AnyOf, Call, Event, FlowEvent, Timeout
 from .kernel import LazyTimer, Process, Simulator
 from .monitor import TraceLog, TraceRecord
 from .resources import ProcessorSharingServer, Resource, Store
@@ -22,6 +22,7 @@ from .rng import RngRegistry
 __all__ = [
     "AllOf",
     "AnyOf",
+    "Call",
     "Event",
     "FlowEvent",
     "LazyTimer",

@@ -295,9 +295,16 @@ class LazyTimer:
     but a timer re-armed on every packet keeps one event queued, not
     one per arm.
 
-    The re-queued event takes a newer ``seq`` than an event queued at
-    arm time would have had, so against another event at the identical
-    instant it now runs after anything queued in between.
+    The event that acts may carry a different ``seq`` from the one an
+    event queued on every arm would have, so against another event at
+    the identical instant the order can move either way:
+
+    - a re-queued event takes a newer ``seq``, so it runs after events
+      at that instant queued between the last arm and the re-queue;
+    - an arm whose deadline equals the queued event's time keeps that
+      event and its older ``seq``, so it runs before events at that
+      instant queued between the first arm and the last (every segment
+      of one multi-segment send arms the same ``now + rto``).
     """
 
     __slots__ = ("_sim", "_fn", "_deadline", "_event", "_event_at")
