@@ -402,7 +402,7 @@ class DomesticProxy:
                         # Mark for the fluid layer: this stream is
                         # locally terminated, so its plaintext CONNECT
                         # features no longer gate the fast path.
-                        conn._sc_cache_served = True
+                        conn.cache_served = True
                         yield self.cpu.submit(PER_BYTE_DEMAND * out_len)
                         if not self._edge_send(conn, out_len, out_meta):
                             return

@@ -120,7 +120,7 @@ class RelayedChannel(MessageChannel):
             try:
                 message = yield self.underlying.recv_message()
             except TransportError as exc:
-                self._fail_waiters(exc)
+                self._inbox.fail_getters(lambda: type(exc)(str(exc)))
                 return
             if message is None:
                 # One EOF sentinel, then the pump exits — nothing grows.
@@ -133,10 +133,6 @@ class RelayedChannel(MessageChannel):
             # whose sender paces on ACKs, and capping it would change
             # the calibrated Figure 4-6 wire traces.
             self._inbox.put(frame[1])  # reprolint: disable=unbounded-queue
-
-    def _fail_waiters(self, exc: Exception) -> None:
-        while self._inbox._getters:
-            self._inbox._getters.popleft().fail(type(exc)(str(exc)))
 
 
 class ChannelStream(Stream):

@@ -147,6 +147,9 @@ def fluid_config_for_mode(mode: str) -> t.Optional[FluidConfig]:
 class PathHop:
     """One directed link traversal on a connection's forward path."""
 
+    # Hand-written: ``dataclass(slots=True)`` needs Python 3.10.
+    __slots__ = ("link", "sender", "receiver")
+
     link: "Link"
     sender: "Node"
     receiver: "Node"
@@ -155,6 +158,8 @@ class PathHop:
 @dataclass(frozen=True)
 class PathModel:
     """Calibration snapshot of a connection's forward path."""
+
+    __slots__ = ("hops", "latency", "bottleneck_bw", "firewalls")
 
     hops: t.Tuple[PathHop, ...]
     latency: float          # summed one-way propagation delay
@@ -262,7 +267,7 @@ class FluidRegistry:
             return self._fallback("epoch-change")
         wire = features if features is not None else conn.features
         if wire.plaintext or wire.handshake:
-            if not getattr(conn, "_sc_cache_served", False):
+            if not conn.cache_served:
                 # Keyword filtering / DPI fingerprinting need these packets.
                 return self._fallback("inspectable")
             # Edge-cache hit stream: the only inspectable content on

@@ -61,6 +61,9 @@ SYN_FLAGS = frozenset({"SYN"})
 SYN_ACK_FLAGS = frozenset({"SYN", "ACK"})
 FIN_ACK_FLAGS = frozenset({"FIN", "ACK"})
 RST_FLAGS = frozenset({"RST"})
+#: Wire features of a connection opened without any, shared by all of
+#: them (``WireFeatures`` is frozen).
+DEFAULT_FEATURES = WireFeatures()
 
 
 @dataclass
@@ -98,6 +101,8 @@ class _SendBuffer:
     sent.  Every (re)transmission starts at or above ``snd_una``, so a
     dropped boundary can never fall inside a segment still to be sent.
     """
+
+    __slots__ = ("length", "_boundaries", "_features")
 
     def __init__(self) -> None:
         self.length = 0  # total bytes ever enqueued
@@ -160,7 +165,31 @@ class _InFlight:
 
 
 class TcpConnection:
-    """One endpoint of an established (or establishing) TCP connection."""
+    """One endpoint of an established (or establishing) TCP connection.
+
+    Slotted: every connection a run opens stays reachable until the run
+    ends, so what one keeps is paid once per session.
+    """
+
+    __slots__ = (
+        "transport", "sim", "local_addr", "local_port", "remote_addr",
+        "remote_port", "flow", "features", "state", "cache_served",
+        # Sender.
+        "_send_buffer", "_snd_una", "_snd_nxt", "_cwnd", "_ssthresh",
+        "_dup_acks", "_in_flight",
+        # RTO estimation and the handshake.
+        "_srtt", "_rttvar", "_rto", "_rto_timer", "_rto_timer_version",
+        "_syn_sent_at", "_syn_tries", "_connect_event",
+        # Receiver and orderly close.
+        "_rcv_nxt", "_ooo", "_pending_ends", "_inbox", "_peer_closed",
+        "_fin_seq", "_fin_acked", "_fin_tries", "_unacked_segments",
+        "_delack_timer",
+        # Accounting.
+        "bytes_sent", "bytes_received", "packets_sent", "retransmissions",
+        # Fluid fast path.
+        "_fluid_horizon", "_fluid_pending", "_fluid_block", "_fluid_epoch",
+        "_fluid_peer", "_fluid_path",
+    )
 
     # Connection states.
     SYN_SENT = "SYN_SENT"
@@ -189,8 +218,11 @@ class TcpConnection:
         self.flow: t.Tuple[t.Any, ...] = (
             "tcp", str(local_addr), local_port, str(remote_addr), remote_port)
         #: Default wire features for data segments of this connection.
-        self.features = features or WireFeatures()
+        self.features = features or DEFAULT_FEATURES
         self.state = self.CLOSED
+        #: Set by an edge cache that answers this stream itself: its
+        #: plaintext features then no longer keep the fluid path off.
+        self.cache_served = False
 
         # Sender state.
         self._send_buffer = _SendBuffer()
@@ -617,9 +649,7 @@ class TcpConnection:
         if self._connect_event and not self._connect_event.triggered:
             self._connect_event.fail(error)
         # Fail all blocked receivers.
-        while self._inbox._getters:
-            getter = self._inbox._getters.popleft()
-            getter.fail(ConnectionReset(str(error)))
+        self._inbox.fail_getters(lambda: ConnectionReset(str(error)))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<TcpConnection {self.local_addr}:{self.local_port}"

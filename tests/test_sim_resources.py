@@ -116,6 +116,78 @@ def test_store_len():
     assert len(store) == 1
 
 
+class Closed(Exception):
+    pass
+
+
+def _blocked_getters(sim, store, count):
+    """Start ``count`` processes blocked on ``store.get()``; each appends
+    ``(tag, item or error)`` to the returned list when it wakes."""
+    woke = []
+
+    def getter(sim, tag):
+        try:
+            item = yield store.get()
+        except Closed as error:
+            item = error
+        woke.append((tag, item))
+
+    for tag in range(count):
+        sim.process(getter(sim, tag))
+    sim.run()
+    assert woke == []
+    return woke
+
+
+def test_store_blocked_getters_wake_in_fifo_order_on_puts():
+    sim = Simulator()
+    store = Store(sim)
+    woke = _blocked_getters(sim, store, 2)
+    store.put("first")
+    store.put("second")
+    sim.run()
+    assert woke == [(0, "first"), (1, "second")]
+    assert len(store) == 0
+
+
+def test_store_fail_getters_fails_each_in_fifo_order_with_its_own_error():
+    sim = Simulator()
+    store = Store(sim)
+    woke = _blocked_getters(sim, store, 3)
+    store.fail_getters(lambda: Closed("inbox closed"))
+    sim.run()
+    assert [tag for tag, _error in woke] == [0, 1, 2]
+    assert all(isinstance(error, Closed) for _tag, error in woke)
+    assert len({id(error) for _tag, error in woke}) == 3
+    # Nobody waits any more: the next item is queued, not handed over.
+    store.put("late")
+    sim.run()
+    assert len(woke) == 3 and len(store) == 1
+
+
+def test_store_fail_getters_leaves_queued_items():
+    sim = Simulator()
+    store = Store(sim)
+    store.put("a")
+    store.put("b")
+    store.fail_getters(lambda: Closed("inbox closed"))
+    assert len(store) == 2
+    assert store.get_nowait() == (True, "a")
+    assert store.get_nowait() == (True, "b")
+
+
+def test_store_fail_getters_takes_one_seq_per_getter():
+    sim = Simulator()
+    store = Store(sim)
+    getters = [store.get() for _ in range(3)]
+    before = sim._seq
+    store.fail_getters(lambda: Closed("inbox closed"))
+    assert sim._seq == before + 3
+    assert all(getter.triggered and not getter.ok for getter in getters)
+    store.fail_getters(lambda: Closed("inbox closed"))
+    assert sim._seq == before + 3
+
+
 # -- ProcessorSharingServer ----------------------------------------------------
 
 def test_ps_single_job_runs_at_full_rate():
