@@ -26,11 +26,12 @@ from ..faults import Endpoint, FailoverPool, RetryPolicy
 from ..http.messages import HttpRequest, HttpResponse
 from ..net import IPv4Address
 from ..overload import AdmissionController, Deadline, OverloadConfig, deadline_from_wire
-from ..sim import ProcessorSharingServer, Simulator, Store
+from ..sim import ProcessorSharingServer, Simulator
 from ..transport import TcpConnection, TransportLayer
 from ..transport import tls as tls_sizes
-from ..middleware.base import (RELAY_END, Decoder, cpu_charge, decode_forward,
-                               forward_encoder, relay, wrap_forward)
+from ..middleware.base import (RELAY_END, Decoder, Inbox, cpu_charge,
+                               decode_forward, encode_frame, forward_encoder,
+                               relay, wrap_forward)
 from .blinding import BlindingAgility, blind_wrap
 from .remote_proxy import REMOTE_PROXY_PORT
 from .whitelist import Whitelist
@@ -478,12 +479,12 @@ class _EdgeUpstream:
 
     def __init__(self, proxy: DomesticProxy, remote: TcpConnection) -> None:
         self.proxy = proxy
-        self.sim = proxy.sim
         self.remote = remote
         self.origin_ready = False
-        self._eof = False
-        self._inbox = Store(self.sim)
-        self.sim.process(self._pump(), name="scd-edge-up")
+        self._inbox = Inbox(proxy.sim)
+        proxy.sim.process(
+            relay(remote, self._inbox, proxy._decode_remote, encode_frame),
+            name="scd-edge-up")
 
     def close(self) -> None:
         self.remote.close()
@@ -494,34 +495,8 @@ class _EdgeUpstream:
 
     def recv(self):
         """Generator: next ``(length, meta)`` frame; ``(0, None)`` at EOF."""
-        if self._eof:
-            ready, item = self._inbox.get_nowait()
-            if ready and item[1] is not None:
-                return item
-            return (0, None)
-        item = yield self._inbox.get()
-        return item
-
-    def _pump(self):
-        decode = self.proxy._decode_remote
-        while True:
-            try:
-                message = yield self.remote.recv_message()
-            except TransportError:
-                message = None
-            frame = RELAY_END if message is None else decode(message)
-            if frame is None:
-                continue
-            if frame is RELAY_END:
-                self._eof = True
-                # Single EOF sentinel, then the pump exits.
-                self._inbox.put((0, None))  # reprolint: disable=unbounded-queue
-                if message is not None:
-                    self.remote.close()  # sc-error: the remote gave up
-                return
-            # One request/response in flight per serve loop keeps this
-            # bounded at a handful of handshake/response frames.
-            self._inbox.put(frame)  # reprolint: disable=unbounded-queue
+        frame = yield self._inbox.get()
+        return (0, None) if frame is None else frame
 
     def origin_handshake(self, hostname: str):
         """Generator: the proxy-side TLS client handshake with the

@@ -11,9 +11,12 @@ channel interface.
 Relay framing: proxies forward application messages wrapped as
 ``("fwd", length, meta)`` so every hop knows how many bytes to put on
 its wire; each hop chooses its own wire features, which is how tunnel
-legs control what the GFW can see.  Every proxy hop moves those frames
-with one loop, :func:`relay`, and names only its frame formats: a
-decoder for what it receives and an encoder for what it sends.
+legs control what the GFW can see.  Every hop that reads a channel and
+forwards what it reads (the proxy hops, Tor's relays, the meek front
+and each client-side inbox) moves its frames with one loop,
+:func:`relay`, and names only its frame formats: a decoder for what it
+receives and an encoder for what it sends.  Where frames end in a
+queue for a reader, the sink is an :class:`Inbox`.
 """
 
 from __future__ import annotations
@@ -64,9 +67,9 @@ class RelayedChannel(MessageChannel):
 
     ``send_message`` wraps the payload in relay framing and pushes it
     down the underlying channel with ``overhead`` extra bytes and the
-    tunnel's wire features; incoming frames are unwrapped into a local
-    inbox.  A channel is *pumped* by its owning protocol, which decides
-    when to start/stop (see the per-method client implementations).
+    tunnel's wire features.  A :func:`relay`, started with the channel,
+    unwraps incoming frames into an :class:`Inbox`, so EOF and a failed
+    underlying channel both reach the reader as one None.
     """
 
     def __init__(self, sim: Simulator, underlying: MessageChannel,
@@ -76,10 +79,10 @@ class RelayedChannel(MessageChannel):
         self.underlying = underlying
         self.overhead = overhead
         self.features = features
-        self.name = name
-        self._inbox = Store(sim)
+        self._inbox = Inbox(sim)
         self._closed = False
-        self._pump_started = False
+        sim.process(relay(underlying, self._inbox, decode_forward, encode_raw),
+                    name=f"{name}-pump")
 
     # -- MessageChannel ----------------------------------------------------------
 
@@ -87,13 +90,11 @@ class RelayedChannel(MessageChannel):
                      features: t.Optional[WireFeatures] = None) -> None:
         # Inner features are deliberately ignored: on the tunneled leg
         # the wire shows only the tunnel's own features.
-        self._ensure_pump()
         self.underlying.send_message(
             length + self.overhead, meta=wrap_forward(length, meta),
             features=self.features)
 
     def recv_message(self) -> Event:
-        self._ensure_pump()
         return self._inbox.get()
 
     def close(self) -> None:
@@ -106,33 +107,6 @@ class RelayedChannel(MessageChannel):
     @property
     def state(self) -> str:
         return getattr(self.underlying, "state", "ESTABLISHED")
-
-    # -- pumping -------------------------------------------------------------------
-
-    def _ensure_pump(self) -> None:
-        if self._pump_started:
-            return
-        self._pump_started = True
-        self.sim.process(self._pump(), name=f"{self.name}-pump")
-
-    def _pump(self):
-        while True:
-            try:
-                message = yield self.underlying.recv_message()
-            except TransportError as exc:
-                self._inbox.fail_getters(lambda: type(exc)(str(exc)))
-                return
-            if message is None:
-                # One EOF sentinel, then the pump exits — nothing grows.
-                self._inbox.put(None)  # reprolint: disable=unbounded-queue
-                return
-            frame = decode_forward(message)
-            if frame is None:
-                continue  # drop junk rather than crash the pump
-            # Bounded by the sender: this inbox mirrors one TCP stream
-            # whose sender paces on ACKs, and capping it would change
-            # the calibrated Figure 4-6 wire traces.
-            self._inbox.put(frame[1])  # reprolint: disable=unbounded-queue
 
 
 class ChannelStream(Stream):
@@ -217,6 +191,12 @@ def encode_raw(length: int, meta: t.Any) -> t.Tuple[int, t.Any, None]:
     return length, meta, None
 
 
+def encode_frame(length: int, meta: t.Any) -> t.Tuple[int, Frame, None]:
+    """Send the whole frame as the meta, for an :class:`Inbox` whose
+    reader needs each frame's length as well."""
+    return length, (length, meta), None
+
+
 def forward_encoder(features: t.Optional[WireFeatures]) -> Encoder:
     """An encoder that forward-frames each payload and sends it with
     ``features``."""
@@ -237,7 +217,8 @@ def relay(source: MessageChannel, sink: MessageChannel, decode: Decoder,
           encode: Encoder,
           charge: t.Optional[t.Callable[[int], Event]] = None):
     """Generator: relay frames from ``source`` to ``sink`` until one side
-    ends.  Every proxy hop runs one per direction.
+    ends.  Every hop runs one per direction it forwards, and a reader's
+    :class:`Inbox` is filled by one.
 
     Per frame: receive, decode, wait for ``charge(length)`` (the hop's
     CPU work, if it models any), encode, send.  EOF or a receive error
@@ -266,6 +247,28 @@ def relay(source: MessageChannel, sink: MessageChannel, decode: Decoder,
         except TransportError:
             source.close()
             return
+
+
+class Inbox(Store):
+    """A :class:`~repro.sim.Store` that is a relay's sink.
+
+    ``send_message`` queues each frame's meta and ``close`` queues the
+    EOF sentinel None; readers take both with :meth:`Store.get`.  The
+    queue has no bound of its own because each inbox is paced by its
+    sender: it mirrors one TCP stream whose sender waits on ACKs, one
+    meek poll interval of bridge cells, or one edge request/response
+    at a time.  Capping it would change the calibrated Figure 4-6 wire
+    traces.
+    """
+
+    __slots__ = ()
+
+    def send_message(self, length: int, meta: t.Any = None,
+                     features: t.Optional[WireFeatures] = None) -> None:
+        self.put(meta)
+
+    def close(self) -> None:
+        self.put(None)
 
 
 class AccessMethod:

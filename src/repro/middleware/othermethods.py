@@ -67,10 +67,6 @@ class HostsFileMethod(AccessMethod):
             self.installed = False
 
 
-class _WebProxyChannel(RelayedChannel):
-    """Client side of a web-proxy fetch stream (plain HTTP on the wire)."""
-
-
 class WebProxyConnector(Connector):
     """Connector that tunnels requests through the public gateway.
 
@@ -105,7 +101,7 @@ class WebProxyConnector(Connector):
         except BaseException:
             conn.close()  # a refused or dead gateway must not strand the dial
             raise
-        channel = _WebProxyChannel(
+        channel = RelayedChannel(
             testbed.sim, conn, overhead=24,
             features=WireFeatures(protocol_tag="plain-http",
                                   plaintext=hostname, entropy=4.5),

@@ -18,8 +18,9 @@ from ...errors import MiddlewareError, TransportError
 from ...net import Host, WireFeatures
 from ...sim import Event, Simulator, Store
 from ...transport import TcpConnection, TlsSession, TransportLayer
-from ..base import MessageChannel
-from .relay import OR_PORT, relay_link_features
+from ..base import Frame, Inbox, MessageChannel, encode_frame, relay
+from .cells import CELL_SIZE
+from .relay import OR_PORT, _payload_length, relay_link_features
 
 #: HTTP overhead per meek POST / response.
 POST_OVERHEAD = 160
@@ -75,7 +76,7 @@ class CdnFront:
                 # is already in flight from the bridge rides this POST
                 # instead of waiting out the client's next poll (the
                 # meek-server turnaround behaviour).
-                queued: Store = state["queue"]
+                queued: Inbox = state["queue"]
                 if not len(queued):
                     yield self.sim.any_of(
                         [queued.watch(), self.sim.timeout(MAX_HOLD)])
@@ -83,6 +84,8 @@ class CdnFront:
                 total = 0
                 while len(queued):
                     item = yield queued.get()
+                    if item is None:
+                        continue  # the bridge leg ended: nothing to carry
                     downstream.append(item)
                     total += item[0]
                 session.send(RESPONSE_OVERHEAD + total,
@@ -101,30 +104,22 @@ class CdnFront:
                 timeout=20.0)
         except TransportError:
             return None
-        state = {"bridge": bridge, "queue": Store(self.sim)}
+        state = {"bridge": bridge, "queue": Inbox(self.sim)}
         self._sessions[session_id] = state
-        self.sim.process(self._pump_bridge(state), name="front-bridge-pump")
+        # Bridge cells queue until the client's next poll drains them.
+        self.sim.process(
+            relay(bridge, state["queue"], _bridge_frame, encode_frame),
+            name="front-bridge-pump")
         return state
 
-    def _pump_bridge(self, state: t.Dict[str, t.Any]):
-        """Queue downstream cells until the client's next poll."""
-        from .relay import _payload_length
-        bridge: TcpConnection = state["bridge"]
-        queue: Store = state["queue"]
-        while True:
-            try:
-                message = yield bridge.recv_message()
-            except TransportError:
-                return
-            if message is None:
-                return
-            length = 514
-            if isinstance(message, tuple) and len(message) == 4:
-                length = max(514, _payload_length(message[3]))
-            # Drained on every client poll (<= one poll interval of
-            # backlog); capping it would stall the bridge pump and
-            # change the calibrated meek PLT traces.
-            queue.put((length, message))  # reprolint: disable=unbounded-queue
+
+def _bridge_frame(message: t.Any) -> Frame:
+    """A bridge cell's frame, sized for its meek response: at least
+    one cell."""
+    length = CELL_SIZE
+    if isinstance(message, tuple) and len(message) == 4:
+        length = max(CELL_SIZE, _payload_length(message[3]))
+    return length, message
 
 
 class MeekChannel(MessageChannel):

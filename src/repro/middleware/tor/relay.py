@@ -1,10 +1,12 @@
 """Tor relay nodes: circuit switching and exit behaviour.
 
 Each relay accepts per-circuit TCP connections from its predecessor,
-handles CREATE/EXTEND, and pumps RELAY cells in both directions.  The
-exit relay additionally resolves target names (Tor resolves at the
-exit — which is how Tor sidesteps DNS poisoning) and opens the real
-target connections.
+handles CREATE/EXTEND, and forwards RELAY cells in both directions: it
+reads cells from the client direction itself, and a :func:`relay`
+carries each circuit's cells back.  The exit relay additionally
+resolves target names (Tor resolves at the exit — which is how Tor
+sidesteps DNS poisoning) and opens the real target connections, whose
+replies a relay wraps into DATA cells.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from ...errors import MiddlewareError, NameResolutionError, TransportError
 from ...net import Host, IPv4Address, WireFeatures
 from ...sim import Simulator
 from ...transport import TcpConnection, TransportLayer
+from ..base import Frame, decode_raw, encode_raw, relay
 from . import cells
 from .cells import CELL_SIZE
 
@@ -38,6 +41,36 @@ class _Circuit:
         self.upstream = upstream                       # toward the client
         self.downstream: t.Optional[TcpConnection] = None  # toward the exit
         self.streams: t.Dict[int, TcpConnection] = {}  # exit only
+
+    def reply(self, command: str, payload: t.Any = None) -> None:
+        """Send one cell back toward the client; a dead link drops it."""
+        try:
+            self.upstream.send_message(
+                cells.wire_bytes(_payload_length(payload)),
+                meta=cells.make_cell(self.circuit_id, command, payload),
+                features=relay_link_features())
+        except TransportError:
+            pass
+
+
+class _ExitStream:
+    """Relay sink for one exit stream: each target message leaves as a
+    DATA cell toward the client, and the stream's end as its END cell."""
+
+    __slots__ = ("circuit", "stream_id")
+
+    def __init__(self, circuit: _Circuit, stream_id: int) -> None:
+        self.circuit = circuit
+        self.stream_id = stream_id
+
+    def send_message(self, length: int, meta: t.Any = None,
+                     features: t.Optional[WireFeatures] = None) -> None:
+        self.circuit.reply(cells.DATA, {"stream": self.stream_id,
+                                        "length": length, "meta": meta})
+
+    def close(self) -> None:
+        self.circuit.reply(cells.END, {"stream": self.stream_id,
+                                       "reason": "closed"})
 
 
 class TorRelay:
@@ -114,7 +147,7 @@ class TorRelay:
                 next_addr, OR_PORT, features=relay_link_features(),
                 timeout=30.0)
         except TransportError:
-            self._reply(circuit, cells.END, {"reason": "extend-failed"})
+            circuit.reply(cells.END, {"reason": "extend-failed"})
             return
         try:
             downstream.send_message(
@@ -124,37 +157,17 @@ class TorRelay:
             created = yield downstream.recv_message()
         except TransportError:
             downstream.close()
-            self._reply(circuit, cells.END, {"reason": "extend-failed"})
+            circuit.reply(cells.END, {"reason": "extend-failed"})
             return
         if not (cells.is_cell(created) and created[2] == cells.CREATED):
             downstream.close()
-            self._reply(circuit, cells.END, {"reason": "create-failed"})
+            circuit.reply(cells.END, {"reason": "create-failed"})
             return
         circuit.downstream = downstream
-        self.sim.process(self._pump_backward(circuit),
-                         name=f"{self.name}-backward")
-        self._reply(circuit, cells.EXTENDED)
-
-    def _pump_backward(self, circuit: _Circuit):
-        """Forward cells arriving from downstream back toward the client."""
-        downstream = circuit.downstream
-        assert downstream is not None
-        while True:
-            try:
-                message = yield downstream.recv_message()
-            except TransportError:
-                return
-            if message is None:
-                return
-            if not cells.is_cell(message):
-                continue
-            payload = message[3]
-            try:
-                circuit.upstream.send_message(
-                    cells.wire_bytes(_payload_length(payload)),
-                    meta=message, features=relay_link_features())
-            except TransportError:
-                return
+        self.sim.process(
+            relay(downstream, circuit.upstream, _decode_cell, _encode_cell),
+            name=f"{self.name}-backward")
+        circuit.reply(cells.EXTENDED)
 
     # -- exit-node duties ----------------------------------------------------------------
 
@@ -163,8 +176,7 @@ class TorRelay:
             if payload.get("internal"):
                 # Directory stream served by the relay itself.
                 circuit.streams[payload["stream"]] = "internal"  # type: ignore[assignment]
-                self._reply(circuit, cells.CONNECTED,
-                            {"stream": payload["stream"]})
+                circuit.reply(cells.CONNECTED, {"stream": payload["stream"]})
                 return
             yield from self._exit_begin(circuit, payload)
         elif command == cells.DATA:
@@ -182,9 +194,9 @@ class TorRelay:
     def _serve_directory(self, circuit: _Circuit, payload: t.Any) -> None:
         """Answer a directory request with the consensus blob."""
         from .client import DIRECTORY_BYTES
-        self._reply(circuit, cells.DATA,
-                    {"stream": payload["stream"], "length": DIRECTORY_BYTES,
-                     "meta": ("dir-response", DIRECTORY_BYTES)})
+        circuit.reply(cells.DATA,
+                      {"stream": payload["stream"], "length": DIRECTORY_BYTES,
+                       "meta": ("dir-response", DIRECTORY_BYTES)})
 
     def _exit_begin(self, circuit: _Circuit, payload: t.Any):
         if self.resolver is None:
@@ -196,45 +208,14 @@ class TorRelay:
             address = yield self.resolver.resolve(host)
             target = yield transport.connect_tcp(address, port, timeout=30.0)
         except (NameResolutionError, TransportError) as exc:
-            self._reply(circuit, cells.END,
-                        {"stream": stream_id, "reason": str(exc)})
+            circuit.reply(cells.END, {"stream": stream_id, "reason": str(exc)})
             return
         circuit.streams[stream_id] = target
-        self.sim.process(self._pump_target(circuit, stream_id, target),
-                         name=f"{self.name}-stream-{stream_id}")
-        self._reply(circuit, cells.CONNECTED, {"stream": stream_id})
-
-    def _pump_target(self, circuit: _Circuit, stream_id: int,
-                     target: TcpConnection):
-        """Wrap target responses into DATA cells toward the client."""
-        while True:
-            try:
-                message = yield target.recv_message()
-            except TransportError:
-                self._reply(circuit, cells.END,
-                            {"stream": stream_id, "reason": "reset"})
-                return
-            if message is None:
-                self._reply(circuit, cells.END,
-                            {"stream": stream_id, "reason": "eof"})
-                return
-            # Length is unknown at the exit (message metas don't carry
-            # it); approximate with one KB-scale response per meta by
-            # asking the meta itself when available.
-            length = _meta_length(message)
-            self._reply(circuit, cells.DATA,
-                        {"stream": stream_id, "length": length,
-                         "meta": message})
-
-    def _reply(self, circuit: _Circuit, command: str,
-               payload: t.Any = None) -> None:
-        try:
-            circuit.upstream.send_message(
-                cells.wire_bytes(_payload_length(payload)),
-                meta=cells.make_cell(circuit.circuit_id, command, payload),
-                features=relay_link_features())
-        except TransportError:
-            pass
+        self.sim.process(
+            relay(target, _ExitStream(circuit, stream_id), decode_raw,
+                  encode_raw),
+            name=f"{self.name}-stream-{stream_id}")
+        circuit.reply(cells.CONNECTED, {"stream": stream_id})
 
 
 def _payload_length(payload: t.Any) -> int:
@@ -243,7 +224,14 @@ def _payload_length(payload: t.Any) -> int:
     return 0
 
 
-def _meta_length(meta: t.Any) -> int:
-    """Byte length of an application message meta (shared estimator)."""
-    from ..base import estimate_meta_length
-    return estimate_meta_length(meta)
+def _decode_cell(message: t.Any) -> t.Optional[Frame]:
+    """A cell's frame, sized by its payload; None drops anything else."""
+    if not cells.is_cell(message):
+        return None
+    return _payload_length(message[3]), message
+
+
+def _encode_cell(length: int,
+                 cell: t.Any) -> t.Tuple[int, t.Any, WireFeatures]:
+    """Send a cell padded to whole cells, with Tor's link features."""
+    return cells.wire_bytes(length), cell, relay_link_features()

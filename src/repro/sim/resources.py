@@ -129,18 +129,6 @@ class Store:
             self._getters.append(event)
         return event
 
-    def get_nowait(self) -> t.Tuple[bool, t.Any]:
-        """Take the next item without blocking.
-
-        Returns ``(True, item)`` if one was queued, ``(False, None)``
-        otherwise.  The fluid fast path uses this to drain a batch of
-        already-delivered messages in a single process resumption
-        instead of one event round-trip per item.
-        """
-        if self._items:
-            return True, self._items.pop(0)
-        return False, None
-
     def fail_getters(self, error: t.Callable[[], BaseException]) -> None:
         """Fail every blocked getter, oldest first, each with a fresh
         ``error()``.  Queued items stay queued."""

@@ -28,6 +28,8 @@ from repro.cache import (
     scholar_query_page,
 )
 from repro.core.blinding import BlindingAgility
+from repro.core.domestic_proxy import _EdgeUpstream
+from repro.http import HttpRequest
 from repro.measure.scenarios import prepare, run_overload_point
 from repro.measure.testbed import ECHO_PORT, SCHOLAR_HOST
 from repro.overload import OverloadConfig
@@ -343,6 +345,43 @@ def test_admission_slot_spans_the_edge_to_relay_handoff():
     assert seen["open"] == 1
     assert seen["closed"] == 0
     assert seen["load"].succeeded
+
+
+def test_edge_fetch_returns_none_when_the_remote_leg_ends(monkeypatch):
+    """The origin hangs up after reading a miss: the edge leg reads EOF
+    during ``fetch``, which returns None, and the edge closes the
+    browser stream."""
+    world = prepare("scholarcloud", seed=0, cache=CacheConfig())
+    testbed = world.testbed
+
+    def hang_up(conn):
+        def serve(sim):
+            yield conn.recv_message()
+            conn.close()
+        testbed.sim.process(serve(testbed.sim), name="hang-up")
+
+    testbed.transport_of(testbed.scholar_origin).listen_tcp(8081, hang_up)
+    fetched = []
+    fetch = _EdgeUpstream.fetch
+
+    def recorded_fetch(self, request, wrapped):
+        result = yield from fetch(self, request, wrapped)
+        fetched.append(result)
+        return result
+
+    monkeypatch.setattr(_EdgeUpstream, "fetch", recorded_fetch)
+    connector = world.method.connector()
+
+    def driver(sim):
+        stream = yield from connector.open(SCHOLAR_HOST, 8081,
+                                           use_tls=False)
+        request = HttpRequest(SCHOLAR_HOST, "/hang-up")
+        stream.send(request.size(), meta=request)
+        return (yield stream.recv())
+
+    reply = testbed.run_process(driver(testbed.sim), name="eof-driver")
+    assert fetched == [None]
+    assert reply is None
 
 
 # -- determinism & equivalence -----------------------------------------------------

@@ -89,7 +89,7 @@ def test_relayed_channel_drops_junk_frames():
     def body(sim):
         conn = yield ta.connect_tcp("10.0.0.2", 9)
         channel = RelayedChannel(sim, conn, overhead=0, features=None)
-        channel.send_message(10, meta="x")  # starts the pump
+        channel.send_message(10, meta="x")
         yield sim.timeout(0.05)
         server_conns[0].send_message(10, meta="unframed-junk")
         server_conns[0].send_message(20, meta=wrap_forward(20, "good"))
@@ -97,6 +97,26 @@ def test_relayed_channel_drops_junk_frames():
         return reply
 
     assert sim.run(until=sim.process(body(sim))) == "good"
+
+
+def test_relayed_channel_read_after_reset_gets_eof():
+    """The peer resets while no reader waits: the next read gets EOF
+    rather than waiting forever."""
+    sim, ta, server_conns = relayed_pair()
+
+    def body(sim):
+        conn = yield ta.connect_tcp("10.0.0.2", 9)
+        channel = RelayedChannel(sim, conn, overhead=0, features=None)
+        channel.send_message(10, meta="x")
+        yield sim.timeout(0.05)
+        server_conns[0].abort()
+        yield sim.timeout(0.05)  # the RST has landed; nobody was reading
+        assert conn.state == "RESET"
+        read = channel.recv_message()
+        yield sim.any_of([read, sim.timeout(5.0)])
+        return read.triggered and read.ok and read.value is None
+
+    assert sim.run(until=sim.process(body(sim)))
 
 
 def test_channel_stream_adapts_channel():

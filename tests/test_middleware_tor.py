@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import MiddlewareError
 from repro.measure import Testbed
+from repro.measure.testbed import SCHOLAR_HOST
 from repro.middleware.tor import TorMethod, cells_for, wire_bytes
 from repro.middleware.tor.cells import CELL_PAYLOAD, CELL_SIZE
 
@@ -107,3 +108,51 @@ def test_meek_polls_are_counted():
     browser = testbed.browser(connector=method.connector())
     testbed.run_process(browser.load(testbed.scholar_page))
     assert method.meek.polls_sent > polls_after_bootstrap
+
+
+# -- how the relayed legs end -------------------------------------------------
+
+def test_exit_stream_reads_the_reply_then_eof():
+    """A target that replies once and closes: the exit relays the reply
+    as a DATA cell and the close as the stream's END."""
+    testbed, method = tor_world()
+
+    def reply_once(conn):
+        conn.send_message(100, meta="hello")
+        conn.close()
+
+    testbed.transport_of(testbed.scholar_origin).listen_tcp(7000, reply_once)
+
+    def body(sim):
+        channel = yield from method.open_stream(SCHOLAR_HOST, 7000)
+        reply = yield channel.recv_message()
+        end = yield channel.recv_message()
+        return reply, end
+
+    assert testbed.run_process(body(testbed.sim)) == ("hello", None)
+
+
+def test_backward_leg_end_closes_the_client_link():
+    """The middle relay closes its client link: the bridge's backward
+    leg sees EOF and closes the bridge's own client link."""
+    testbed, method = tor_world()
+    (bridge_circuit,) = method.network.bridge._circuits.values()
+    (middle_circuit,) = method.network.middle._circuits.values()
+    assert bridge_circuit.upstream.state == "ESTABLISHED"
+    middle_circuit.upstream.close()
+    testbed.sim.run(until=testbed.sim.now + 5.0)
+    assert bridge_circuit.upstream.state == "CLOSED"
+
+
+def test_meek_front_keeps_answering_polls_after_the_bridge_leg_ends():
+    """The bridge leg's EOF reaches the front's queue as a sentinel,
+    which a poll skips rather than sends."""
+    testbed, method = tor_world()
+    (bridge_circuit,) = method.network.bridge._circuits.values()
+    bridge_circuit.upstream.close()  # the front's bridge leg gets EOF
+    polls = method.meek.polls_sent
+    testbed.sim.run(until=testbed.sim.now + 30.0)
+    # Each poll waits for its answer, so a second poll means the first
+    # was answered.
+    assert method.meek.polls_sent >= polls + 2
+    assert method.meek.state == "ESTABLISHED"

@@ -172,8 +172,7 @@ def test_store_fail_getters_leaves_queued_items():
     store.put("b")
     store.fail_getters(lambda: Closed("inbox closed"))
     assert len(store) == 2
-    assert store.get_nowait() == (True, "a")
-    assert store.get_nowait() == (True, "b")
+    assert [store.get().value for _ in range(2)] == ["a", "b"]
 
 
 def test_store_fail_getters_takes_one_seq_per_getter():
