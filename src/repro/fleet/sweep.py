@@ -236,7 +236,6 @@ def fleet_sweep(
     seed: int = 0,
     mode: str = "hybrid",
     workload: str = "home",
-    workers: t.Optional[int] = None,
     blackout_pop: t.Optional[str] = None,
     blackout_at: float = 90.0,
     blackout_downtime: float = 60.0,
@@ -247,8 +246,9 @@ def fleet_sweep(
 
     ``regions x clients`` is the concurrent-session scale: the headline
     configuration (4 regions x 2,500 clients, ``mode="hybrid"``)
-    simulates 10,000 concurrent sessions.  Results are byte-identical
-    for any number of ``workers``.
+    simulates 10,000 concurrent sessions.  Regions run as parallel
+    points (one worker per CPU), and the results are byte-identical to
+    a serial run.
     """
     points = fleet_points(regions, pops=pops, clients=clients, cycles=cycles,
                           seed=seed, mode=mode, workload=workload,
@@ -256,5 +256,5 @@ def fleet_sweep(
                           blackout_at=blackout_at,
                           blackout_downtime=blackout_downtime,
                           cache=cache)
-    results = run_points(points, workers=workers)
+    results = run_points(points)
     return aggregate_fleet(results, bucket=bucket), list(results)

@@ -10,19 +10,17 @@ machinery that keeps the optimized paths honest and the sweeps fast:
 * :mod:`repro.perf.reference` — frozen copies of the original slow
   paths.  They are the *equivalence oracles*: the optimized codec, AES,
   and stream-mode implementations must stay byte-identical to them on
-  every input (asserted in ``tests/test_perf_equivalence.py``), and the
-  bench CLI times optimized-vs-reference to report real speedups.
+  every input (asserted in ``tests/test_perf_equivalence.py``), and
+  ``benchmarks/test_perf_gates.py`` requires the codec and AES fast
+  paths to beat them at least 5x.
 * :mod:`repro.perf.runner` — a parallel experiment runner that fans
   independent ``(method, load, seed)`` simulation points across worker
   processes and merges results in deterministic point order.  Results
   are byte-identical to the serial runner: each point is a hermetic
   simulation keyed only by its arguments.
-* :mod:`repro.perf.bench` — ``python -m repro.perf.bench`` times the
-  micro and end-to-end benches, writes ``BENCH_perf.json`` at the repo
-  root, and gates against the committed baseline with a tolerance.
 * :mod:`repro.perf.fluid` — the fluid-flow fast path: steady-state
   connections collapse per-packet transfers into single analytic
-  :class:`~repro.sim.FlowEvent` deliveries (``--mode hybrid``), held
+  :class:`~repro.sim.FlowEvent` deliveries (``mode="hybrid"``), held
   to declared tolerance bands against packet mode.
 """
 

@@ -50,7 +50,7 @@ if t.TYPE_CHECKING:  # pragma: no cover
 #: Segment header overhead on the wire.
 _HEADER = IP_HEADER + TCP_HEADER
 
-#: The supported simulation modes for the ``--mode`` axis.
+#: The supported simulation modes (the ``mode`` argument of the harnesses).
 MODES = ("packet", "hybrid")
 
 #: A firewall-crossing flow must have shown this many packets to the
@@ -135,7 +135,7 @@ def band_failures(reference: t.Mapping[str, float],
 
 
 def fluid_config_for_mode(mode: str) -> t.Optional[FluidConfig]:
-    """Map a ``--mode`` string to a registry config (None = packet)."""
+    """Map a ``mode`` string to a registry config (None = packet)."""
     if mode == "packet":
         return None
     if mode == "hybrid":

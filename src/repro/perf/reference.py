@@ -1,19 +1,21 @@
 """Reference implementations: the seed repo's slow paths, frozen.
 
-Every hot-path rewrite in this PR is held to a *golden-equivalence
-contract*: the optimized code must produce byte-identical output to the
-original implementation on every input.  This module preserves those
-originals verbatim (per-byte codec loops, list-based FIPS-197 AES,
-per-byte stream modes) so the contract stays checkable forever:
+Every hot-path rewrite is held to a *golden-equivalence contract*: the
+optimized code must produce byte-identical output to the original
+implementation on every input.  This module preserves those originals
+verbatim (per-byte codec loops, list-based FIPS-197 AES, per-byte
+stream modes) so the contract stays checkable forever:
 
 * ``tests/test_perf_equivalence.py`` drives optimized and reference
   paths over seeded random corpora and asserts identity;
-* ``python -m repro.perf.bench`` times both and reports the speedup.
+* ``benchmarks/test_perf_gates.py`` times the byte-map and affine
+  codecs and the AES block against their references and requires each
+  fast path to be at least 5x faster.
 
 Nothing here is wired into the simulator — the reference paths exist
 only as oracles and baselines.  :func:`patched_reference_paths`
-temporarily swaps the live classes back onto the slow paths so the
-bench can measure a whole-simulation "before" timing on one process.
+temporarily swaps the live classes back onto the slow paths so a test
+can run a whole simulation on them.
 """
 
 from __future__ import annotations
@@ -226,13 +228,13 @@ class ReferenceCtrCipher:
 def patched_reference_paths() -> t.Iterator[None]:
     """Temporarily swap the live hot paths back to the seed-slow ones.
 
-    Used by the bench CLI (and equivalence tests) to measure an entire
-    simulation on the pre-optimization paths without keeping two copies
-    of the middleware: AES block ops fall back to the list pipeline,
-    the blinding codecs to their per-byte loops, the stream modes to
-    per-byte processing, and every DPI classifier loses its
-    ``match_tags`` declaration so the firewall runs the full chain per
-    packet.  Purely a measurement device — never active in production
+    ``tests/test_perf_equivalence.py`` runs a whole Figure 7 point under
+    it and asserts the same summary as on the live paths, without
+    keeping two copies of the middleware: AES block ops fall back to
+    the list pipeline, the blinding codecs to their per-byte loops, the
+    stream modes to per-byte processing, and every DPI classifier loses
+    its ``match_tags`` declaration so the firewall runs the full chain
+    per packet.  Purely a test device — never active in production
     paths.
     """
     from ..core import blinding

@@ -107,9 +107,10 @@ def chunked(data: bytes, seed: int):
         position += size
 
 
-@pytest.mark.parametrize("mode", ("cfb", "ctr"))
-def test_stream_modes_match_reference_across_chunks(mode):
-    rng = random.Random(hash(mode) & 0xFFFF)
+@pytest.mark.parametrize("mode, seed", [("cfb", 1), ("ctr", 2)],
+                         ids=["cfb", "ctr"])
+def test_stream_modes_match_reference_across_chunks(mode, seed):
+    rng = random.Random(seed)
     key = bytes(rng.randrange(256) for _ in range(32))
     iv = bytes(rng.randrange(256) for _ in range(16))
     data = corpus(2000, seed=77)
@@ -320,77 +321,3 @@ def test_fig7_point_deterministic_across_runs():
     second = run_scalability_point("scholarcloud", clients=4, cycles=1, seed=5)
     assert first == second
 
-
-# -- bench regression gate ------------------------------------------------------
-
-
-def test_bench_gate_flags_speedup_regressions():
-    from repro.perf.bench import compare_to_baseline
-
-    baseline = {"micro": {"aes-block": {"speedup": 20.0},
-                          "gone": {"speedup": 4.0}},
-                "e2e": {"fig7-sweep": {"speedup": 3.0}}}
-    report = {"micro": {"aes-block": {"speedup": 12.0}},
-              "e2e": {"fig7-sweep": {"speedup": 2.9}}}
-    failures = compare_to_baseline(report, baseline, tolerance=0.25)
-    assert len(failures) == 2  # aes regressed, "gone" disappeared
-    assert any("aes-block" in f for f in failures)
-    assert any("gone" in f for f in failures)
-    # Within tolerance / improved: no failures.
-    ok = {"micro": {"aes-block": {"speedup": 19.0},
-                    "gone": {"speedup": 9.0}},
-          "e2e": {"fig7-sweep": {"speedup": 2.5}}}
-    assert compare_to_baseline(ok, baseline, tolerance=0.25) == []
-
-
-def test_bench_gate_tracks_parallel_speedup_against_baseline():
-    """Once a multi-core baseline is recorded, the parallel-scaling
-    number is held to the same tolerance as every other speedup — but
-    a single-core record on either side keeps the comparison dormant."""
-    from repro.perf.bench import compare_to_baseline
-
-    baseline = {"cpu_count": 4,
-                "e2e": {"fig7-sweep": {"speedup": 3.0,
-                                       "parallel_speedup": 1.8}}}
-    regressed = {"cpu_count": 4,
-                 "e2e": {"fig7-sweep": {"speedup": 3.0,
-                                        "parallel_speedup": 1.1}}}
-    failures = compare_to_baseline(regressed, baseline, tolerance=0.25)
-    assert any("parallel_speedup" in f for f in failures)
-    held = {"cpu_count": 4,
-            "e2e": {"fig7-sweep": {"speedup": 3.0,
-                                   "parallel_speedup": 1.7}}}
-    assert compare_to_baseline(held, baseline, tolerance=0.25) == []
-    missing = {"cpu_count": 4, "e2e": {"fig7-sweep": {"speedup": 3.0}}}
-    assert any("disappeared" in f for f in
-               compare_to_baseline(missing, baseline, tolerance=0.25))
-    # Either side recorded on one core: dormant, not a failure.
-    for single_side in (dict(regressed, cpu_count=1),):
-        assert compare_to_baseline(single_side, baseline,
-                                   tolerance=0.25) == []
-    single_baseline = dict(baseline, cpu_count=1)
-    assert compare_to_baseline(regressed, single_baseline,
-                               tolerance=0.25) == []
-
-
-def test_bench_parallel_gate_arms_only_on_multicore():
-    from repro.perf.bench import parallel_gate_failures
-
-    slow = {"cpu_count": 4, "workers": 4,
-            "e2e": {"fig7-sweep": {"parallel_speedup": 0.9}}}
-    assert parallel_gate_failures(slow, min_speedup=1.2)
-    fast = {"cpu_count": 4, "workers": 4,
-            "e2e": {"fig7-sweep": {"parallel_speedup": 2.6}}}
-    assert parallel_gate_failures(fast, min_speedup=1.2) == []
-    # A single-core machine (or a single-worker run) cannot exhibit
-    # parallel speedup; the gate must not fire there.
-    single = {"cpu_count": 1, "workers": 1,
-              "e2e": {"fig7-sweep": {"parallel_speedup": 0.7}}}
-    assert parallel_gate_failures(single, min_speedup=1.2) == []
-    one_worker = {"cpu_count": 8, "workers": 1,
-                  "e2e": {"fig7-sweep": {"parallel_speedup": 0.9}}}
-    assert parallel_gate_failures(one_worker, min_speedup=1.2) == []
-    # Missing measurement on a multi-core machine is itself a failure.
-    missing = {"cpu_count": 4, "workers": 4, "e2e": {"fig7-sweep": {}}}
-    assert parallel_gate_failures(missing, min_speedup=1.2)
-    assert parallel_gate_failures(slow, min_speedup=0) == []
