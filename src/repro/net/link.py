@@ -10,9 +10,11 @@ from __future__ import annotations
 import random
 import typing as t
 from dataclasses import dataclass
+from heapq import heappush
 
 from ..errors import NetworkError
-from ..sim import Call, Simulator, TraceLog
+from ..sim import Simulator, TraceLog
+from ..sim.events import PRIORITY_NORMAL
 from .middlebox import Middlebox, Verdict
 from .packet import Packet
 
@@ -138,8 +140,10 @@ class Link:
         """Send ``packet`` from ``sender`` toward the other endpoint.
 
         A delivered packet is serialized FIFO behind the direction's
-        earlier packets, then propagates for ``latency``; it arrives as
-        one queued ``receiver.receive`` call.
+        earlier packets, then propagates for ``latency``.  The packet is
+        its own arrival event: it is queued with ``receiver`` and this
+        link stored on it, and when the simulator pops it,
+        :meth:`Packet._run_callbacks` calls ``receiver.receive``.
         """
         end = self._ends.get(sender)
         if end is None:
@@ -174,9 +178,14 @@ class Link:
         busy_until[name] = start + serialization
         arrival_delay = (start - now) + serialization + self.latency
         # ``now + arrival_delay`` is the float ``Simulator.schedule``
-        # would compute, and it is never in the past, so the arrival
-        # ``Call`` is queued without ``schedule``'s checks.
-        Call(sim, now + arrival_delay, receiver.receive, (packet, self))
+        # would compute, and it is never in the past, so the packet is
+        # queued without ``schedule``'s checks, taking one ``seq`` as a
+        # queued call would.
+        packet._receiver = receiver
+        packet._link = self
+        seq = sim._seq + 1
+        sim._seq = seq
+        heappush(sim._queue, (now + arrival_delay, PRIORITY_NORMAL, seq, packet))
 
     def inject(self, packet: Packet, toward: "Node") -> None:
         """Middlebox API: deliver a forged packet toward ``toward``.

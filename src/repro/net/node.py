@@ -113,7 +113,10 @@ class Node:
         place.  That is safe because a packet object is on only one
         link at a time: every sender builds a fresh :class:`Packet`,
         and tunnels, NAT and GFW injections build new ones rather than
-        re-sending one they hold.
+        re-sending one they hold.  The arrival event relies on the same
+        rule: ``Link.transmit`` queues the packet itself, with the
+        receiver and link stored on it, so one object can be queued for
+        only one arrival at a time.
         """
         if packet.ttl <= 0:
             return  # silently drop expired packets

@@ -96,6 +96,12 @@ class Packet:
     ``payload`` is a transport segment (``repro.transport``) or an
     inner :class:`Packet` when tunnel-encapsulated.  ``size`` is the
     full on-wire size in bytes including all headers.
+
+    A packet on a link is its own arrival event: ``Link.transmit``
+    stores the receiving node and the link as ``_receiver`` and
+    ``_link`` and queues the packet, and the simulator's
+    :meth:`_run_callbacks` hands it over.  Neither is a dataclass field,
+    so ``copy`` and ``==`` ignore them.
     """
 
     src: IPv4Address
@@ -144,6 +150,10 @@ class Packet:
         """A shallow copy with ``changes`` applied and a fresh id."""
         changes.setdefault("packet_id", next(_packet_ids))
         return replace(self, **changes)
+
+    def _run_callbacks(self) -> None:
+        """Arrive: called by ``Simulator.step`` when the packet is popped."""
+        self._receiver.receive(self, self._link)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Packet #{self.packet_id} {self.src}->{self.dst} "

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ConnectionReset, ConnectionTimeout, TransportError
 from repro.middleware.base import Inbox
-from repro.net import Network, Node, Verdict, WireFeatures
+from repro.net import Network, Verdict, WireFeatures
 from repro.net.middlebox import Middlebox
 from repro.perf.fluid import PathHop, PathModel
 from repro.sim import Simulator
@@ -260,11 +260,10 @@ def _retransmission_instants(sim, host):
 
 
 def _queued_timers(sim):
-    """Queued calls other than link deliveries: here, the TCP timers
-    (the SYN timer, RTO and delayed ACK) and the test's link flaps."""
-    return sum(1 for *_key, event in sim._queue
-               if isinstance(event, Call)
-               and getattr(event._fn, "__func__", None) is not Node.receive)
+    """Queued calls (packets in flight queue themselves): here, the TCP
+    timers (the SYN timer, RTO and delayed ACK) and the test's link
+    flaps."""
+    return sum(1 for *_key, event in sim._queue if isinstance(event, Call))
 
 
 def _bulk_transfer(size, loss=0.0, flap=None):
