@@ -80,6 +80,7 @@ class WebServer:
             while True:
                 request = yield conn.recv_message()
                 if request is None:
+                    conn.close()  # the client closed: close our half
                     return
                 if not isinstance(request, HttpRequest):
                     raise HttpError(f"unexpected payload on port 80: {request!r}")
@@ -96,6 +97,7 @@ class WebServer:
             while True:
                 request = yield session.recv()
                 if request is None:
+                    conn.close()  # the client closed: close our half
                     return
                 if not isinstance(request, HttpRequest):
                     raise HttpError(f"unexpected payload on port 443: {request!r}")

@@ -55,7 +55,8 @@ class _Circuit:
 
 class _ExitStream:
     """Relay sink for one exit stream: each target message leaves as a
-    DATA cell toward the client, and the stream's end as its END cell."""
+    DATA cell toward the client, and the stream's end as its END cell,
+    unless the client ended the stream first."""
 
     __slots__ = ("circuit", "stream_id")
 
@@ -69,8 +70,11 @@ class _ExitStream:
                                         "length": length, "meta": meta})
 
     def close(self) -> None:
-        self.circuit.reply(cells.END, {"stream": self.stream_id,
-                                       "reason": "closed"})
+        # A client END removes the stream before it closes the target,
+        # and a stream the client ended needs no END back.
+        if self.stream_id in self.circuit.streams:
+            self.circuit.reply(cells.END, {"stream": self.stream_id,
+                                           "reason": "closed"})
 
 
 class TorRelay:

@@ -282,6 +282,10 @@ class Simulator:
         return None
 
 
+def _released() -> None:
+    """The ``fn`` of a released :class:`LazyTimer`; never called."""
+
+
 class LazyTimer:
     """A restartable timer that keeps one event queued, not one per arm.
 
@@ -329,6 +333,18 @@ class LazyTimer:
     def cancel(self) -> None:
         """Clear the deadline; a queued event then fires and does nothing."""
         self._deadline = None
+
+    def release(self) -> None:
+        """Cancel for good and drop ``fn``.
+
+        ``fn`` is usually a bound method of the object that holds the
+        timer, so the two form a reference cycle; releasing breaks it,
+        and the owner is freed by reference counting once nothing else
+        holds it.  A queued event still fires and does nothing, and so
+        does any later arm.
+        """
+        self._deadline = None
+        self._fn = _released
 
     def _fire(self) -> None:
         # Act only if the event firing now is the current one.  A

@@ -107,8 +107,8 @@ class _SendBuffer:
     def __init__(self) -> None:
         self.length = 0  # total bytes ever enqueued
         # (end_offset, meta) and (end_offset, features), ascending.
-        # Lists, not deques: they hold a few entries, and every
-        # connection ever opened keeps its buffer.
+        # Lists, not deques: they hold a few entries, and every live
+        # connection keeps its buffer.
         self._boundaries: t.List[t.Tuple[int, t.Any]] = []
         self._features: t.List[t.Tuple[int, WireFeatures]] = []
 
@@ -167,8 +167,12 @@ class _InFlight:
 class TcpConnection:
     """One endpoint of an established (or establishing) TCP connection.
 
-    Slotted: every connection a run opens stays reachable until the run
-    ends, so what one keeps is paid once per session.
+    Slotted, so what a live connection keeps is small.  Its transport
+    forgets it when it ends (:meth:`_end`): once its own FIN is acked
+    and the peer's FIN has arrived, once it gives up on its FIN, on a
+    reset, or when a connect fails.  It holds no reference cycle after
+    that, so reference counting frees it as soon as the application
+    and the queued timers let go.
     """
 
     __slots__ = (
@@ -329,7 +333,8 @@ class TcpConnection:
         if self.state != self.CLOSED or self._fin_acked:
             return  # reset in the meantime, or EOF already confirmed
         if self._fin_tries >= FIN_RETRIES:
-            return  # peer unreachable; give up like a real stack
+            self._end()  # peer unreachable; give up like a real stack
+            return
         if self._fin_seq is None:
             self._fin_seq = self._snd_nxt
         self._fin_tries += 1
@@ -370,6 +375,7 @@ class TcpConnection:
                     self.state = self.CLOSED
                     connect_event.fail(ConnectionTimeout(
                         f"connect to {self.remote_addr}:{self.remote_port} timed out"))
+                    self._end()
             deadline.add_callback(on_deadline)
         return self._connect_event
 
@@ -394,6 +400,7 @@ class TcpConnection:
             if self._connect_event and not self._connect_event.triggered:
                 self._connect_event.fail(ConnectionTimeout(
                     f"SYN retries exhausted to {self.remote_addr}:{self.remote_port}"))
+            self._end()
             return
         self.retransmissions += 1
         self._send_syn()
@@ -447,6 +454,10 @@ class TcpConnection:
                                   seq=self._snd_nxt, ack=segment.seq + 1,
                                   flags=ACK_FLAGS)
                 self._emit(fin_ack, ACK_SIZE, self.features)
+        if self._fin_acked and self._peer_closed:
+            # Both directions have ended: our FIN is acked (so it was
+            # sent, and we are CLOSED) and the peer's FIN has arrived.
+            self._end()
 
     def _establish_client(self, segment: Segment) -> None:
         self.state = self.ESTABLISHED
@@ -643,13 +654,28 @@ class TcpConnection:
         fluid = self.sim.fluid
         if fluid is not None:
             fluid.on_reset(self)
-        self.transport._forget(self)
         error = ConnectionReset(
             f"{self.flow}: reset {'locally' if local else 'by peer or on-path injection'}")
         if self._connect_event and not self._connect_event.triggered:
             self._connect_event.fail(error)
+        self._end()
         # Fail all blocked receivers.
         self._inbox.fail_getters(lambda: ConnectionReset(str(error)))
+
+    def _end(self) -> None:
+        """The connection is over: its transport forgets it, and it
+        drops every reference that would form a cycle back to it (its
+        timers' bound methods, its connect event, whose value is the
+        connection, and its fluid peer), so reference counting frees
+        it.  Nothing arms its timers again: no segment reaches a
+        forgotten connection, and a CLOSED or RESET one neither pumps
+        data nor acts on an RTO."""
+        self.transport._forget(self)
+        self._rto_timer.release()
+        self._delack_timer.release()
+        self._connect_event = None
+        self._fluid_peer = None
+        self._fluid_path = None
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<TcpConnection {self.local_addr}:{self.local_port}"

@@ -1,10 +1,15 @@
 """End-to-end tests of the ScholarCloud system against the GFW."""
 
+import gc
+import inspect
+
 import pytest
 
 from repro.core import ScholarCloud, evaluate_deployment, UserPopulation
 from repro.errors import ConfigurationError, MiddlewareError
 from repro.measure import Testbed
+from repro.measure.load import drive_clients, install_workload
+from repro.measure.scenarios import prepare
 
 
 def sc_world(**kwargs):
@@ -19,6 +24,57 @@ def test_scholarcloud_reaches_blocked_scholar():
     browser = testbed.browser(connector=system.connector())
     result = testbed.run_process(browser.load(testbed.scholar_page))
     assert result.succeeded, result.error
+
+
+def _connections(testbed):
+    """Every connection in any transport table of ``testbed``."""
+    return {conn for node in testbed.net.nodes.values()
+            if getattr(node, "transport", None) is not None
+            for conn in node.transport._connections.values()}
+
+
+def _suspended_relays(sim):
+    """Suspended ``relay`` generators reading a channel of ``sim``."""
+    return [obj for obj in gc.get_objects()
+            if inspect.isgenerator(obj) and obj.__name__ == "relay"
+            and obj.gi_frame is not None
+            and getattr(obj.gi_frame.f_locals.get("source"), "sim", None) is sim]
+
+
+def test_a_closed_session_leaves_no_connection_and_no_relay():
+    """Once the browser closes its pooled streams, the close travels
+    from the browser to the origin and back through every hop: no
+    connection of the session stays in any transport table, and no
+    relay stays suspended."""
+    testbed, system = sc_world()
+    before = _connections(testbed)
+    browser = testbed.browser(connector=system.connector())
+    result = testbed.run_process(browser.load(testbed.scholar_page))
+    assert result.succeeded, result.error
+    assert _connections(testbed) - before
+    assert _suspended_relays(testbed.sim)
+    browser.clear_caches()
+    testbed.sim.run(until=testbed.sim.now + 60.0)
+    assert _connections(testbed) == before
+    assert _suspended_relays(testbed.sim) == []
+
+
+def _live_connections_after(cycles, clients=10):
+    """Connections in the transport tables after a Figure 7
+    ScholarCloud point of ``cycles`` measured loads per client."""
+    world = prepare("scholarcloud", extra_clients=clients)
+    testbed = world.testbed
+    drive_clients(testbed.sim, testbed.extra_clients[:clients],
+                  world.method.attach_client,
+                  install_workload(testbed, "home"), cycles,
+                  testbed.rng.stream("scalability-offsets"), "load")
+    return len(_connections(testbed))
+
+
+def test_live_connections_stay_flat_over_figure7_cycles():
+    """Each client keeps its pooled streams; every stream it retires
+    is closed end to end, so more cycles leave no more connections."""
+    assert _live_connections_after(1) == _live_connections_after(3)
 
 
 def test_connector_requires_deploy():

@@ -132,6 +132,45 @@ def test_exit_stream_reads_the_reply_then_eof():
     assert testbed.run_process(body(testbed.sim)) == ("hello", None)
 
 
+def test_a_stream_the_client_ended_gets_no_end_back():
+    """The client's END closes the exit's target connection, and the
+    target closes in answer; the exit sends no END back for that
+    stream, since the client already ended it."""
+    testbed, method = tor_world()
+    sim = testbed.sim
+    target_closed = []
+
+    def close_on_eof(conn):
+        def serve(sim):
+            while (yield conn.recv_message()) is not None:
+                pass
+            conn.close()
+            target_closed.append(conn)
+        sim.process(serve(sim))
+
+    testbed.transport_of(testbed.scholar_origin).listen_tcp(7000, close_on_eof)
+    ends = []
+    end_stream = method._end_stream
+
+    def record_end(payload):
+        ends.append(payload.get("stream"))
+        end_stream(payload)
+
+    method._end_stream = record_end
+
+    def body(sim):
+        channel = yield from method.open_stream(SCHOLAR_HOST, 7000)
+        channel.send_message(100, meta="hello")
+        yield sim.timeout(5.0)
+        channel.close()
+        return channel.stream_id
+
+    stream_id = testbed.run_process(body(sim))
+    sim.run(until=sim.now + 30.0)
+    assert target_closed
+    assert stream_id not in ends
+
+
 def test_backward_leg_end_closes_the_client_link():
     """The middle relay closes its client link: the bridge's backward
     leg sees EOF and closes the bridge's own client link."""

@@ -12,7 +12,7 @@ from repro.net.middlebox import Middlebox
 from repro.perf.fluid import PathHop, PathModel
 from repro.sim import Simulator
 from repro.sim.events import Call
-from repro.transport import install_transport
+from repro.transport import TcpConnection, install_transport
 from repro.units import Mbps, ms
 
 
@@ -172,11 +172,14 @@ def _open_and_close(sim, ta, count):
 
 
 def test_orderly_closed_connections_stay_compact():
-    """Every connection a run opens stays reachable until the run ends,
-    so what one keeps is paid per session.  The bound sits between the
-    3.6-3.7 KB a closed pair keeps on CPython 3.9-3.12 with slotted
-    connections and list-backed inboxes and the 7.5-9.4 KB it keeps
-    with instance dicts and deques."""
+    """A closed connection the application still holds (here, the
+    server's ``eofs``) keeps little, and a pooled one as little, so
+    what one keeps is paid per live session.  The bound sits between the
+    3.6-3.7 KB a closed pair kept on CPython 3.9-3.12 with slotted
+    connections and list-backed inboxes, while the transport kept both
+    halves, and the 7.5-9.4 KB it kept with instance dicts and deques;
+    now that the transport forgets them, only the held server half
+    remains (about 1.5 KB on CPython 3.11)."""
     pairs = 200
     sim, _net, ta, tb, _link = two_hosts()
     eofs = []
@@ -505,3 +508,181 @@ def test_tcp_duplicate_listen_rejected():
     tb.listen_tcp(80, lambda conn: None)
     with pytest.raises(TransportError):
         tb.listen_tcp(80, lambda conn: None)
+
+
+# -- connection lifetime ----------------------------------------------------------
+
+
+def _connections_of(sim):
+    """Every ``TcpConnection`` of ``sim`` that the collector tracks."""
+    return [obj for obj in gc.get_objects()
+            if isinstance(obj, TcpConnection) and obj.sim is sim]
+
+
+def _drain_then_close(sim, conn):
+    """Read to EOF, then close our half."""
+    while (yield conn.recv_message()) is not None:
+        pass
+    conn.close()
+
+
+def _orderly_close(sim, ta, tb, link):
+    tb.listen_tcp(80, lambda conn: sim.process(_drain_then_close(sim, conn)))
+
+    def client(sim):
+        conn = yield ta.connect_tcp("203.0.113.1", 80)
+        conn.send_message(5000, meta="hello")
+        yield sim.timeout(1.0)
+        conn.close()
+        assert (yield conn.recv_message()) is None
+    sim.process(client(sim))
+
+
+def _fin_give_up(sim, ta, tb, link):
+    def server(sim, conn):
+        yield conn.recv_message()
+        link.set_up(False)  # neither FIN will ever be acked
+        conn.close()
+    tb.listen_tcp(80, lambda conn: sim.process(server(sim, conn)))
+
+    def client(sim):
+        conn = yield ta.connect_tcp("203.0.113.1", 80)
+        conn.send_message(100, meta="hello")
+        yield sim.timeout(1.0)
+        conn.close()
+    sim.process(client(sim))
+
+
+def _reset(sim, ta, tb, link):
+    def server(sim, conn):
+        with pytest.raises(ConnectionReset):
+            while (yield conn.recv_message()) is not None:
+                pass
+    tb.listen_tcp(80, lambda conn: sim.process(server(sim, conn)))
+
+    def client(sim):
+        conn = yield ta.connect_tcp("203.0.113.1", 80)
+        conn.send_message(100, meta="hello")
+        yield sim.timeout(1.0)
+        conn.abort()
+    sim.process(client(sim))
+
+
+def _failed_connect(timeout):
+    def scenario(sim, ta, tb, link):
+        link.set_up(False)
+
+        def client(sim):
+            with pytest.raises(ConnectionTimeout):
+                yield ta.connect_tcp("203.0.113.1", 80, timeout=timeout)
+        sim.process(client(sim))
+    return scenario
+
+
+@pytest.mark.parametrize("scenario", [
+    _orderly_close, _fin_give_up, _reset,
+    _failed_connect(timeout=5.0),     # the connect deadline fires
+    _failed_connect(timeout=None),    # the SYN retries run out
+], ids=["orderly-close", "fin-give-up", "reset", "connect-deadline",
+        "syn-retries"])
+def test_a_finished_session_leaves_no_connection_behind(scenario):
+    """Every path that ends a connection makes its transport forget it,
+    and a forgotten connection holds no reference cycle: with the
+    cyclic collector off, none is left once the queued timers fired."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim, _net, ta, tb, link = two_hosts()
+        scenario(sim, ta, tb, link)
+        sim.run()
+        assert not ta._connections and not tb._connections
+        assert _connections_of(sim) == []
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_late_syn_ack_after_a_failed_connect_is_refused():
+    """The connect deadline fires before the SYN-ACK arrives: the
+    client has forgotten the connection, so the SYN-ACK draws a RST and
+    the server's half is reset rather than left in SYN_RCVD."""
+    sim, _net, ta, tb, _link = two_hosts()
+    accepted = []
+    tb.listen_tcp(80, accepted.append)
+
+    def client(sim):
+        with pytest.raises(ConnectionTimeout):
+            yield ta.connect_tcp("203.0.113.1", 80, timeout=0.06)
+
+    sim.process(client(sim))
+    sim.run(until=0.07)
+    (server_half,) = tb._connections.values()
+    assert server_half.state == "SYN_RCVD" and not ta._connections
+    sim.run(until=1.0)
+    assert server_half.state == "RESET"
+    assert not tb._connections and not accepted
+
+
+def test_a_lost_last_ack_ends_only_the_closing_connection():
+    """The last ACK of a close is dropped, so the peer's retransmitted
+    FIN reaches an end that was already forgotten.  The RST it draws
+    ends only that closing connection: another connection between the
+    same hosts carries on, and no reader is left waiting."""
+    sim, _net, ta, tb, link = two_hosts()
+    readers = []
+
+    def server(sim, conn):
+        readers.append(conn)
+        while True:
+            meta = yield conn.recv_message()
+            if meta is None:
+                conn.close()
+                return
+            conn.send_message(100, meta=("echo", meta))
+    tb.listen_tcp(80, lambda conn: sim.process(server(sim, conn)))
+
+    class DropLastAck(Middlebox):
+        """Drop the first pure ACK ``a`` sends after ``b``'s FIN."""
+        name = "drop-last-ack"
+        port = None
+        armed = False
+        dropped = 0
+
+        def process(self, packet, direction, link):
+            segment = packet.payload
+            if segment.sport == self.port or segment.dport == self.port:
+                if direction.sender == "b" and "FIN" in segment.flags:
+                    self.armed = True
+                elif (self.armed and direction.sender == "a"
+                      and segment.flags == frozenset({"ACK"})):
+                    self.armed = False
+                    self.dropped += 1
+                    return Verdict.DROP
+            return Verdict.PASS
+
+    dropper = DropLastAck()
+    link.add_middlebox(dropper)
+
+    def client(sim):
+        keeper = yield ta.connect_tcp("203.0.113.1", 80)
+        closer = yield ta.connect_tcp("203.0.113.1", 80)
+        dropper.port = closer.local_port
+        closer.send_message(100, meta="bye")
+        assert (yield closer.recv_message()) == ("echo", "bye")
+        closer.close()
+        assert (yield closer.recv_message()) is None
+        yield sim.timeout(30.0)
+        keeper.send_message(100, meta="still here")
+        return closer, keeper, (yield keeper.recv_message())
+
+    closer, keeper, reply = sim.run(until=sim.process(client(sim)))
+    assert dropper.dropped == 1
+    assert reply == ("echo", "still here")
+    assert keeper.state == "ESTABLISHED"
+    server_keeper, server_closer = readers
+    assert server_keeper.state == "ESTABLISHED"
+    assert server_closer.state == "RESET"
+    assert closer.state == "CLOSED"
+    assert list(ta._connections.values()) == [keeper]
+    assert list(tb._connections.values()) == [server_keeper]
+    assert not closer._inbox._getters and not server_closer._inbox._getters
