@@ -160,14 +160,14 @@ class GreatFirewall(Middlebox):
                 self.stats.dns_injections += 1
 
         if self.config.keyword_filtering:
-            if self.flows.penalized(packet.src, packet.dst, self.sim.now):
+            if self.flows.penalized(packet.src, packet.dst, self.sim._now):
                 self._reset_both_ways(packet, link)
                 return Verdict.DROP
             keyword = self.policy.keyword_hit(packet.features.plaintext)
             if keyword is not None:
                 self.stats.keyword_resets += 1
                 self.flows.penalize(packet.src, packet.dst,
-                                    self.sim.now + self.config.reset_penalty_seconds)
+                                    self.sim._now + self.config.reset_penalty_seconds)
                 self._trace("gfw.keyword", packet, keyword=keyword)
                 self._reset_both_ways(packet, link)
                 return Verdict.DROP
@@ -175,7 +175,7 @@ class GreatFirewall(Middlebox):
         if not self.config.dpi:
             return Verdict.PASS
 
-        state = self.flows.observe(packet.flow, packet.size, self.sim.now)
+        state = self.flows.observe(packet.flow, packet.size, self.sim._now)
         if state is None:
             return Verdict.PASS
 

@@ -27,6 +27,7 @@ from ..errors import MiddlewareError, TransportError
 from ..http.client import Connector, Stream
 from ..net import WireFeatures
 from ..sim import Event, ProcessorSharingServer, Simulator, Store
+from ..transport import tls as tls_sizes
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from ..measure.testbed import Testbed
@@ -138,7 +139,6 @@ def estimate_meta_length(meta: t.Any) -> int:
     ``.size()``, TLS handshake metas map onto the constants in
     :mod:`repro.transport.tls`, TLS app records add record overhead.
     """
-    from ..transport import tls as tls_sizes
     size = getattr(meta, "size", None)
     if callable(size):
         return int(size())

@@ -43,7 +43,9 @@ class NatTable:
         if packet.protocol == "tcp":
             segment: Segment = packet.payload
             nat_port = self._port_for(packet.protocol, packet.src, segment.sport)
-            rewritten = dataclasses.replace(segment, sport=nat_port)
+            rewritten = Segment(nat_port, segment.dport, segment.seq,
+                                segment.ack, segment.flags, segment.length,
+                                segment.message_ends)
             return packet.copy(src=self.public_addr, payload=rewritten,
                                flow=("tcp", str(self.public_addr), nat_port,
                                      str(packet.dst), segment.dport))
@@ -71,7 +73,9 @@ class NatTable:
             entry = self._by_nat.get(("tcp", segment.dport))
             if entry is None:
                 return None
-            rewritten = dataclasses.replace(segment, dport=entry.client_port)
+            rewritten = Segment(segment.sport, entry.client_port,
+                                segment.seq, segment.ack, segment.flags,
+                                segment.length, segment.message_ends)
             return packet.copy(dst=entry.client_addr, payload=rewritten)
         if packet.protocol == "udp":
             datagram = packet.payload

@@ -82,10 +82,11 @@ class Link:
         self.bytes_sent: t.Dict[str, int] = {a.name: 0, b.name: 0}
         self.packets_sent: t.Dict[str, int] = {a.name: 0, b.name: 0}
         self.packets_dropped: t.Dict[str, int] = {a.name: 0, b.name: 0}
-        # Sender -> (receiver, direction), built once per direction.
-        self._ends: t.Dict["Node", t.Tuple["Node", Direction]] = {
-            a: (b, Direction(a.name, b.name)),
-            b: (a, Direction(b.name, a.name)),
+        # Sender -> (receiver, direction, sender's name), built once per
+        # direction.
+        self._ends: t.Dict["Node", t.Tuple["Node", Direction, str]] = {
+            a: (b, Direction(a.name, b.name), a.name),
+            b: (a, Direction(b.name, a.name), b.name),
         }
         a._attach(self)
         b._attach(self)
@@ -148,8 +149,7 @@ class Link:
         end = self._ends.get(sender)
         if end is None:
             raise NetworkError(f"{sender.name} is not attached to {self.name}")
-        receiver, direction = end
-        name = sender.name
+        receiver, direction, name = end
         size = packet.size
         self.bytes_sent[name] += size
         self.packets_sent[name] += 1
@@ -158,18 +158,20 @@ class Link:
             self._record_drop(packet, direction, reason="link-down")
             return
 
-        for middlebox in self.middleboxes:
-            verdict = middlebox.process(packet, direction, self)
-            if verdict is Verdict.DROP:
-                self._record_drop(packet, direction, reason=middlebox.name)
-                return
+        if self.middleboxes:
+            for middlebox in self.middleboxes:
+                verdict = middlebox.process(packet, direction, self)
+                if verdict is Verdict.DROP:
+                    self._record_drop(packet, direction,
+                                      reason=middlebox.name)
+                    return
 
         if self.loss and self.rng.random() < self.loss:
             self._record_drop(packet, direction, reason="path-loss")
             return
 
         sim = self.sim
-        now = sim.now
+        now = sim._now
         serialization = size / self.bandwidth
         busy_until = self._busy_until
         start = busy_until[name]

@@ -86,21 +86,28 @@ class Node:
 
     def send(self, packet: Packet) -> None:
         """Originate or forward ``packet`` out of this node."""
-        for hook in self.outbound_hooks:
-            replacement = hook(packet)
-            if replacement is None:
-                return
-            packet = replacement
-        link = self.route_for(packet.dst)
+        if self.outbound_hooks:
+            for hook in self.outbound_hooks:
+                replacement = hook(packet)
+                if replacement is None:
+                    return
+                packet = replacement
+        # ``route_for``, inline: this runs once per segment sent.
+        link = self._host_routes.get(packet.dst.value)
+        if link is None:
+            link = self._default_route
+            if link is None:
+                raise RoutingError(f"{self.name}: no route to {packet.dst}")
         link.transmit(packet, self)
 
     def receive(self, packet: Packet, link: Link) -> None:
         """Called by a link when a packet arrives."""
-        for hook in self.inbound_hooks:
-            replacement = hook(packet)
-            if replacement is None:
-                return
-            packet = replacement
+        if self.inbound_hooks:
+            for hook in self.inbound_hooks:
+                replacement = hook(packet)
+                if replacement is None:
+                    return
+                packet = replacement
         if packet.dst.value in self._owned:
             self.deliver(packet)
             return
@@ -121,13 +128,15 @@ class Node:
         if packet.ttl <= 0:
             return  # silently drop expired packets
         packet.ttl -= 1
-        try:
-            link = self.route_for(packet.dst)
-        except RoutingError:
-            if self.trace is not None:
-                self.trace.emit("node.no-route", node=self.name,
-                                dst=str(packet.dst))
-            return
+        # ``route_for``, inline: this runs once per router hop.
+        link = self._host_routes.get(packet.dst.value)
+        if link is None:
+            link = self._default_route
+            if link is None:
+                if self.trace is not None:
+                    self.trace.emit("node.no-route", node=self.name,
+                                    dst=str(packet.dst))
+                return
         link.transmit(packet, self)
 
     def deliver(self, packet: Packet) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import typing as t
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .addresses import IPv4Address
 
@@ -89,32 +89,50 @@ class WireFeatures:
 OPAQUE_STREAM = WireFeatures(protocol_tag="unknown-stream", entropy=8.0)
 
 
-@dataclass
+#: Wire features of a packet built without any, shared by all of them
+#: (``WireFeatures`` is frozen).
+DEFAULT_FEATURES = WireFeatures()
+#: A packet's fields: what ``==`` compares and what :meth:`Packet.copy`
+#: may change.
+_FIELDS = ("src", "dst", "protocol", "payload", "size", "features", "ttl",
+           "packet_id", "flow")
+
+
 class Packet:
     """A packet on the simulated wire.
 
     ``payload`` is a transport segment (``repro.transport``) or an
     inner :class:`Packet` when tunnel-encapsulated.  ``size`` is the
-    full on-wire size in bytes including all headers.
+    full on-wire size in bytes including all headers.  ``flow`` is the
+    identifier of the application flow this packet belongs to, as seen
+    at the outermost layer; the transport fills it in.  Every packet
+    takes a fresh ``packet_id``.
 
     A packet on a link is its own arrival event: ``Link.transmit``
     stores the receiving node and the link as ``_receiver`` and
     ``_link`` and queues the packet, and the simulator's
-    :meth:`_run_callbacks` hands it over.  Neither is a dataclass field,
-    so ``copy`` and ``==`` ignore them.
+    :meth:`_run_callbacks` hands it over.  Neither is a field, so
+    ``copy`` and ``==`` ignore them.  ``==`` compares the fields, as a
+    dataclass's does, so a packet is unhashable; it is slotted, since
+    every hop of every segment builds or moves one.
     """
 
-    src: IPv4Address
-    dst: IPv4Address
-    protocol: str  # "tcp", "udp", "icmp", "gre"
-    payload: t.Any
-    size: int
-    features: WireFeatures = field(default_factory=WireFeatures)
-    ttl: int = 64
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
-    # Identifier of the application flow this packet belongs to, as seen
-    # at the outermost layer; filled in by the transport.
-    flow: t.Optional[t.Tuple[t.Any, ...]] = None
+    __slots__ = _FIELDS + ("_receiver", "_link")
+
+    def __init__(self, src: IPv4Address, dst: IPv4Address, protocol: str,
+                 payload: t.Any, size: int,
+                 features: WireFeatures = DEFAULT_FEATURES,
+                 flow: t.Optional[t.Tuple[t.Any, ...]] = None,
+                 ttl: int = 64) -> None:
+        self.src = src
+        self.dst = dst
+        self.protocol = protocol  # "tcp", "udp", "icmp", "gre"
+        self.payload = payload
+        self.size = size
+        self.features = features
+        self.flow = flow
+        self.ttl = ttl
+        self.packet_id = next(_packet_ids)
 
     def encapsulate(
         self,
@@ -125,15 +143,8 @@ class Packet:
         features: WireFeatures,
     ) -> "Packet":
         """Wrap this packet inside a tunnel packet."""
-        return Packet(
-            src=src,
-            dst=dst,
-            protocol=protocol,
-            payload=self,
-            size=self.size + overhead,
-            features=features,
-            flow=("tunnel", str(src), str(dst), protocol),
-        )
+        return Packet(src, dst, protocol, self, self.size + overhead,
+                      features, ("tunnel", str(src), str(dst), protocol))
 
     @property
     def is_tunneled(self) -> bool:
@@ -148,8 +159,24 @@ class Packet:
 
     def copy(self, **changes: t.Any) -> "Packet":
         """A shallow copy with ``changes`` applied and a fresh id."""
-        changes.setdefault("packet_id", next(_packet_ids))
-        return replace(self, **changes)
+        clone = Packet(self.src, self.dst, self.protocol, self.payload,
+                       self.size, self.features, self.flow, self.ttl)
+        for name, value in changes.items():
+            if name not in _FIELDS:
+                raise TypeError(f"Packet has no field {name!r}")
+            setattr(clone, name, value)
+        return clone
+
+    def _fields(self) -> t.Tuple[t.Any, ...]:
+        return (self.src, self.dst, self.protocol, self.payload, self.size,
+                self.features, self.ttl, self.packet_id, self.flow)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == t.cast(Packet, other)._fields()
+
+    __hash__ = None  # type: ignore[assignment]
 
     def _run_callbacks(self) -> None:
         """Arrive: called by ``Simulator.step`` when the packet is popped."""

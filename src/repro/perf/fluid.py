@@ -281,7 +281,7 @@ class FluidRegistry:
             return self._fallback("no-path")
         if peer.state == TcpConnection.RESET:
             return self._fallback("peer-reset")
-        if peer._ooo or peer._pending_ends:
+        if peer._ooo:
             return self._fallback("peer-reassembling")
         if peer._rcv_nxt + conn._fluid_pending != conn._snd_una:
             return self._fallback("peer-lagging")
@@ -359,6 +359,10 @@ class FluidRegistry:
         if node.outbound_hooks:
             return None
         hops: t.List[PathHop] = []
+        # Added left to right: CPython 3.12's ``sum`` compensates float
+        # rounding, so it would make delivery times, and the digests,
+        # depend on the interpreter version.
+        latency = 0.0
         for _ in range(MAX_HOPS):
             if node.owns(dst):
                 break
@@ -370,6 +374,7 @@ class FluidRegistry:
             if receiver.inbound_hooks:
                 return None
             hops.append(PathHop(link, node, receiver))
+            latency += link.latency
             node = receiver
         else:
             return None
@@ -392,7 +397,7 @@ class FluidRegistry:
                     return None
         path = PathModel(
             hops=tuple(hops),
-            latency=sum(hop.link.latency for hop in hops),
+            latency=latency,
             bottleneck_bw=min(hop.link.bandwidth for hop in hops),
             firewalls=tuple(firewalls),
         )

@@ -188,14 +188,14 @@ class ProcessorSharingServer:
             event.succeed(None)
             return event
         self._drain_progress()
-        self._jobs.append(_PsJob(demand, event, self.sim.now))
+        self._jobs.append(_PsJob(demand, event, self.sim._now))
         self._reschedule()
         return event
 
     # -- internals ---------------------------------------------------------
 
     def _account_busy(self) -> None:
-        now = self.sim.now
+        now = self.sim._now
         if self._jobs:
             self._busy_time += now - self._last_busy_update
         self._last_busy_update = now
@@ -203,7 +203,7 @@ class ProcessorSharingServer:
     def _drain_progress(self) -> None:
         """Apply service accrued since the last event to every job."""
         self._account_busy()
-        now = self.sim.now
+        now = self.sim._now
         if not self._jobs:
             return
         rate = self.capacity / len(self._jobs)

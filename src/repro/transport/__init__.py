@@ -12,7 +12,6 @@ from .tcp import (
     ACK_SIZE,
     INITIAL_CWND,
     INITIAL_RTO,
-    Message,
     Segment,
     SYN_SIZE,
     TcpConnection,
@@ -30,7 +29,6 @@ __all__ = [
     "Datagram",
     "INITIAL_CWND",
     "INITIAL_RTO",
-    "Message",
     "PING_SIZE",
     "RECORD_OVERHEAD",
     "SYN_SIZE",

@@ -25,7 +25,6 @@ already in segments), and Nagle.
 from __future__ import annotations
 
 import typing as t
-from dataclasses import dataclass
 
 from ..errors import (
     ConnectionReset,
@@ -33,6 +32,7 @@ from ..errors import (
     TransportError,
 )
 from ..net import IP_HEADER, MSS, TCP_HEADER, IPv4Address, Packet, WireFeatures
+from ..net.packet import DEFAULT_FEATURES
 from ..sim import Event, LazyTimer, Simulator, Store
 
 if t.TYPE_CHECKING:  # pragma: no cover
@@ -61,35 +61,48 @@ SYN_FLAGS = frozenset({"SYN"})
 SYN_ACK_FLAGS = frozenset({"SYN", "ACK"})
 FIN_ACK_FLAGS = frozenset({"FIN", "ACK"})
 RST_FLAGS = frozenset({"RST"})
-#: Wire features of a connection opened without any, shared by all of
-#: them (``WireFeatures`` is frozen).
-DEFAULT_FEATURES = WireFeatures()
 
 
-@dataclass
-class Message:
-    """An application payload: ``length`` bytes plus opaque ``meta``."""
-
-    length: int
-    meta: t.Any = None
-    features: t.Optional[WireFeatures] = None
-
-
-@dataclass
 class Segment:
-    """TCP segment carried as a packet payload."""
+    """TCP segment carried as a packet payload.
 
-    sport: int
-    dport: int
-    seq: int
-    ack: int
-    flags: t.FrozenSet[str]
-    length: int = 0
-    # (end_offset, meta) pairs for app messages ending inside this segment.
-    message_ends: t.Tuple[t.Tuple[int, t.Any], ...] = ()
+    ``message_ends`` holds the ``(end_offset, meta)`` pairs of the
+    application messages ending inside this segment, ascending.  Slotted,
+    and built with positional arguments on the hot path; ``==`` compares
+    the fields, as a dataclass's does, so a segment is unhashable.
+    """
+
+    __slots__ = ("sport", "dport", "seq", "ack", "flags", "length",
+                 "message_ends")
+
+    def __init__(self, sport: int, dport: int, seq: int, ack: int,
+                 flags: t.FrozenSet[str], length: int = 0,
+                 message_ends: t.Tuple[t.Tuple[int, t.Any], ...] = ()) -> None:
+        self.sport = sport
+        self.dport = dport
+        self.seq = seq
+        self.ack = ack
+        self.flags = flags
+        self.length = length
+        self.message_ends = message_ends
 
     def wire_size(self) -> int:
         return IP_HEADER + TCP_HEADER + self.length
+
+    def _fields(self) -> t.Tuple[t.Any, ...]:
+        return (self.sport, self.dport, self.seq, self.ack, self.flags,
+                self.length, self.message_ends)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == t.cast(Segment, other)._fields()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"Segment({self.sport}->{self.dport} seq={self.seq} "
+                f"ack={self.ack} {sorted(self.flags)} len={self.length})")
 
 
 class _SendBuffer:
@@ -112,14 +125,20 @@ class _SendBuffer:
         self._boundaries: t.List[t.Tuple[int, t.Any]] = []
         self._features: t.List[t.Tuple[int, WireFeatures]] = []
 
-    def enqueue(self, message: Message) -> None:
-        self.length += message.length
-        self._boundaries.append((self.length, message.meta))
-        if message.features is not None:
-            self._features.append((self.length, message.features))
+    def enqueue(self, length: int, meta: t.Any,
+                features: t.Optional[WireFeatures]) -> None:
+        """Append an application message: ``length`` bytes, ``meta``."""
+        self.length += length
+        self._boundaries.append((self.length, meta))
+        if features is not None:
+            self._features.append((self.length, features))
 
     def acked(self, snd_una: int) -> None:
-        """Forget boundaries at or below ``snd_una`` (now acknowledged)."""
+        """Forget boundaries at or below ``snd_una`` (now acknowledged).
+
+        Every features entry sits at the offset of a boundary, so when
+        the first boundary lies past ``snd_una`` there is nothing to do.
+        """
         _drop_through(self._boundaries, snd_una)
         _drop_through(self._features, snd_una)
 
@@ -157,11 +176,15 @@ def _drop_through(entries: t.List[t.Tuple[int, t.Any]], offset: int) -> None:
     del entries[:count]
 
 
-@dataclass
 class _InFlight:
-    segment: Segment
-    sent_at: float
-    retransmitted: bool = False
+    """A sent segment awaiting its ACK."""
+
+    __slots__ = ("segment", "sent_at", "retransmitted")
+
+    def __init__(self, segment: Segment, sent_at: float) -> None:
+        self.segment = segment
+        self.sent_at = sent_at
+        self.retransmitted = False
 
 
 class TcpConnection:
@@ -185,7 +208,7 @@ class TcpConnection:
         "_srtt", "_rttvar", "_rto", "_rto_timer", "_rto_timer_version",
         "_syn_sent_at", "_syn_tries", "_connect_event",
         # Receiver and orderly close.
-        "_rcv_nxt", "_ooo", "_pending_ends", "_inbox", "_peer_closed",
+        "_rcv_nxt", "_ooo", "_inbox", "_peer_closed",
         "_fin_seq", "_fin_acked", "_fin_tries", "_unacked_segments",
         "_delack_timer",
         # Accounting.
@@ -221,7 +244,8 @@ class TcpConnection:
         #: addresses and ports never change after construction.
         self.flow: t.Tuple[t.Any, ...] = (
             "tcp", str(local_addr), local_port, str(remote_addr), remote_port)
-        #: Default wire features for data segments of this connection.
+        #: Default wire features for data segments of this connection;
+        #: one opened without any shares ``DEFAULT_FEATURES``.
         self.features = features or DEFAULT_FEATURES
         self.state = self.CLOSED
         #: Set by an edge cache that answers this stream itself: its
@@ -235,7 +259,9 @@ class TcpConnection:
         self._cwnd = float(INITIAL_CWND)      # in segments
         self._ssthresh = 64.0
         self._dup_acks = 0
-        self._in_flight: t.Dict[int, _InFlight] = {}  # keyed by seq
+        # Keyed by seq, in insertion order, which is sequence order:
+        # only new data is inserted, always at ``_snd_nxt``.
+        self._in_flight: t.Dict[int, _InFlight] = {}
 
         # RTO estimation (RFC 6298).
         self._srtt: t.Optional[float] = None
@@ -252,7 +278,6 @@ class TcpConnection:
         # Receiver state.
         self._rcv_nxt = 0
         self._ooo: t.Dict[int, Segment] = {}     # out-of-order segments by seq
-        self._pending_ends: t.List[t.Tuple[int, t.Any]] = []
         self._inbox: Store = Store(self.sim)
         self._peer_closed = False
         # Orderly-close state: the FIN occupies one sequence number and
@@ -293,7 +318,7 @@ class TcpConnection:
         fluid = self.sim.fluid
         if fluid is not None and fluid.try_transfer(self, length, meta, features):
             return
-        self._send_buffer.enqueue(Message(length, meta, features))
+        self._send_buffer.enqueue(length, meta, features)
         self._pump()
 
     def recv_message(self) -> Event:
@@ -316,7 +341,7 @@ class TcpConnection:
         # A fluid delivery still in flight must reach the peer before
         # EOF; defer the FIN to the fluid horizon (packet mode: 0.0,
         # so the FIN goes out synchronously as it always did).
-        delay = self._fluid_horizon - self.sim.now
+        delay = self._fluid_horizon - self.sim._now
         if delay > 0:
             self.sim.schedule(delay, self._emit_fin)
         else:
@@ -340,9 +365,8 @@ class TcpConnection:
         self._fin_tries += 1
         if self._fin_tries > 1:
             self.retransmissions += 1
-        fin = Segment(self.local_port, self.remote_port,
-                      seq=self._fin_seq, ack=self._rcv_nxt,
-                      flags=FIN_ACK_FLAGS)
+        fin = Segment(self.local_port, self.remote_port, self._fin_seq,
+                      self._rcv_nxt, FIN_ACK_FLAGS)
         self._emit(fin, ACK_SIZE, self.features)
         backoff = min(self._rto * (2 ** (self._fin_tries - 1)), MAX_RTO)
         self.sim.schedule(backoff, self._emit_fin)
@@ -351,9 +375,8 @@ class TcpConnection:
         """Send a RST and tear down immediately."""
         if self.state == self.RESET:
             return
-        rst = Segment(self.local_port, self.remote_port,
-                      seq=self._snd_nxt, ack=self._rcv_nxt,
-                      flags=RST_FLAGS)
+        rst = Segment(self.local_port, self.remote_port, self._snd_nxt,
+                      self._rcv_nxt, RST_FLAGS)
         self._emit(rst, ACK_SIZE, self.features)
         self._enter_reset(local=True)
 
@@ -381,9 +404,8 @@ class TcpConnection:
 
     def _send_syn(self) -> None:
         self._syn_tries += 1
-        self._syn_sent_at = self.sim.now
-        syn = Segment(self.local_port, self.remote_port, seq=0, ack=0,
-                      flags=SYN_FLAGS)
+        self._syn_sent_at = self.sim._now
+        syn = Segment(self.local_port, self.remote_port, 0, 0, SYN_FLAGS)
         self._emit(syn, SYN_SIZE,
                    WireFeatures(protocol_tag=self.features.protocol_tag,
                                 sni=self.features.sni, handshake=True,
@@ -408,8 +430,8 @@ class TcpConnection:
     def accept_from_syn(self) -> None:
         """Server side: a SYN arrived; reply SYN+ACK."""
         self.state = self.SYN_RCVD
-        synack = Segment(self.local_port, self.remote_port, seq=0, ack=0,
-                         flags=SYN_ACK_FLAGS)
+        synack = Segment(self.local_port, self.remote_port, 0, 0,
+                         SYN_ACK_FLAGS)
         self._emit(synack, SYN_SIZE,
                    WireFeatures(protocol_tag=self.features.protocol_tag,
                                 handshake=True, entropy=0.5))
@@ -451,8 +473,7 @@ class TcpConnection:
                 # stop retransmitting.  Re-acking duplicates covers a
                 # lost FIN-ack.
                 fin_ack = Segment(self.local_port, self.remote_port,
-                                  seq=self._snd_nxt, ack=segment.seq + 1,
-                                  flags=ACK_FLAGS)
+                                  self._snd_nxt, segment.seq + 1, ACK_FLAGS)
                 self._emit(fin_ack, ACK_SIZE, self.features)
         if self._fin_acked and self._peer_closed:
             # Both directions have ended: our FIN is acked (so it was
@@ -461,7 +482,7 @@ class TcpConnection:
 
     def _establish_client(self, segment: Segment) -> None:
         self.state = self.ESTABLISHED
-        sample = self.sim.now - self._syn_sent_at
+        sample = self.sim._now - self._syn_sent_at
         if self._syn_tries == 1:  # Karn's rule: only unambiguous samples
             self._update_rtt(sample)
         self._bump_timer()
@@ -486,21 +507,18 @@ class TcpConnection:
             self._snd_nxt += chunk
 
     def _transmit_range(self, start: int, length: int, retransmission: bool) -> None:
-        segment = Segment(
-            self.local_port, self.remote_port,
-            seq=start, ack=self._rcv_nxt,
-            flags=ACK_FLAGS,
-            length=length,
-            message_ends=self._send_buffer.ends_in(start, start + length),
-        )
-        features = self._send_buffer.features_for(start) or self.features
+        buffer = self._send_buffer
+        segment = Segment(self.local_port, self.remote_port, start,
+                          self._rcv_nxt, ACK_FLAGS, length,
+                          buffer.ends_in(start, start + length))
+        features = buffer.features_for(start) or self.features
         if not retransmission:
-            self._in_flight[start] = _InFlight(segment, self.sim.now)
+            self._in_flight[start] = _InFlight(segment, self.sim._now)
         else:
             entry = self._in_flight.get(start)
             if entry is not None:
                 entry.retransmitted = True
-                entry.sent_at = self.sim.now
+                entry.sent_at = self.sim._now
             self.retransmissions += 1
         self._emit(segment, segment.wire_size(), features)
         self._arm_rto()
@@ -509,27 +527,41 @@ class TcpConnection:
         if self._fin_seq is not None and ack > self._fin_seq:
             self._fin_acked = True  # EOF confirmed delivered
         if ack > self._snd_una:
-            # New data acknowledged.
-            newly_acked = [seq for seq in self._in_flight if seq + self._in_flight[seq].segment.length <= ack]
-            samples = []
+            # New data acknowledged.  ``_in_flight`` is in sequence
+            # order, so the segments the ACK covers are a prefix of it:
+            # walk it and stop at the first segment the ACK does not
+            # cover.
+            newly_acked = []
+            for seq, entry in self._in_flight.items():
+                if seq + entry.segment.length > ack:
+                    break
+                newly_acked.append(seq)
+            youngest_sent_at = None
+            cwnd = self._cwnd
+            ssthresh = self._ssthresh
             for seq in newly_acked:
                 entry = self._in_flight.pop(seq)
                 if not entry.retransmitted:
-                    samples.append(self.sim.now - entry.sent_at)
+                    # Karn's rule: only a segment sent once gives a sample.
+                    youngest_sent_at = entry.sent_at
                 # Congestion window growth.
-                if self._cwnd < self._ssthresh:
-                    self._cwnd += 1.0                      # slow start
+                if cwnd < ssthresh:
+                    cwnd += 1.0                      # slow start
                 else:
-                    self._cwnd += 1.0 / self._cwnd         # congestion avoidance
-            if samples:
+                    cwnd += 1.0 / cwnd               # congestion avoidance
+            self._cwnd = cwnd
+            if youngest_sent_at is not None:
                 # A cumulative ACK delayed by loss recovery would yield
                 # wildly inflated samples for the older segments it
-                # covers; the youngest segment (minimum sample) is the
-                # honest path-RTT measurement, akin to what TCP
-                # timestamps give real stacks.
-                self._update_rtt(min(samples))
+                # covers; the youngest segment (minimum sample: the
+                # segments were sent in sequence order) is the honest
+                # path-RTT measurement, akin to what TCP timestamps give
+                # real stacks.
+                self._update_rtt(self.sim._now - youngest_sent_at)
             self._snd_una = ack
-            self._send_buffer.acked(ack)
+            boundaries = self._send_buffer._boundaries
+            if boundaries and boundaries[0][0] <= ack:
+                self._send_buffer.acked(ack)
             self._dup_acks = 0
             # Forward progress cancels exponential RTO backoff (RFC 6298
             # §5.7 behaviour): re-derive the timeout from the estimator.
@@ -616,26 +648,25 @@ class TcpConnection:
         self._send_ack()
 
     def _admit(self, segment: Segment) -> bool:
-        """Accept in-order data; True if an app message completed."""
+        """Accept in-order data; True if an app message completed.
+
+        Every message end a segment carries lies at or below the
+        segment's end, which becomes ``_rcv_nxt``, so each one is
+        delivered straight from the segment, in order.
+        """
         end = segment.seq + segment.length
-        advance = end - self._rcv_nxt
-        self.bytes_received += advance
+        self.bytes_received += end - self._rcv_nxt
         self._rcv_nxt = end
-        self._pending_ends.extend(segment.message_ends)
-        self._pending_ends.sort(key=lambda pair: pair[0])
-        delivered = False
-        while self._pending_ends and self._pending_ends[0][0] <= self._rcv_nxt:
-            end_offset, meta = self._pending_ends.pop(0)
+        message_ends = segment.message_ends
+        for _end_offset, meta in message_ends:
             self._inbox.put(meta)
-            delivered = True
-        return delivered
+        return bool(message_ends)
 
     def _send_ack(self) -> None:
         self._unacked_segments = 0
         self._delack_timer.cancel()
-        ack = Segment(self.local_port, self.remote_port,
-                      seq=self._snd_nxt, ack=self._rcv_nxt,
-                      flags=ACK_FLAGS)
+        ack = Segment(self.local_port, self.remote_port, self._snd_nxt,
+                      self._rcv_nxt, ACK_FLAGS)
         self._emit(ack, ACK_SIZE, self.features)
 
     # -- plumbing ---------------------------------------------------------------------------
@@ -643,11 +674,9 @@ class TcpConnection:
     def _emit(self, segment: Segment, size: int, features: WireFeatures) -> None:
         self.packets_sent += 1
         self.bytes_sent += size
-        packet = Packet(
-            src=self.local_addr, dst=self.remote_addr,
-            protocol="tcp", payload=segment, size=size,
-            features=features, flow=self.flow)
-        self.transport.host.send(packet)
+        self.transport.host.send(Packet(
+            self.local_addr, self.remote_addr, "tcp", segment, size,
+            features, self.flow))
 
     def _enter_reset(self, local: bool) -> None:
         self.state = self.RESET

@@ -263,3 +263,30 @@ def test_overload_shed_defluidizes_and_matches_verdicts(seed):
     assert [d[2] for d in packet.decisions] == [d[2] for d in hybrid.decisions]
     assert packet.client_sheds == hybrid.client_sheds
     assert packet.client_sheds > 0  # the cap genuinely shed someone
+
+
+def test_path_latency_adds_the_hops_left_to_right():
+    """The fluid path's latency is ``(0.1 + 0.2) + 0.3``, not the
+    correctly rounded 0.6 that CPython 3.12's ``sum`` returns, so
+    delivery times and digests do not depend on the interpreter."""
+    from repro.net import Network
+    from repro.perf.fluid import FluidRegistry
+    from repro.sim import Simulator
+    from repro.transport import install_transport
+    from repro.units import Mbps
+
+    sim = Simulator()
+    net = Network(sim)
+    client = net.add_host("client", address="10.0.0.1")
+    r1 = net.add_router("r1", address="10.0.0.254")
+    r2 = net.add_router("r2", address="198.51.100.254")
+    server = net.add_host("server", address="203.0.113.1")
+    for a, b, latency in ((client, r1, 0.1), (r1, r2, 0.2), (r2, server, 0.3)):
+        net.connect(a, b, latency=latency, bandwidth=Mbps(100))
+    net.build_routes()
+    transport = install_transport(sim, client)
+    install_transport(sim, server).listen_tcp(80, lambda conn: None)
+    conn = sim.run(until=transport.connect_tcp("203.0.113.1", 80))
+
+    _peer, path = FluidRegistry(sim)._trace_path(conn)
+    assert path.latency == (0.1 + 0.2) + 0.3 != 0.6

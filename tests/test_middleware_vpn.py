@@ -42,6 +42,38 @@ def test_nat_tcp_roundtrip():
     assert restored.payload.dport == 50000
 
 
+def test_nat_rewrites_only_the_port_of_a_tcp_segment():
+    """Every other segment field survives the rewrite both ways, and
+    each rewritten packet takes a fresh id."""
+    nat = NatTable(IPv4Address("47.88.1.100"))
+    ends = ((1_500, "request"),)
+    inner = Packet(
+        src=IPv4Address("59.66.1.10"), dst=IPv4Address("172.217.194.80"),
+        protocol="tcp",
+        payload=Segment(50000, 443, 1_000, 7, frozenset({"ACK"}), 500, ends),
+        size=540)
+    out = nat.outbound(inner)
+    nat_port = out.payload.sport
+    assert out.payload == Segment(nat_port, 443, 1_000, 7,
+                                  frozenset({"ACK"}), 500, ends)
+    assert out.packet_id != inner.packet_id
+    assert (out.dst, out.size, out.ttl) == (inner.dst, inner.size, inner.ttl)
+
+    reply = Packet(
+        src=IPv4Address("172.217.194.80"), dst=IPv4Address("47.88.1.100"),
+        protocol="tcp",
+        payload=Segment(443, nat_port, 7, 1_500, frozenset({"ACK"}), 300,
+                        ((307, "response"),)),
+        size=340)
+    restored = nat.inbound(reply)
+    assert restored.payload == Segment(443, 50000, 7, 1_500,
+                                       frozenset({"ACK"}), 300,
+                                       ((307, "response"),))
+    assert restored.payload != reply.payload
+    assert restored.packet_id != reply.packet_id
+    assert (restored.src, restored.size) == (reply.src, reply.size)
+
+
 def test_nat_reuses_mapping_per_flow():
     nat = NatTable(IPv4Address("47.88.1.100"))
     inner = Packet(

@@ -204,3 +204,44 @@ def test_encapsulation_roundtrip():
     assert not inner.is_tunneled
     with pytest.raises(TypeError):
         inner.inner()
+
+
+def _sample_packet():
+    return Packet(src=IPv4Address("10.0.0.1"), dst=IPv4Address("203.0.113.1"),
+                  protocol="tcp", payload=("segment", 7), size=140,
+                  features=WireFeatures(protocol_tag="tls", entropy=7.9),
+                  flow=("tcp", "10.0.0.1", 49152, "203.0.113.1", 443),
+                  ttl=9)
+
+
+FIELDS = ("src", "dst", "protocol", "payload", "size", "features", "ttl",
+          "flow")
+
+
+def test_packet_copy_keeps_every_field_and_takes_a_fresh_id():
+    packet = _sample_packet()
+    clone = packet.copy()
+    assert clone is not packet
+    assert clone.packet_id > packet.packet_id
+    for name in FIELDS:
+        assert getattr(clone, name) is getattr(packet, name), name
+    moved = packet.copy(dst=IPv4Address("198.51.100.7"), payload="inner")
+    assert moved.dst == IPv4Address("198.51.100.7")
+    assert moved.payload == "inner"
+    for name in FIELDS:
+        if name not in ("dst", "payload"):
+            assert getattr(moved, name) is getattr(packet, name), name
+    assert len({packet.packet_id, clone.packet_id, moved.packet_id}) == 3
+    with pytest.raises(TypeError):
+        packet.copy(_link=None)
+
+
+def test_packets_compare_by_field_and_stay_unhashable():
+    packet = _sample_packet()
+    same = packet.copy(packet_id=packet.packet_id)
+    assert same is not packet and same == packet
+    assert packet.copy() != packet  # a fresh id differs
+    assert same.copy(packet_id=packet.packet_id, ttl=8) != packet
+    assert packet != "packet"
+    with pytest.raises(TypeError):
+        hash(packet)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ConnectionReset, ConnectionTimeout, TransportError
 from repro.middleware.base import Inbox
-from repro.net import Network, Verdict, WireFeatures
+from repro.net import MSS, Network, Packet, Verdict, WireFeatures
 from repro.net.middlebox import Middlebox
 from repro.perf.fluid import PathHop, PathModel
 from repro.sim import Simulator
@@ -217,10 +217,145 @@ def test_per_connection_state_has_no_instance_dict():
     hop = PathHop(link, ta.host, tb.host)
     path = PathModel((hop,), latency=ms(50), bottleneck_bw=Mbps(100),
                      firewalls=())
+    # What every segment and hop builds: the sent data's in-flight
+    # entries and segments, and the packets queued as arrival events,
+    # which carry their receiver and link in declared slots.
+    conn.send_message(3 * MSS, meta="data")
+    entry = next(iter(conn._in_flight.values()))
+    packets = [event for _when, _priority, _seq, event in sim._queue
+               if isinstance(event, Packet)]
+    assert packets and all(packet._link is link for packet in packets)
+    assert {"_receiver", "_link"} <= set(Packet.__slots__)
     # A proxied stream holds its relay's Inbox for its whole life.
     for instance in (conn, conn._send_buffer, conn._inbox, Inbox(sim), hop,
-                     path):
+                     path, entry, entry.segment, packets[0]):
         assert not hasattr(instance, "__dict__"), type(instance).__name__
+
+
+def _in_flight_without_acks(segments):
+    """A connection with ``segments`` full segments in flight, sent at
+    0.1 s, and a link that drops everything from then on, so only the
+    ACKs a test hands to ``_process_ack`` arrive."""
+    sim, _net, ta, tb, link = two_hosts()
+    tb.listen_tcp(80, lambda conn: None)
+
+    def client(sim):
+        return (yield ta.connect_tcp("203.0.113.1", 80))
+
+    conn = sim.run(until=sim.process(client(sim)))
+    link.add_middlebox(_DropAll())
+    conn.send_message(segments * MSS, meta="data")
+    assert list(conn._in_flight) == [i * MSS for i in range(segments)]
+    return sim, conn
+
+
+class _DropAll(Middlebox):
+    name = "drop-all"
+
+    def process(self, packet, direction, link):
+        return Verdict.DROP
+
+
+def test_a_cumulative_ack_pops_exactly_the_segments_it_covers():
+    """Three covered segments, the second retransmitted: all three
+    leave, the RTT sample comes only from segments sent once (Karn's
+    rule), and the window grows once per covered segment."""
+    sim, conn = _in_flight_without_acks(5)
+    sent_at = sim.now
+    sim.run(until=sent_at + 0.05)
+    conn._transmit_range(MSS, MSS, retransmission=True)
+    sim.run(until=sent_at + 0.25)
+    srtt, rttvar, cwnd = conn._srtt, conn._rttvar, conn._cwnd
+    assert conn._in_flight[MSS].retransmitted
+
+    conn._process_ack(3 * MSS)
+
+    assert list(conn._in_flight) == [3 * MSS, 4 * MSS]
+    assert conn._snd_una == 3 * MSS
+    assert conn._cwnd == cwnd + 3.0  # slow start: one per segment
+    sample = sim.now - sent_at  # 0.25 s; the retransmission's is 0.2 s
+    assert conn._rttvar == 0.75 * rttvar + 0.25 * abs(srtt - sample)
+    assert conn._srtt == 0.875 * srtt + 0.125 * sample
+
+
+def test_an_ack_ending_inside_a_segment_leaves_it_in_flight():
+    sim, conn = _in_flight_without_acks(3)
+    sim.run(until=sim.now + 0.05)
+
+    conn._process_ack(MSS + 100)
+
+    assert list(conn._in_flight) == [MSS, 2 * MSS]
+    assert conn._snd_una == MSS + 100
+
+
+class _Spy(Middlebox):
+    """Records every data segment and drops the ones it is told to, once."""
+
+    name = "spy"
+
+    def __init__(self, drop_once=()):
+        self.data = []
+        self.drop_once = set(drop_once)
+
+    def process(self, packet, direction, link):
+        segment = packet.payload
+        if segment.length > 0:
+            self.data.append(segment)
+            if segment.seq in self.drop_once:
+                self.drop_once.discard(segment.seq)
+                return Verdict.DROP
+        return Verdict.PASS
+
+
+def _receive_all(sim, tb, got):
+    """Listen on port 80 and record ``(bytes received, meta)`` for every
+    message delivered."""
+    def server(sim, conn):
+        while True:
+            meta = yield conn.recv_message()
+            if meta is None:
+                return
+            got.append((conn.bytes_received, meta))
+    tb.listen_tcp(80, lambda conn: sim.process(server(sim, conn)))
+
+
+def test_messages_ending_in_one_segment_are_delivered_in_order():
+    sim, _net, ta, tb, link = two_hosts()
+    spy = _Spy()
+    link.add_middlebox(spy)
+    got = []
+    _receive_all(sim, tb, got)
+    connected = ta.connect_tcp("203.0.113.1", 80)
+    (conn,) = ta._connections.values()
+    # Queued before the handshake ends, so they leave as one segment.
+    for meta in ("a", "b", "c"):
+        conn.send_message(100, meta=meta)
+    sim.run(until=connected)
+    sim.run(until=sim.now + 1.0)
+
+    assert [len(segment.message_ends) for segment in spy.data] == [3]
+    assert got == [(300, "a"), (300, "b"), (300, "c")]
+
+
+def test_a_message_spanning_segments_is_delivered_once_with_its_last_byte():
+    """The middle segment is lost once, so the last one waits out of
+    order; the message is delivered once the hole is filled."""
+    sim, _net, ta, tb, link = two_hosts()
+    spy = _Spy(drop_once={MSS})
+    link.add_middlebox(spy)
+    got = []
+    _receive_all(sim, tb, got)
+
+    def client(sim):
+        conn = yield ta.connect_tcp("203.0.113.1", 80)
+        conn.send_message(3 * MSS - 100, meta="spans")
+        yield sim.timeout(5.0)
+
+    sim.run(until=sim.process(client(sim)))
+    assert [segment.seq for segment in spy.data] == [0, MSS, 2 * MSS, MSS]
+    assert [segment.message_ends for segment in spy.data[:3]] == [
+        (), (), ((3 * MSS - 100, "spans"),)]
+    assert got == [(3 * MSS - 100, "spans")]
 
 
 def test_transfer_survives_heavy_loss():
