@@ -64,15 +64,15 @@ def test_connect_refused_when_no_listener():
         sim.run(until=sim.process(client(sim)))
 
 
+class Blackhole(Middlebox):
+    name = "blackhole"
+
+    def process(self, packet, direction, link):
+        return Verdict.DROP
+
+
 def test_connect_timeout_on_blackhole():
     sim, _net, ta, _tb, link = two_hosts()
-
-    class Blackhole(Middlebox):
-        name = "blackhole"
-
-        def process(self, packet, direction, link):
-            return Verdict.DROP
-
     link.add_middlebox(Blackhole())
 
     def client(sim):
@@ -243,17 +243,10 @@ def _in_flight_without_acks(segments):
         return (yield ta.connect_tcp("203.0.113.1", 80))
 
     conn = sim.run(until=sim.process(client(sim)))
-    link.add_middlebox(_DropAll())
+    link.add_middlebox(Blackhole())
     conn.send_message(segments * MSS, meta="data")
     assert list(conn._in_flight) == [i * MSS for i in range(segments)]
     return sim, conn
-
-
-class _DropAll(Middlebox):
-    name = "drop-all"
-
-    def process(self, packet, direction, link):
-        return Verdict.DROP
 
 
 def test_a_cumulative_ack_pops_exactly_the_segments_it_covers():
