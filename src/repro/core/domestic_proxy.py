@@ -199,6 +199,11 @@ class DomesticProxy:
             try:
                 handoff = yield from self._serve_edge(
                     conn, hostname, target_port, deadline, source)
+            except GeneratorExit:
+                # Finalized, not failed (see ``_serve_edge``): end here
+                # and keep the slot, since releasing it could wake a
+                # waiter on a simulator that has stopped.
+                return
             except BaseException:
                 self._release(session)
                 raise
@@ -353,6 +358,7 @@ class DomesticProxy:
         handoff: t.Optional[t.Tuple[int, t.Any]] = None
         tls_on = False           # the browser ran its handshake with us
         pending_full = False     # full handshake: we owe a server-finished
+        finalized = False        # closed by its finalizer, not the model
         try:
             while True:
                 try:
@@ -441,13 +447,21 @@ class DomesticProxy:
                 # part of that; the relay dials its own.
                 handoff = (length, meta)
                 return handoff
+        except GeneratorExit:
+            # A loop still suspended when its simulation ended is closed
+            # when the generator is freed, often by the cyclic collector
+            # long after: a FIN sent then would land at an instant the
+            # collector picked and take a packet id from a later run.
+            finalized = True
+            raise
         finally:
             # Browser first, then the upstream; the caller releases the
             # admission slot last.
-            if handoff is None:
-                conn.close()
-            if upstream is not None:
-                upstream.close()
+            if not finalized:
+                if handoff is None:
+                    conn.close()
+                if upstream is not None:
+                    upstream.close()
 
     def _edge_send(self, conn: TcpConnection, length: int,
                    meta: t.Any) -> bool:

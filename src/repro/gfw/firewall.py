@@ -153,7 +153,9 @@ class GreatFirewall(Middlebox):
             self._trace("gfw.ip-block", packet)
             return Verdict.DROP
 
-        if self.config.dns_poisoning:
+        # ``DnsPoisoner.inspect`` looks at UDP only, and ``keyword_hit``
+        # finds nothing in no plaintext: both are skipped, not called.
+        if self.config.dns_poisoning and packet.protocol == "udp":
             before = self.poisoner.injections
             self.poisoner.inspect(packet, direction, link)
             if self.poisoner.injections > before:
@@ -163,7 +165,8 @@ class GreatFirewall(Middlebox):
             if self.flows.penalized(packet.src, packet.dst, self.sim._now):
                 self._reset_both_ways(packet, link)
                 return Verdict.DROP
-            keyword = self.policy.keyword_hit(packet.features.plaintext)
+            plaintext = packet.features.plaintext
+            keyword = self.policy.keyword_hit(plaintext) if plaintext else None
             if keyword is not None:
                 self.stats.keyword_resets += 1
                 self.flows.penalize(packet.src, packet.dst,

@@ -101,43 +101,41 @@ class Node:
         link.transmit(packet, self)
 
     def receive(self, packet: Packet, link: Link) -> None:
-        """Called by a link when a packet arrives."""
+        """Called by a link when a packet arrives: deliver it here, or
+        forward it toward its destination.
+
+        A transit packet moves on as the same object, its ``ttl``
+        lowered in place.  That is safe because a packet object is on
+        only one link at a time: every sender builds a fresh
+        :class:`Packet`, and tunnels, NAT and GFW injections build new
+        ones rather than re-sending one they hold.  The arrival event
+        relies on the same rule: ``Link.transmit`` queues the packet
+        itself, with the receiver and link stored on it, so one object
+        can be queued for only one arrival at a time.
+        """
         if self.inbound_hooks:
             for hook in self.inbound_hooks:
                 replacement = hook(packet)
                 if replacement is None:
                     return
                 packet = replacement
-        if packet.dst.value in self._owned:
+        dst = packet.dst.value
+        if dst in self._owned:
             self.deliver(packet)
             return
-        self.forward(packet)
-
-    def forward(self, packet: Packet) -> None:
-        """Forward a transit packet toward its destination.
-
-        The packet moves on as the same object, its ``ttl`` lowered in
-        place.  That is safe because a packet object is on only one
-        link at a time: every sender builds a fresh :class:`Packet`,
-        and tunnels, NAT and GFW injections build new ones rather than
-        re-sending one they hold.  The arrival event relies on the same
-        rule: ``Link.transmit`` queues the packet itself, with the
-        receiver and link stored on it, so one object can be queued for
-        only one arrival at a time.
-        """
         if packet.ttl <= 0:
             return  # silently drop expired packets
         packet.ttl -= 1
         # ``route_for``, inline: this runs once per router hop.
-        link = self._host_routes.get(packet.dst.value)
-        if link is None:
-            link = self._default_route
-            if link is None:
+        out = self._host_routes.get(dst)
+        if out is None:
+            out = self._default_route
+            if out is None:
                 if self.trace is not None:
                     self.trace.emit("node.no-route", node=self.name,
                                     dst=str(packet.dst))
                 return
-        link.transmit(packet, self)
+        out.transmit(packet, self)
 
     def deliver(self, packet: Packet) -> None:
         """Packet addressed to this node; routers drop silently."""
@@ -164,7 +162,7 @@ class Host(Node):
         self.transport: t.Optional[t.Any] = None
 
     def deliver(self, packet: Packet) -> None:
-        if packet.is_tunneled:
+        if isinstance(packet.payload, Packet):  # ``packet.is_tunneled``
             # Tunnel endpoints register inbound hooks; an encapsulated
             # packet reaching deliver() means no hook claimed it.
             if self.trace is not None:

@@ -249,7 +249,10 @@ class FluidRegistry:
         """
         cfg = self.config
         if length < cfg.min_message_bytes:
-            return self._fallback("small-message")
+            # ``_fallback``, inline: most messages offered stop here.
+            fallbacks = self.stats.fallbacks
+            fallbacks["small-message"] = fallbacks.get("small-message", 0) + 1
+            return False
         if conn.state != TcpConnection.ESTABLISHED or conn._srtt is None:
             return self._fallback("not-steady")
         if (conn._in_flight or conn._snd_nxt != conn._send_buffer.length

@@ -4,7 +4,8 @@ Every hot-path rewrite is held to a *golden-equivalence contract*: the
 optimized code must produce byte-identical output to the original
 implementation on every input.  This module preserves those originals
 verbatim (per-byte codec loops, list-based FIPS-197 AES, per-byte
-stream modes) so the contract stays checkable forever:
+stream modes, the processor-sharing CPU that drained each job from its
+own timestamp) so the contract stays checkable forever:
 
 * ``tests/test_perf_equivalence.py`` drives optimized and reference
   paths over seeded random corpora and asserts identity;
@@ -24,7 +25,8 @@ import contextlib
 import typing as t
 
 from ..crypto.aes import AES, INV_SBOX, SBOX, _mul
-from ..errors import CryptoError
+from ..errors import CryptoError, SimulationError
+from ..sim import Event, Simulator
 
 
 # -- byte-map / affine codecs (original per-byte generator loops) -------------
@@ -219,6 +221,111 @@ class ReferenceCtrCipher:
 
     encrypt = process
     decrypt = process
+
+
+# -- processor-sharing CPU (original per-job drain instants) ------------------
+
+
+class _ReferencePsJob:
+    __slots__ = ("remaining", "event", "last_update")
+
+    def __init__(self, demand: float, event: Event, now: float) -> None:
+        self.remaining = demand
+        self.event = event
+        self.last_update = now
+
+
+class ReferenceProcessorSharingServer:
+    """The original processor-sharing CPU: every job keeps its own
+    ``last_update`` and drains through ``rate * (now - last_update)``.
+
+    An M/G/1-PS style CPU: all jobs share ``capacity`` equally.
+
+    ``capacity`` is in work-units per second; a job submitted with
+    ``demand`` work-units completes after ``demand * n / capacity``
+    seconds when ``n`` jobs are continuously present.  Completion times
+    are recomputed on every arrival and departure, which is exact for
+    egalitarian processor sharing.
+    """
+
+    def __init__(self, sim: Simulator, capacity: float = 1.0, name: str = "cpu") -> None:
+        if capacity <= 0:
+            raise SimulationError(f"capacity must be positive, got {capacity}")
+        self.sim = sim
+        self.capacity = float(capacity)
+        self.name = name
+        self._jobs: t.List[_ReferencePsJob] = []
+        self._wakeup: t.Optional[Event] = None
+        self._busy_time = 0.0
+        self._last_busy_update = 0.0
+
+    @property
+    def load(self) -> int:
+        """Number of jobs currently in service."""
+        return len(self._jobs)
+
+    def utilization(self, horizon: float) -> float:
+        """Fraction of ``[0, horizon]`` during which the CPU was busy."""
+        self._account_busy()
+        if horizon <= 0:
+            return 0.0
+        return min(1.0, self._busy_time / horizon)
+
+    def submit(self, demand: float) -> Event:
+        """Submit a job of ``demand`` work-units; event fires at completion."""
+        if demand < 0:
+            raise SimulationError(f"negative demand: {demand}")
+        event = self.sim.event()
+        if demand == 0:
+            event.succeed(None)
+            return event
+        self._drain_progress()
+        self._jobs.append(_ReferencePsJob(demand, event, self.sim._now))
+        self._reschedule()
+        return event
+
+    # -- internals ---------------------------------------------------------
+
+    def _account_busy(self) -> None:
+        now = self.sim._now
+        if self._jobs:
+            self._busy_time += now - self._last_busy_update
+        self._last_busy_update = now
+
+    def _drain_progress(self) -> None:
+        """Apply service accrued since the last event to every job."""
+        self._account_busy()
+        now = self.sim._now
+        if not self._jobs:
+            return
+        rate = self.capacity / len(self._jobs)
+        for job in self._jobs:
+            job.remaining -= rate * (now - job.last_update)
+            job.last_update = now
+
+    def _reschedule(self) -> None:
+        """Re-arm the wakeup timer for the next completion."""
+        if self._wakeup is not None:
+            # Eager: a submit mostly delays completion; lazy saved <4%.
+            self._wakeup = None
+        if not self._jobs:
+            return
+        rate = self.capacity / len(self._jobs)
+        shortest = min(job.remaining for job in self._jobs)
+        delay = max(0.0, shortest / rate)
+        timer = self.sim.timeout(delay)
+        self._wakeup = timer
+        timer.add_callback(self._on_wakeup)
+
+    def _on_wakeup(self, timer: Event) -> None:
+        if self._wakeup is not timer:
+            return  # superseded by a later arrival
+        self._drain_progress()
+        finished = [job for job in self._jobs if job.remaining <= 1e-12]
+        self._jobs = [job for job in self._jobs if job.remaining > 1e-12]
+        self._reschedule()
+        for job in finished:
+            job.event.succeed(None)
 
 
 # -- whole-simulation reference mode ------------------------------------------

@@ -103,7 +103,17 @@ class Event:
 
     def succeed(self, value: t.Any = None) -> "Event":
         """Decide the event successfully and schedule its callbacks."""
-        self._decide(True, value)
+        # ``_decide``, inline: every wake-up of a waiting process runs
+        # through here.
+        if self._decided:
+            raise SimulationError(f"{self!r} has already been decided")
+        self._decided = True
+        self._ok = True
+        self._value = value
+        sim = self.sim
+        seq = sim._seq + 1
+        sim._seq = seq
+        heappush(sim._queue, (sim._now, PRIORITY_NORMAL, seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":

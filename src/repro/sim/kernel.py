@@ -71,14 +71,17 @@ class Process(Event):
                       value=ProcessKilled(cause), priority=PRIORITY_URGENT)
 
     def _resume(self, event: Event) -> None:
-        if self.triggered:
+        # Runs once per wake-up, so it reads the event's slots, not the
+        # ``triggered``/``ok``/``value`` properties: a fired event is
+        # always decided.
+        if self._decided:
             return  # finished before a stale callback arrived
         self._waiting_on = None
         try:
-            if event.ok:
-                target = self.generator.send(event.value)
+            if event._ok:
+                target = self.generator.send(event._value)
             else:
-                target = self.generator.throw(event.value)
+                target = self.generator.throw(event._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -102,7 +105,17 @@ class Process(Event):
             raise SimulationError(
                 f"process {self.name!r} yielded an event from a different simulator")
         self._waiting_on = target
-        target.add_callback(self._resume)
+        # ``target.add_callback(self._resume)``, inline.
+        if target._processed:
+            self._resume(target)
+            return
+        current = target._callbacks
+        if current is None:
+            target._callbacks = self._resume
+        elif type(current) is list:
+            current.append(self._resume)
+        else:
+            target._callbacks = [current, self._resume]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.name!r} alive={self.is_alive}>"

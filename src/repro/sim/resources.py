@@ -19,7 +19,7 @@ import typing as t
 from collections import deque
 
 from ..errors import SimulationError
-from .events import Event
+from .events import Event, Timeout
 from .kernel import Simulator
 
 
@@ -55,7 +55,7 @@ class Resource:
 
     def acquire(self) -> Event:
         """Return an event that fires once a slot is held."""
-        event = self.sim.event()
+        event = Event(self.sim)
         if self._in_use < self.capacity:
             self._in_use += 1
             event.succeed(self)
@@ -122,7 +122,7 @@ class Store:
 
     def get(self) -> Event:
         """Return an event that fires with the next item."""
-        event = self.sim.event()
+        event = Event(self.sim)
         if self._items:
             event.succeed(self._items.pop(0))
         else:
@@ -138,12 +138,11 @@ class Store:
 
 
 class _PsJob:
-    __slots__ = ("remaining", "event", "last_update")
+    __slots__ = ("remaining", "event")
 
-    def __init__(self, demand: float, event: Event, now: float) -> None:
+    def __init__(self, demand: float, event: Event) -> None:
         self.remaining = demand
         self.event = event
-        self.last_update = now
 
 
 class ProcessorSharingServer:
@@ -154,6 +153,12 @@ class ProcessorSharingServer:
     seconds when ``n`` jobs are continuously present.  Completion times
     are recomputed on every arrival and departure, which is exact for
     egalitarian processor sharing.
+
+    Every job in service was last drained at the same instant,
+    ``_drained_at``, so one drain subtracts one ``capacity / n *
+    (now - _drained_at)`` from each; the frozen per-job original,
+    ``repro.perf.reference.ReferenceProcessorSharingServer``, computed
+    that same float once per job.
     """
 
     def __init__(self, sim: Simulator, capacity: float = 1.0, name: str = "cpu") -> None:
@@ -163,7 +168,10 @@ class ProcessorSharingServer:
         self.capacity = float(capacity)
         self.name = name
         self._jobs: t.List[_PsJob] = []
-        self._wakeup: t.Optional[Event] = None
+        self._wakeup: t.Optional[Timeout] = None
+        self._drained_at = 0.0
+        # Kept apart from ``_drained_at``: ``utilization`` counts busy
+        # time up to now without draining the jobs.
         self._busy_time = 0.0
         self._last_busy_update = 0.0
 
@@ -174,7 +182,10 @@ class ProcessorSharingServer:
 
     def utilization(self, horizon: float) -> float:
         """Fraction of ``[0, horizon]`` during which the CPU was busy."""
-        self._account_busy()
+        now = self.sim._now
+        if self._jobs:
+            self._busy_time += now - self._last_busy_update
+        self._last_busy_update = now
         if horizon <= 0:
             return 0.0
         return min(1.0, self._busy_time / horizon)
@@ -183,54 +194,60 @@ class ProcessorSharingServer:
         """Submit a job of ``demand`` work-units; event fires at completion."""
         if demand < 0:
             raise SimulationError(f"negative demand: {demand}")
-        event = self.sim.event()
+        event = Event(self.sim)
         if demand == 0:
             event.succeed(None)
             return event
-        self._drain_progress()
-        self._jobs.append(_PsJob(demand, event, self.sim._now))
+        self._drain()
+        self._jobs.append(_PsJob(demand, event))
         self._reschedule()
         return event
 
     # -- internals ---------------------------------------------------------
 
-    def _account_busy(self) -> None:
+    def _drain(self) -> None:
+        """Apply service accrued since the last drain to every job, and
+        count the busy time."""
         now = self.sim._now
-        if self._jobs:
+        jobs = self._jobs
+        if jobs:
             self._busy_time += now - self._last_busy_update
+            served = self.capacity / len(jobs) * (now - self._drained_at)
+            for job in jobs:
+                job.remaining -= served
         self._last_busy_update = now
-
-    def _drain_progress(self) -> None:
-        """Apply service accrued since the last event to every job."""
-        self._account_busy()
-        now = self.sim._now
-        if not self._jobs:
-            return
-        rate = self.capacity / len(self._jobs)
-        for job in self._jobs:
-            job.remaining -= rate * (now - job.last_update)
-            job.last_update = now
+        self._drained_at = now
 
     def _reschedule(self) -> None:
-        """Re-arm the wakeup timer for the next completion."""
-        if self._wakeup is not None:
-            # Eager: a submit mostly delays completion; lazy saved <4%.
+        """Re-arm the wakeup timer for the next completion.
+
+        Eager: a submit mostly delays completion, and the superseded
+        timer fires and does nothing; a lazy timer saved <4%.
+        """
+        jobs = self._jobs
+        if not jobs:
             self._wakeup = None
-        if not self._jobs:
             return
-        rate = self.capacity / len(self._jobs)
-        shortest = min(job.remaining for job in self._jobs)
-        delay = max(0.0, shortest / rate)
-        timer = self.sim.timeout(delay)
+        shortest = jobs[0].remaining
+        for job in jobs:
+            if job.remaining < shortest:
+                shortest = job.remaining
+        timer = Timeout(self.sim, max(0.0, shortest / (self.capacity / len(jobs))))
+        timer._callbacks = self._on_wakeup
         self._wakeup = timer
-        timer.add_callback(self._on_wakeup)
 
     def _on_wakeup(self, timer: Event) -> None:
         if self._wakeup is not timer:
             return  # superseded by a later arrival
-        self._drain_progress()
-        finished = [job for job in self._jobs if job.remaining <= 1e-12]
-        self._jobs = [job for job in self._jobs if job.remaining > 1e-12]
+        self._drain()
+        finished = []
+        running = []
+        for job in self._jobs:
+            if job.remaining <= 1e-12:
+                finished.append(job)
+            else:
+                running.append(job)
+        self._jobs = running
         self._reschedule()
         for job in finished:
             job.event.succeed(None)

@@ -171,21 +171,26 @@ class TransportLayer:
 
     def demux(self, packet: Packet) -> None:
         """Entry point from :meth:`repro.net.Host.deliver`."""
-        if packet.protocol == "tcp":
-            self._demux_tcp(packet)
-        elif packet.protocol == "udp":
+        protocol = packet.protocol
+        if protocol == "tcp":
+            # A segment for a known connection goes straight to it;
+            # ``_demux_tcp`` sees only SYNs and strays.
+            segment: Segment = packet.payload
+            key = (segment.dport, packet.src, segment.sport)
+            conn = self._connections.get(key)
+            if conn is not None:
+                conn.handle_segment(segment)
+                return
+            self._demux_tcp(packet, segment, key)
+        elif protocol == "udp":
             self._demux_udp(packet)
-        elif packet.protocol == "icmp":
+        elif protocol == "icmp":
             self._demux_icmp(packet)
         # Unknown protocols are dropped silently, as a real stack would.
 
-    def _demux_tcp(self, packet: Packet) -> None:
-        segment: Segment = packet.payload
-        key = (segment.dport, packet.src, segment.sport)
-        conn = self._connections.get(key)
-        if conn is not None:
-            conn.handle_segment(segment)
-            return
+    def _demux_tcp(self, packet: Packet, segment: Segment,
+                   key: t.Tuple[int, IPv4Address, int]) -> None:
+        """A segment no connection holds: accept a SYN, refuse the rest."""
         if "SYN" in segment.flags and "ACK" not in segment.flags:
             acceptor = self._tcp_listeners.get(segment.dport)
             if acceptor is not None:

@@ -22,6 +22,7 @@ import typing as t
 
 from ..errors import TransportError
 from ..net import WireFeatures
+from ..sim import Event
 from .tcp import TcpConnection
 
 #: Per-record overhead: 5-byte header + ~24 bytes MAC/padding (CBC-era).
@@ -41,9 +42,15 @@ def handshake_features(sni: t.Optional[str]) -> WireFeatures:
         length_signature=CLIENT_HELLO)
 
 
+#: Wire features of every TLS application record: opaque but framed.
+#: One shared value: ``WireFeatures`` is frozen, and nothing compares
+#: features by identity.
+APP_FEATURES = WireFeatures(protocol_tag="tls", sni=None, entropy=7.95)
+
+
 def app_features() -> WireFeatures:
     """Wire features of TLS application records: opaque but framed."""
-    return WireFeatures(protocol_tag="tls", sni=None, entropy=7.95)
+    return APP_FEATURES
 
 
 class TlsSession:
@@ -118,12 +125,12 @@ class TlsSession:
         records = max(1, (length + 16383) // 16384)
         self.conn.send_message(
             length + records * RECORD_OVERHEAD,
-            meta=("tls-app", meta), features=app_features())
+            meta=("tls-app", meta), features=APP_FEATURES)
 
     def recv(self):
         """Event firing with the peer's application meta (unwrapped)."""
         inner = self.conn.recv_message()
-        unwrapped = self.conn.sim.event()
+        unwrapped = Event(self.conn.sim)
 
         def on_message(event):
             if not event.ok:

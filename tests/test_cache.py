@@ -16,6 +16,9 @@ Three families of guarantees for :mod:`repro.cache`:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cache import (
@@ -33,6 +36,7 @@ from repro.http import HttpRequest
 from repro.measure.scenarios import prepare, run_overload_point
 from repro.measure.testbed import ECHO_PORT, SCHOLAR_HOST
 from repro.overload import OverloadConfig
+from repro.transport import TcpConnection
 
 SEEDS = (0, 1, 2)
 
@@ -345,6 +349,48 @@ def test_admission_slot_spans_the_edge_to_relay_handoff():
     assert seen["open"] == 1
     assert seen["closed"] == 0
     assert seen["load"].succeeded
+
+
+def test_a_finalized_edge_loop_sends_and_releases_nothing(monkeypatch):
+    """An edge loop still suspended when its simulation ends is closed
+    when its generator is freed, often by the cyclic collector during
+    a later run.  It must then close no connection and free no
+    admission slot: a FIN would be queued at an instant the collector
+    picked, on a simulator that has stopped, with a packet id taken
+    from whatever runs next."""
+    closes = []
+    close = TcpConnection.close
+
+    def counting_close(conn):
+        closes.append(conn)
+        close(conn)
+
+    monkeypatch.setattr(TcpConnection, "close", counting_close)
+    world = prepare("scholarcloud", seed=0, cache=CacheConfig(),
+                    overload=OverloadConfig(max_sessions=8))
+    page = scholar_query_page(0)
+    world.testbed.scholar_server.add_page(page)
+    _load_seq(world, page, ["load"])
+    loops = [weakref.ref(obj) for obj in gc.get_objects()
+             if getattr(obj, "__name__", None) == "_serve_edge"
+             and getattr(obj, "gi_frame", None) is not None]
+    assert loops  # the browser's pooled streams keep their loops waiting
+    sim = world.testbed.sim
+    admission = world.method.domestic.admission
+    held, seq = admission.in_use, sim._seq
+    assert held > 0
+    closes.clear()
+    # The simulation is over: drop the world.  The simulator is kept
+    # to read its counter, so its queue and cache registry, which
+    # would keep the loops alive, go too.
+    del world
+    sim._queue.clear()
+    sim.caches = None
+    gc.collect()
+    assert all(loop() is None for loop in loops)  # every loop finalized
+    assert closes == []
+    assert sim._seq == seq
+    assert admission.in_use == held
 
 
 def test_edge_fetch_returns_none_when_the_remote_leg_ends(monkeypatch):

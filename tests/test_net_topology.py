@@ -142,6 +142,32 @@ def test_ttl_expiry_drops_packet():
     assert received == []
 
 
+def test_a_transit_packet_arriving_with_ttl_zero_is_dropped_there():
+    sim, net, client, server = build_line()
+    received = []
+    server.deliver = lambda packet: received.append(packet)
+    packet = Packet(src=client.address, dst=server.address,
+                    protocol="udp", payload=None, size=64, ttl=0)
+    client.send(packet)
+    sim.run()
+    assert received == []
+    assert packet.ttl == 0  # r1 dropped it before lowering the ttl
+    assert net.link_between("r1", "r2").packets_sent == {"r1": 0, "r2": 0}
+
+
+def test_a_transit_packet_with_no_route_is_dropped_and_recorded():
+    sim, net, client, _server = build_line()
+    unknown = IPv4Address("192.0.2.77")
+    packet = Packet(src=client.address, dst=unknown, protocol="udp",
+                    payload=None, size=64, ttl=10)
+    client.send(packet)  # the stub's default route leads to r1
+    sim.run()
+    records = net.trace.select("node.no-route")
+    assert [(r["node"], r["dst"]) for r in records] == [("r1", "192.0.2.77")]
+    assert packet.ttl == 9
+    assert net.link_between("r1", "r2").packets_sent == {"r1": 0, "r2": 0}
+
+
 def test_forwarding_moves_the_same_packet_object():
     """Routers lower the TTL in place; the id survives every hop."""
     sim, _net, client, server = build_line()

@@ -22,6 +22,7 @@ from repro.net import IPv4Address, Packet, WireFeatures
 from repro.perf.reference import (
     ReferenceCfbCipher,
     ReferenceCtrCipher,
+    ReferenceProcessorSharingServer,
     affine_decode_reference,
     affine_encode_reference,
     byte_map_decode_reference,
@@ -39,6 +40,7 @@ from repro.perf.runner import (
     scalability_points,
     serial_map,
 )
+from repro.sim import ProcessorSharingServer, Simulator
 
 #: Lengths that straddle block sizes, the affine stride threshold, and
 #: the empty/one-byte edges.
@@ -134,6 +136,75 @@ def test_ctr_counter_wrap_matches_reference():
     data = corpus(64, seed=3)
     assert CtrCipher(key, nonce).process(data) == \
         ReferenceCtrCipher(key, nonce).process(data)
+
+
+# -- processor-sharing CPU ------------------------------------------------------
+
+
+def _ps_run(make_cpu, jobs, reads):
+    """Submit ``(at, demand)`` jobs to ``make_cpu(sim)`` and read
+    ``utilization`` at each instant of ``reads``; returns the completion
+    instants in completion order, the readings, and the number of
+    events queued."""
+    sim = Simulator()
+    cpu = make_cpu(sim)
+    done = []
+    readings = []
+
+    def submit(index, demand):
+        cpu.submit(demand).add_callback(
+            lambda _event: done.append((index, sim.now)))
+
+    def read():
+        readings.append((cpu.load, cpu.utilization(sim.now)))
+
+    for index, (at, demand) in enumerate(jobs):
+        sim.schedule_at(at, submit, index, demand)
+    for at in reads:
+        sim.schedule_at(at, read)
+    sim.run()
+    readings.append((cpu.load, cpu.utilization(sim.now)))
+    return done, readings, sim._seq
+
+
+def _ps_stream(seed: int):
+    """Arrivals on a coarse grid (so many share an instant), zero
+    demands, and repeated demands (so jobs finish together)."""
+    rng = random.Random(seed)
+    jobs = []
+    for _ in range(300):
+        at = rng.randrange(40) * 0.125 if rng.random() < 0.6 \
+            else rng.uniform(0.0, 5.0)
+        demand = rng.choice((0.0, 0.01, 0.05, 0.1, rng.uniform(0.0, 0.2)))
+        jobs.append((at, demand))
+    reads = [rng.uniform(0.0, 6.0) for _ in range(25)] + [1.0, 2.5]
+    return jobs, reads
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("capacity", (0.5, 1.0, 3.0))
+def test_processor_sharing_matches_reference(seed, capacity):
+    jobs, reads = _ps_stream(seed)
+    live = _ps_run(lambda sim: ProcessorSharingServer(
+        sim, capacity=capacity, name="cpu"), jobs, reads)
+    frozen = _ps_run(lambda sim: ReferenceProcessorSharingServer(
+        sim, capacity=capacity, name="cpu"), jobs, reads)
+    assert len(live[0]) == len(jobs)
+    # Equal floats, not approximately equal: a completion instant that
+    # moved by one ulp could reorder same-instant events downstream.
+    assert live == frozen
+
+
+def test_processor_sharing_matches_reference_on_simultaneous_finishes():
+    # Three equal jobs that arrive at one instant finish together; two
+    # pairs arrive while they run, and zero-demand jobs come in between.
+    jobs = [(0.0, 0.3), (0.0, 0.3), (0.0, 0.0), (0.0, 0.3),
+            (0.9, 0.1), (0.9, 0.0), (0.5, 0.2), (0.5, 0.2)]
+    reads = [0.0, 0.45, 0.9, 1.2]
+    live = _ps_run(ProcessorSharingServer, jobs, reads)
+    assert live == _ps_run(ReferenceProcessorSharingServer, jobs, reads)
+    instants = [at for index, at in live[0] if index in (0, 1, 3)]
+    assert instants[0] == instants[1] == instants[2]
 
 
 # -- block-policy lookups -------------------------------------------------------

@@ -462,3 +462,19 @@ def test_lazy_timer_can_rearm_from_its_own_callback():
     timer.arm(0.5)
     sim.run()
     assert fired == [0.5, 1.0, 1.5]
+
+
+def test_lazy_timer_refuses_a_negative_delay_and_queues_nothing():
+    sim = Simulator()
+    _advance_to(sim, 2.0)
+    timer = LazyTimer(sim, lambda: None)
+    before = sim._seq
+    with pytest.raises(SimulationError):
+        timer.arm(-1.0)
+    assert sim._seq == before
+    # Also while an event is queued: the earlier deadline would need a
+    # new one.
+    timer.arm(1.0)
+    with pytest.raises(SimulationError):
+        timer.arm(-1.0)
+    assert sim._seq == before + 1

@@ -13,6 +13,8 @@ from repro.perf.fluid import PathHop, PathModel
 from repro.sim import Simulator
 from repro.sim.events import Call
 from repro.transport import TcpConnection, install_transport
+from repro.transport.tcp import (ACK_FLAGS, ACK_SIZE, RST_FLAGS, SYN_ACK_FLAGS,
+                                 Segment)
 from repro.units import Mbps, ms
 
 
@@ -498,6 +500,53 @@ def test_loss_inflates_completion_time():
         return done[0]
 
     assert completion_time(0.0) < completion_time(0.08)
+
+
+class _TcpFlags(Middlebox):
+    """Records ``(sender, flags)`` of every TCP packet on its link."""
+
+    name = "tcp-flags"
+
+    def __init__(self):
+        self.seen = []
+
+    def process(self, packet, direction, link):
+        if packet.protocol == "tcp":
+            self.seen.append((direction.sender, packet.payload.flags))
+        return Verdict.PASS
+
+
+def test_a_syn_to_a_listener_opens_a_connection_that_then_carries_data():
+    sim, _net, ta, tb, _link = two_hosts()
+    tb.listen_tcp(80, echo_acceptor(sim))
+
+    def client(sim):
+        conn = yield ta.connect_tcp("203.0.113.1", 80)
+        conn.send_message(100, meta="hello")
+        return (yield conn.recv_message())
+
+    assert sim.run(until=sim.process(client(sim))) == ("echo", "hello")
+    (server,) = tb._connections.values()
+    assert server.state == "ESTABLISHED" and server.local_port == 80
+
+
+def test_a_stray_segment_draws_exactly_one_rst_and_a_stray_rst_none():
+    sim, net, _ta, tb, link = two_hosts()
+    tb.listen_tcp(80, lambda conn: pytest.fail("a stray was accepted"))
+    spy = _TcpFlags()
+    link.add_middlebox(spy)
+    a = net.node("a")
+    # Non-SYN segments for a connection b never had, one to the
+    # listening port: b answers the ACK and the SYN-ACK with one RST
+    # each, and the RST it sends to a draws nothing back.
+    for flags in (ACK_FLAGS, SYN_ACK_FLAGS, RST_FLAGS):
+        a.send(Packet(src=a.address, dst=tb.host.address, protocol="tcp",
+                      payload=Segment(40000, 80, 7, 9, flags), size=ACK_SIZE))
+        sim.run()
+    assert spy.seen == [("a", ACK_FLAGS), ("b", RST_FLAGS),
+                        ("a", SYN_ACK_FLAGS), ("b", RST_FLAGS),
+                        ("a", RST_FLAGS)]
+    assert not tb._connections
 
 
 def test_rst_injection_resets_connection():
