@@ -3,8 +3,9 @@
 Two hard floors:
 
 * the fig7-style bulk (PDF) overload cell runs at least **20x** faster
-  in hybrid mode than packet mode (24.8-30.5x on 2 vCPUs), with every
-  pooled aggregate inside its declared tolerance band;
+  in hybrid mode than packet mode (20.0-25.6x on 2 vCPUs, each mode
+  timed by its best of three interleaved runs), with every pooled
+  aggregate inside its declared tolerance band;
 * a **2,000-client** hybrid sweep completes outright — the scale that
   motivated the fast path — and beats a conservatively *linear*
   extrapolation of measured packet-mode cost by at least 20x (packet
@@ -22,28 +23,42 @@ SWEEP_CLIENTS = 2000
 PACKET_PROBE_CLIENTS = 100
 FIG7_CLIENTS = 6
 FIG7_SEEDS = (0, 1, 2)
+#: Runs of the fig7 cell per mode; each mode is timed by its best run,
+#: so host noise on the short hybrid side does not swing the ratio.
+TIMED_RUNS = 3
 
 
-def timed_pdf_cells(mode):
-    """The fig7-style bulk cell at every seed in ``mode``, and its wall time."""
-    start = time.perf_counter()
-    results = [run_overload_point(clients=FIG7_CLIENTS, cycles=1, seed=seed,
-                                  mode=mode, workload="pdf")
-               for seed in FIG7_SEEDS]
-    return results, time.perf_counter() - start
+def timed_pdf_cells():
+    """The fig7-style bulk cell at every seed in packet and hybrid mode:
+    per mode, the first run's results and the best wall time of
+    :data:`TIMED_RUNS` runs.  The modes take turns, so a drift in host
+    speed reaches each alike."""
+    results = {}
+    best_s = {"packet": float("inf"), "hybrid": float("inf")}
+    for _ in range(TIMED_RUNS):
+        for mode in best_s:
+            start = time.perf_counter()
+            run = [run_overload_point(clients=FIG7_CLIENTS, cycles=1,
+                                      seed=seed, mode=mode, workload="pdf")
+                   for seed in FIG7_SEEDS]
+            best_s[mode] = min(best_s[mode], time.perf_counter() - start)
+            results.setdefault(mode, run)
+    return results, best_s
 
 
 def test_fluid_fig7_speedup_and_bands(emit):
-    packet, packet_s = timed_pdf_cells("packet")
-    hybrid, hybrid_s = timed_pdf_cells("hybrid")
+    results, best_s = timed_pdf_cells()
+    packet, hybrid = results["packet"], results["hybrid"]
+    packet_s, hybrid_s = best_s["packet"], best_s["hybrid"]
     bytes_per_load = scholar_pdf().total_bytes()
     failures = band_failures(aggregate_overload(packet, bytes_per_load),
                              aggregate_overload(hybrid, bytes_per_load))
     speedup = packet_s / hybrid_s
     emit("fluid_gate_fig7",
          f"fluid fig7 cell ({FIG7_CLIENTS} clients x {len(FIG7_SEEDS)} seeds, "
-         f"pdf): packet {packet_s:.2f} s, hybrid {hybrid_s:.2f} s, "
-         f"speedup {speedup:.1f}x, band failures: {failures or 'none'}")
+         f"pdf, best of {TIMED_RUNS}): packet {packet_s:.2f} s, "
+         f"hybrid {hybrid_s:.2f} s, speedup {speedup:.1f}x, "
+         f"band failures: {failures or 'none'}")
     assert failures == [], failures
     assert speedup >= SPEEDUP_FLOOR, (
         f"hybrid speedup {speedup:.1f}x below the {SPEEDUP_FLOOR:.0f}x gate")

@@ -11,6 +11,7 @@ PAC generation, and ICP legalization — the paper's §3 in one object::
 
 from __future__ import annotations
 
+import functools
 import typing as t
 
 from ..cache import CacheConfig, CacheRegistry, ResponseCache
@@ -30,6 +31,15 @@ from .whitelist import scholar_whitelist
 
 #: The deployed service's ICP registration number (from the paper).
 ICP_NUMBER = "ICP-15063437"
+
+
+@functools.lru_cache(maxsize=256)
+def _connect_features(hostname: str, port: int) -> WireFeatures:
+    """Wire features of the CONNECT preamble that opens a stream to
+    ``hostname:port``; one shared value per target, since
+    ``WireFeatures`` is frozen."""
+    return WireFeatures(protocol_tag="plain-http",
+                        plaintext=f"CONNECT {hostname}:{port}", entropy=4.5)
 
 
 class ScConnector(Connector):
@@ -96,9 +106,7 @@ class ScConnector(Connector):
                         else deadline.clamp(30.0, sim.now))
         conn = yield transport.connect_tcp(
             self.system.domestic_addr, self.system.domestic_port,
-            features=WireFeatures(protocol_tag="plain-http",
-                                  plaintext=f"CONNECT {hostname}:{port}",
-                                  entropy=4.5),
+            features=_connect_features(hostname, port),
             timeout=dial_timeout)
         try:
             connect_meta: t.Tuple = ("sc-connect", hostname, port)
@@ -123,6 +131,8 @@ class ScConnector(Connector):
             session = TlsSession(channel, sni=hostname)
             resumed = hostname in self.session_tickets
             yield from session.client_handshake(resumed=resumed)
+        except GeneratorExit:
+            return None  # finalized, not failed: send nothing
         except BaseException:
             # Close-on-error: a failed open must not strand the dial.
             conn.close()

@@ -424,8 +424,12 @@ class SurvivalSession:
                 try:
                     progressed = yield from self._pull_chunks(
                         stream, target, deadline)
-                finally:
+                except GeneratorExit:
+                    return False  # finalized, not failed: send nothing
+                except BaseException:
                     stream.close()
+                    raise
+                stream.close()
                 if progressed or self.offset >= self.total_bytes:
                     break
             if self.offset >= self.total_bytes:

@@ -151,12 +151,12 @@ class MeekClassifier(Classifier):
             return None
         if features.handshake and features.sni in KNOWN_MEEK_FRONTS:
             # Remember the front; cadence confirms later.
-            state.recent_times.append(-1.0)  # sentinel: front seen
+            state.record_time(-1.0)  # sentinel: front seen
             return None
         if -1.0 not in state.recent_times:
             return None
         if 0 < packet.size <= 600:  # small upstream poll/POST
-            state.recent_times.append(state.last_seen)
+            state.record_time(state.last_seen)
             polls = [ts for ts in state.recent_times if ts >= 0]
             if len(polls) >= self.min_polls:
                 return ("tor-meek", 0.9)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import typing as t
 from collections import deque
-from dataclasses import dataclass, field
 
 from ..net import IPv4Address
 
@@ -40,31 +39,56 @@ def canonical_flow(flow: t.Optional[FlowKey]) -> t.Optional[FlowKey]:
     return flow
 
 
-@dataclass
 class FlowState:
-    """Firewall-side state for one flow."""
+    """Firewall-side state for one flow.
 
-    key: FlowKey
-    first_seen: float
-    packets: int = 0
-    bytes: int = 0
-    #: Assigned traffic-class label, once a classifier fires.
-    label: t.Optional[str] = None
-    confidence: float = 0.0
-    #: Timestamps of recent small upstream packets (poll detection);
-    #: bounded — old samples fall off the left.
-    recent_times: t.Deque[float] = field(
-        default_factory=lambda: deque(maxlen=RECENT_TIMES_MAX))
-    #: True once an active probe has been dispatched for this flow.
-    probed: bool = False
-    last_seen: float = 0.0
+    Slotted: the table keeps one per flow for as long as it keeps the
+    flow.  ``recent_times`` reads as an empty sequence until
+    :meth:`record_time` first records a timestamp, so a flow that the
+    poll detector never samples, almost every flow, carries no deque.
+    """
+
+    __slots__ = ("key", "first_seen", "packets", "bytes", "label",
+                 "confidence", "recent_times", "probed", "last_seen")
+
+    def __init__(self, key: FlowKey, first_seen: float) -> None:
+        self.key = key
+        self.first_seen = first_seen
+        self.packets = 0
+        self.bytes = 0
+        #: Assigned traffic-class label, once a classifier fires.
+        self.label: t.Optional[str] = None
+        self.confidence = 0.0
+        #: Timestamps of recent small upstream packets (poll detection);
+        #: bounded — old samples fall off the left.
+        self.recent_times: t.Sequence[float] = ()
+        #: True once an active probe has been dispatched for this flow.
+        self.probed = False
+        self.last_seen = 0.0
+
+    def record_time(self, timestamp: float) -> None:
+        """Append a poll-detection sample, keeping the last
+        :data:`RECENT_TIMES_MAX`."""
+        times = self.recent_times
+        if not isinstance(times, deque):
+            times = self.recent_times = deque(maxlen=RECENT_TIMES_MAX)
+        times.append(timestamp)
 
 
 class FlowTable:
-    """Bounded flow-state store with idle eviction."""
+    """Bounded flow-state store with idle eviction.
+
+    Each state is kept under its direction-independent key
+    (:func:`canonical_flow`) and indexed by the flow tuple of each
+    direction that has been seen, so a packet's lookup hashes the tuple
+    it carries and builds no key.
+    """
 
     def __init__(self) -> None:
         self._flows: t.Dict[FlowKey, FlowState] = {}
+        #: Each direction's own flow tuple -> its flow's state.  None
+        #: is never a key, so a packet without a flow finds nothing.
+        self._index: t.Dict[t.Optional[FlowKey], FlowState] = {}
         #: (src, dst) address pairs under a temporary reset penalty,
         #: with expiry.
         self._penalties: t.Dict[t.Tuple[IPv4Address, IPv4Address], float] = {}
@@ -73,14 +97,11 @@ class FlowTable:
         return len(self._flows)
 
     def observe(self, flow: t.Optional[FlowKey], size: int, now: float) -> t.Optional[FlowState]:
-        key = canonical_flow(flow)
-        if key is None:
-            return None
-        state = self._flows.get(key)
+        state = self._index.get(flow)
         if state is None:
-            self._evict_if_needed(now)
-            state = FlowState(key=key, first_seen=now)
-            self._flows[key] = state
+            state = self._state_for(flow, now)
+            if state is None:
+                return None
         state.packets += 1
         state.bytes += size
         state.last_seen = now
@@ -94,6 +115,28 @@ class FlowTable:
         a flow only fluidizes once cadence-based classification is
         settled, so bulk traffic carries no per-packet timestamps.
         """
+        state = self._index.get(flow)
+        if state is None:
+            state = self._state_for(flow, now)
+            if state is None:
+                return None
+        state.packets += packets
+        state.bytes += size
+        state.last_seen = now
+        return state
+
+    def get(self, flow: t.Optional[FlowKey]) -> t.Optional[FlowState]:
+        state = self._index.get(flow)
+        if state is not None:
+            return state
+        key = canonical_flow(flow)
+        if key is None:
+            return None
+        return self._flows.get(key)
+
+    def _state_for(self, flow: t.Optional[FlowKey],
+                   now: float) -> t.Optional[FlowState]:
+        """The state of a direction not indexed yet, created if new."""
         key = canonical_flow(flow)
         if key is None:
             return None
@@ -102,22 +145,16 @@ class FlowTable:
             self._evict_if_needed(now)
             state = FlowState(key=key, first_seen=now)
             self._flows[key] = state
-        state.packets += packets
-        state.bytes += size
-        state.last_seen = now
+        self._index[flow] = state
         return state
-
-    def get(self, flow: t.Optional[FlowKey]) -> t.Optional[FlowState]:
-        key = canonical_flow(flow)
-        if key is None:
-            return None
-        return self._flows.get(key)
 
     def _evict_if_needed(self, now: float) -> None:
         if len(self._flows) < MAX_FLOWS:
             return
         cutoff = now - IDLE_TIMEOUT
         self._flows = {key: state for key, state in self._flows.items()
+                       if state.last_seen >= cutoff}
+        self._index = {flow: state for flow, state in self._index.items()
                        if state.last_seen >= cutoff}
 
     # -- penalty window ----------------------------------------------------------
@@ -128,6 +165,8 @@ class FlowTable:
         self._penalties[(dst, src)] = until
 
     def penalized(self, src: IPv4Address, dst: IPv4Address, now: float) -> bool:
+        if not self._penalties:
+            return False
         expiry = self._penalties.get((src, dst))
         if expiry is None:
             return False

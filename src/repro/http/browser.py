@@ -263,9 +263,14 @@ class Browser:
                 if getattr(response, "from_cache", False):
                     counters["cache_hits"] += 1
                 self._checkin(origin, stream)
-                return response
-        finally:
+                break
+        except GeneratorExit:
+            return None  # finalized, not failed: wake no slot waiter
+        except BaseException:
             origin.slots.release()
+            raise
+        origin.slots.release()
+        return response
 
     def _fetch_with_deadline(self, stream: Stream, request: HttpRequest,
                              deadline: t.Optional[Deadline] = None):

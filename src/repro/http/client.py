@@ -132,6 +132,8 @@ class DirectConnector(Connector):
         resumed = hostname in self.session_tickets
         try:
             yield from session.client_handshake(resumed=resumed)
+        except GeneratorExit:
+            return None  # finalized, not failed: send nothing
         except BaseException:
             conn.close()  # a failed handshake must not strand the dial
             raise

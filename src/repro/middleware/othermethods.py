@@ -98,6 +98,8 @@ class WebProxyConnector(Connector):
             if reply != ("wp-ready",):
                 raise MiddlewareError(
                     f"web proxy refused {hostname}: {reply!r}")
+        except GeneratorExit:
+            return None  # finalized, not failed: send nothing
         except BaseException:
             conn.close()  # a refused or dead gateway must not strand the dial
             raise

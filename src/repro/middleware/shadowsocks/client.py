@@ -64,6 +64,8 @@ class SsLocal:
             timeout=30.0)
         try:
             yield from self._auth_on(conn)
+        except GeneratorExit:
+            return  # finalized, not failed: send nothing
         except BaseException:
             conn.close()  # failed auth must not strand the dial
             raise
@@ -115,6 +117,8 @@ class SsLocal:
             ready = yield conn.recv_message()
             if ready != ("ss-ready",):
                 raise MiddlewareError(f"shadowsocks relay refused: {ready!r}")
+        except GeneratorExit:
+            return None  # finalized, not failed: send nothing
         except BaseException:
             conn.close()  # failed relay open must not strand the dial
             raise
@@ -140,6 +144,8 @@ class SsConnector(Connector):
         resumed = hostname in self.session_tickets
         try:
             yield from session.client_handshake(resumed=resumed)
+        except GeneratorExit:
+            return None  # finalized, not failed: send nothing
         except BaseException:
             channel.close()  # a failed handshake must not strand the relay
             raise

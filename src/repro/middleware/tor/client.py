@@ -124,6 +124,8 @@ class TorConnector(Connector):
         resumed = hostname in self.session_tickets
         try:
             yield from session.client_handshake(resumed=resumed)
+        except GeneratorExit:
+            return None  # finalized, not failed: send nothing
         except BaseException:
             try:
                 channel.close()
@@ -211,12 +213,16 @@ class TorMethod(AccessMethod):
                         and reply[0] == "dir-response"):
                     raise MiddlewareError(
                         f"directory fetch failed: {reply!r}")
+            except GeneratorExit:
+                return  # finalized, not failed: send nothing
             except BaseException:
                 # The stream table must not keep a dead directory
                 # stream; the outer handler only cleans up the channel.
                 directory.close()
                 raise
             directory.close()
+        except GeneratorExit:
+            return  # finalized, not failed: send nothing
         except BaseException:
             # A failed bootstrap must not strand the meek connection.
             if self.meek is not None:

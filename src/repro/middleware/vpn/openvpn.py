@@ -76,6 +76,8 @@ class OpenVpn(AccessMethod):
             pushed = yield session.recv()
             if not (isinstance(pushed, tuple) and pushed[0] == "openvpn"):
                 raise TunnelError(f"OpenVPN push failed: {pushed!r}")
+        except GeneratorExit:
+            return  # finalized, not failed: send nothing
         except BaseException:
             control.close()  # a failed handshake must not strand the dial
             raise
@@ -123,6 +125,8 @@ class OpenVpn(AccessMethod):
             yield from session.client_handshake()
             session.send(120, meta=("openvpn", "push-request"))
             yield session.recv()
+        except GeneratorExit:
+            return None  # finalized, not failed: send nothing
         except BaseException:
             control.close()  # a failed handshake must not strand the dial
             raise

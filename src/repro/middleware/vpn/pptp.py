@@ -89,6 +89,8 @@ class NativeVpn(AccessMethod):
             reply = yield control.recv_message()
             if reply != ("pptp", "outgoing-call-reply"):
                 raise TunnelError(f"PPTP call setup failed: {reply!r}")
+        except GeneratorExit:
+            return  # finalized, not failed: send nothing
         except BaseException:
             control.close()  # a failed call setup must not strand the dial
             raise
@@ -126,6 +128,8 @@ class NativeVpn(AccessMethod):
         try:
             control.send_message(156, meta=("pptp", "start-control-request"))
             yield control.recv_message()
+        except GeneratorExit:
+            return None  # finalized, not failed: send nothing
         except BaseException:
             control.close()  # a failed call setup must not strand the dial
             raise

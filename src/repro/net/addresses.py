@@ -16,12 +16,15 @@ class IPv4Address:
     """An immutable IPv4 address.
 
     ``value`` is the address as a 32-bit integer; tables on the packet
-    path key on it directly.
+    path key on it directly.  Nothing changes an address after
+    ``__init__``, so its dotted text is built on the first ``str()``
+    and kept.
     """
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_text")
 
     def __init__(self, address: t.Union[str, int, "IPv4Address"]) -> None:
+        self._text: t.Optional[str] = None
         if isinstance(address, IPv4Address):
             self.value = address.value
             return
@@ -54,8 +57,12 @@ class IPv4Address:
         return self.value
 
     def __str__(self) -> str:
-        v = self.value
-        return f"{(v >> 24) & 255}.{(v >> 16) & 255}.{(v >> 8) & 255}.{v & 255}"
+        text = self._text
+        if text is None:
+            v = self.value
+            text = self._text = (
+                f"{(v >> 24) & 255}.{(v >> 16) & 255}.{(v >> 8) & 255}.{v & 255}")
+        return text
 
     def __repr__(self) -> str:
         return f"IPv4Address({str(self)!r})"

@@ -77,8 +77,14 @@ class TransportLayer:
         timeout: t.Optional[float] = None,
         local_addr: t.Optional[IPv4Address] = None,
     ) -> Event:
-        """Open a connection; the event fires with the TcpConnection."""
-        remote = IPv4Address(remote_addr)
+        """Open a connection; the event fires with the TcpConnection.
+
+        An :class:`IPv4Address` is kept, not copied: addresses never
+        change after they are built, and one kept object keeps its
+        dotted text, which every flow tuple then shares.
+        """
+        remote = (remote_addr if isinstance(remote_addr, IPv4Address)
+                  else IPv4Address(remote_addr))
         local_port = next(self._ephemeral)
         conn = TcpConnection(
             self, local_addr or self.host.address, local_port,

@@ -24,6 +24,7 @@ already in segments), and Nagle.
 
 from __future__ import annotations
 
+import functools
 import typing as t
 
 from ..errors import (
@@ -61,6 +62,18 @@ SYN_FLAGS = frozenset({"SYN"})
 SYN_ACK_FLAGS = frozenset({"SYN", "ACK"})
 FIN_ACK_FLAGS = frozenset({"FIN", "ACK"})
 RST_FLAGS = frozenset({"RST"})
+
+
+@functools.lru_cache(maxsize=256)
+def _syn_features(protocol_tag: str, sni: t.Optional[str]) -> WireFeatures:
+    """Wire features of a SYN (with the SNI its connection names) or a
+    SYN+ACK (``sni`` None) of a connection with this protocol tag.
+
+    One shared value per pair: ``WireFeatures`` is frozen, and nothing
+    compares features by identity.
+    """
+    return WireFeatures(protocol_tag=protocol_tag, sni=sni, handshake=True,
+                        entropy=0.5)
 
 
 class Segment:
@@ -206,7 +219,7 @@ class TcpConnection:
         "_dup_acks", "_in_flight",
         # RTO estimation and the handshake.
         "_srtt", "_rttvar", "_rto", "_rto_timer", "_rto_timer_version",
-        "_syn_sent_at", "_syn_tries", "_connect_event",
+        "_syn_sent_at", "_syn_tries", "_connect_event", "_connect_timeout",
         # Receiver and orderly close.
         "_rcv_nxt", "_ooo", "_inbox", "_peer_closed",
         "_fin_seq", "_fin_acked", "_fin_tries", "_unacked_segments",
@@ -274,6 +287,9 @@ class TcpConnection:
         self._syn_sent_at = 0.0
         self._syn_tries = 0
         self._connect_event: t.Optional[Event] = None
+        #: A connect timeout longer than the first SYN timer, until
+        #: that timer queues its deadline (see :meth:`start_connect`).
+        self._connect_timeout: t.Optional[float] = None
 
         # Receiver state.
         self._rcv_nxt = 0
@@ -383,33 +399,46 @@ class TcpConnection:
     # -- connection establishment ---------------------------------------------------
 
     def start_connect(self, timeout: t.Optional[float] = None) -> Event:
-        """Client side: send SYN; event fires with self when established."""
+        """Client side: send SYN; event fires with self when established.
+
+        A connect that outlives ``timeout`` fails with
+        :class:`ConnectionTimeout` at exactly ``now + timeout``.  A
+        deadline longer than the first SYN timer (``INITIAL_RTO``) is
+        queued only when that timer fires with the connect still in
+        SYN_SENT, so the connect that is established within a second,
+        almost every one, queues no deadline.  A shorter one, or one of
+        exactly ``INITIAL_RTO``, is queued now: it would fall at or
+        before the first SYN timer, and at that very instant a deadline
+        queued late would run after every event queued there since.
+        """
         if self.state != self.CLOSED:
             raise TransportError(f"connect() in state {self.state}")
         self.state = self.SYN_SENT
-        self._connect_event = self.sim.event()
+        self._connect_event = Event(self.sim)
         self._send_syn()
         if timeout is not None:
-            deadline = self.sim.timeout(timeout)
-            connect_event = self._connect_event
-
-            def on_deadline(_event: Event) -> None:
-                if not connect_event.triggered:
-                    self.state = self.CLOSED
-                    connect_event.fail(ConnectionTimeout(
-                        f"connect to {self.remote_addr}:{self.remote_port} timed out"))
-                    self._end()
-            deadline.add_callback(on_deadline)
+            if timeout > INITIAL_RTO:
+                self._connect_timeout = timeout
+            else:
+                self.sim.schedule(timeout, self._on_connect_deadline)
         return self._connect_event
+
+    def _on_connect_deadline(self) -> None:
+        connect_event = self._connect_event
+        if connect_event is None or connect_event._decided:
+            return
+        self.state = self.CLOSED
+        connect_event.fail(ConnectionTimeout(
+            f"connect to {self.remote_addr}:{self.remote_port} timed out"))
+        self._end()
 
     def _send_syn(self) -> None:
         self._syn_tries += 1
         self._syn_sent_at = self.sim._now
         syn = Segment(self.local_port, self.remote_port, 0, 0, SYN_FLAGS)
+        features = self.features
         self._emit(syn, SYN_SIZE,
-                   WireFeatures(protocol_tag=self.features.protocol_tag,
-                                sni=self.features.sni, handshake=True,
-                                entropy=0.5))
+                   _syn_features(features.protocol_tag, features.sni))
         backoff = INITIAL_RTO * (2 ** (self._syn_tries - 1))
         version = self._bump_timer()
         self.sim.schedule(backoff, self._on_syn_timer, version)
@@ -417,6 +446,15 @@ class TcpConnection:
     def _on_syn_timer(self, version: int) -> None:
         if version != self._rto_timer_version or self.state != self.SYN_SENT:
             return
+        timeout = self._connect_timeout
+        if timeout is not None:
+            # The connect outlived its first SYN timer: queue its
+            # deadline, ahead of the retransmission's timer.  The first
+            # SYN went out at the connect, so ``_syn_sent_at + timeout``
+            # is the float an eager deadline would have fired at.
+            self._connect_timeout = None
+            self.sim.schedule_at(self._syn_sent_at + timeout,
+                                 self._on_connect_deadline)
         if self._syn_tries >= SYN_RETRIES:
             self.state = self.CLOSED
             if self._connect_event and not self._connect_event.triggered:
@@ -433,13 +471,21 @@ class TcpConnection:
         synack = Segment(self.local_port, self.remote_port, 0, 0,
                          SYN_ACK_FLAGS)
         self._emit(synack, SYN_SIZE,
-                   WireFeatures(protocol_tag=self.features.protocol_tag,
-                                handshake=True, entropy=0.5))
+                   _syn_features(self.features.protocol_tag, None))
 
     # -- segment processing ------------------------------------------------------------
 
     def handle_segment(self, segment: Segment) -> None:
         """Demuxed inbound segment for this connection."""
+        if segment.flags is ACK_FLAGS and self.state == self.ESTABLISHED:
+            # The common case, with the general path's checks in its
+            # order: no RST, no handshake, no SYN, an ACK, no FIN.
+            self._process_ack(segment.ack)
+            if segment.length > 0:
+                self._process_data(segment)
+            if self._fin_acked and self._peer_closed:
+                self._end()
+            return
         if "RST" in segment.flags:
             self._enter_reset(local=False)
             return

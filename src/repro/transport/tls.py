@@ -18,6 +18,7 @@ No actual key exchange is performed here; real cryptography lives in
 
 from __future__ import annotations
 
+import functools
 import typing as t
 
 from ..errors import TransportError
@@ -35,17 +36,29 @@ SERVER_FINISHED = 51
 ABBREVIATED_SERVER_HELLO = 110
 
 
+@functools.lru_cache(maxsize=256)
 def handshake_features(sni: t.Optional[str]) -> WireFeatures:
-    """Wire features of a ClientHello: parseable TLS, SNI in the clear."""
+    """Wire features of a ClientHello: parseable TLS, SNI in the clear.
+
+    One shared value per SNI: ``WireFeatures`` is frozen, and nothing
+    compares features by identity.
+    """
     return WireFeatures(
         protocol_tag="tls", sni=sni, entropy=5.5, handshake=True,
         length_signature=CLIENT_HELLO)
 
 
 #: Wire features of every TLS application record: opaque but framed.
-#: One shared value: ``WireFeatures`` is frozen, and nothing compares
-#: features by identity.
+#: Like the handshake constants below, one shared value.
 APP_FEATURES = WireFeatures(protocol_tag="tls", sni=None, entropy=7.95)
+#: Wire features of the client's key exchange and Finished, and of the
+#: server's Finished.
+FINISHED_FEATURES = WireFeatures(protocol_tag="tls", handshake=True,
+                                 entropy=7.0)
+#: Wire features of a ServerHello, full (with the certificate) or
+#: abbreviated.
+SERVER_HELLO_FEATURES = WireFeatures(protocol_tag="tls", handshake=True,
+                                     entropy=6.0)
 
 
 def app_features() -> WireFeatures:
@@ -76,12 +89,12 @@ class TlsSession:
             # answer with Finished and may immediately send data.
             self.conn.send_message(
                 CLIENT_KEY_EXCHANGE_FINISHED, meta=("tls", "client-finished"),
-                features=WireFeatures(protocol_tag="tls", handshake=True, entropy=7.0))
+                features=FINISHED_FEATURES)
             self.established = True
             return self
         self.conn.send_message(
             CLIENT_KEY_EXCHANGE_FINISHED, meta=("tls", "client-finished"),
-            features=WireFeatures(protocol_tag="tls", handshake=True, entropy=7.0))
+            features=FINISHED_FEATURES)
         finished = yield self.conn.recv_message()
         if not (isinstance(finished, tuple) and finished[:2] == ("tls", "server-finished")):
             raise TransportError(f"unexpected TLS finished message: {finished!r}")
@@ -98,7 +111,7 @@ class TlsSession:
             self.conn.send_message(
                 ABBREVIATED_SERVER_HELLO,
                 meta=("tls", "server-hello-abbreviated"),
-                features=WireFeatures(protocol_tag="tls", handshake=True, entropy=6.0))
+                features=SERVER_HELLO_FEATURES)
             finished = yield self.conn.recv_message()
             if not (isinstance(finished, tuple) and finished[1] == "client-finished"):
                 raise TransportError(f"expected Finished, got {finished!r}")
@@ -106,13 +119,13 @@ class TlsSession:
             return self
         self.conn.send_message(
             SERVER_HELLO_WITH_CERT, meta=("tls", "server-hello"),
-            features=WireFeatures(protocol_tag="tls", handshake=True, entropy=6.0))
+            features=SERVER_HELLO_FEATURES)
         finished = yield self.conn.recv_message()
         if not (isinstance(finished, tuple) and finished[1] == "client-finished"):
             raise TransportError(f"expected Finished, got {finished!r}")
         self.conn.send_message(
             SERVER_FINISHED, meta=("tls", "server-finished"),
-            features=WireFeatures(protocol_tag="tls", handshake=True, entropy=7.0))
+            features=FINISHED_FEATURES)
         self.established = True
         return self
 

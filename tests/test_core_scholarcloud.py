@@ -10,6 +10,7 @@ from repro.errors import ConfigurationError, MiddlewareError
 from repro.measure import Testbed
 from repro.measure.load import drive_clients, install_workload
 from repro.measure.scenarios import prepare
+from repro.transport import TcpConnection
 
 
 def sc_world(**kwargs):
@@ -285,3 +286,38 @@ def test_deployment_validation():
         evaluate_deployment(vms=())
     with pytest.raises(ConfigurationError):
         evaluate_deployment(population=UserPopulation(daily_active=0))
+
+
+def test_a_finalized_stream_open_closes_nothing(monkeypatch):
+    """A stream open still waiting for the proxy's answer when its
+    simulation ends is closed when its generator is freed, often by the
+    cyclic collector during a later run.  It must then close nothing:
+    the FIN would be queued on a simulator that has stopped, with a
+    packet id taken from whatever runs next."""
+    closes = []
+    close = TcpConnection.close
+
+    def counting_close(conn):
+        closes.append(conn)
+        close(conn)
+
+    monkeypatch.setattr(TcpConnection, "close", counting_close)
+    testbed, system = sc_world()
+    # The domestic proxy restarts as a listener that never answers, so
+    # the open waits for its ``sc-ready`` with the connection open.
+    domestic = testbed.transport_of(testbed.domestic_vm)
+    domestic.crash()
+    domestic.listen_tcp(system.domestic_port, lambda conn: None)
+    opening = system.connector().open_once("scholar.google.com", 443, True)
+    sim = testbed.sim
+    sim.process(opening)
+    sim.run(until=sim.now + 5.0)
+    (conn,) = [conn for conn in
+               testbed.transport_of(testbed.client)._connections.values()
+               if conn.remote_port == system.domestic_port]
+    assert conn.state == "ESTABLISHED"
+    seq = sim._seq
+    opening.close()
+    assert closes == []
+    assert sim._seq == seq
+    assert conn.state == "ESTABLISHED"

@@ -12,7 +12,9 @@ from repro.gfw import (
     ShadowsocksClassifier,
     default_china_policy,
 )
-from repro.gfw.flow_table import FlowState, FlowTable, canonical_flow
+from repro.gfw import flow_table
+from repro.gfw.flow_table import (RECENT_TIMES_MAX, FlowState, FlowTable,
+                                  canonical_flow)
 from repro.measure import Testbed
 from repro.net import OPAQUE_STREAM, WireFeatures
 
@@ -70,10 +72,62 @@ def test_flow_table_accumulates_and_penalizes():
     state = table.observe(flow, 100, now=1.0)
     table.observe(flow, 200, now=2.0)
     assert state.packets == 2 and state.bytes == 300
+    assert not table.penalized("1.1.1.1", "2.2.2.2", now=1.0)
     table.penalize("1.1.1.1", "2.2.2.2", until=10.0)
     assert table.penalized("1.1.1.1", "2.2.2.2", now=5.0)
     assert table.penalized("2.2.2.2", "1.1.1.1", now=5.0)
+    assert not table.penalized("1.1.1.1", "3.3.3.3", now=5.0)
     assert not table.penalized("1.1.1.1", "2.2.2.2", now=11.0)
+
+
+def test_flow_state_is_slotted_and_samples_no_times_until_asked():
+    state = FlowState(key=("tcp", "a", 1, "b", 2), first_seen=3.0)
+    assert not hasattr(state, "__dict__")
+    assert (state.key, state.first_seen, state.packets, state.bytes,
+            state.label, state.confidence, state.probed,
+            state.last_seen) == (("tcp", "a", 1, "b", 2), 3.0, 0, 0, None,
+                                 0.0, False, 0.0)
+    assert list(state.recent_times) == [] and -1.0 not in state.recent_times
+    state.record_time(-1.0)
+    for sample in range(100):
+        state.record_time(float(sample))
+    assert len(state.recent_times) == RECENT_TIMES_MAX
+    assert list(state.recent_times)[-1] == 99.0
+
+
+def test_both_directions_of_a_flow_reach_one_state():
+    table = FlowTable()
+    forward = ("tcp", "1.1.1.1", 1000, "2.2.2.2", 80)
+    reverse = ("tcp", "2.2.2.2", 80, "1.1.1.1", 1000)
+    state = table.observe(forward, 100, now=1.0)
+    assert table.get(reverse) is state  # not yet seen in this direction
+    assert table.observe(reverse, 40, now=2.0) is state
+    assert table.observe_bulk(forward, 3, 4000, now=3.0) is state
+    assert (state.packets, state.bytes, state.last_seen) == (5, 4140, 3.0)
+    assert table.get(forward) is table.get(reverse) is state
+    assert state.key == canonical_flow(forward) and len(table) == 1
+    assert table.observe(None, 100, now=4.0) is None
+    assert table.get(None) is None
+
+
+def test_eviction_rebuilds_the_direction_index(monkeypatch):
+    monkeypatch.setattr(flow_table, "MAX_FLOWS", 3)
+    table = FlowTable()
+    idle = ("tcp", "1.1.1.1", 1000, "2.2.2.2", 80)
+    busy = ("tcp", "1.1.1.1", 1001, "2.2.2.2", 80)
+    table.observe(idle, 100, now=0.0)
+    table.observe(("tcp", "2.2.2.2", 80, "1.1.1.1", 1000), 100, now=0.0)
+    table.observe(busy, 100, now=0.0)
+    table.observe(("tcp", "3.3.3.3", 5, "2.2.2.2", 80), 100, now=0.0)
+    table.observe(busy, 100, now=200.0)
+    fresh = table.observe(("tcp", "4.4.4.4", 6, "2.2.2.2", 80), 100,
+                          now=200.0)
+    assert set(table._flows.values()) == {table.get(busy), fresh}
+    assert set(table._index) == {busy, ("tcp", "4.4.4.4", 6, "2.2.2.2", 80)}
+    assert set(table._index.values()) == set(table._flows.values())
+    # An evicted flow starts again from nothing.
+    again = table.observe(idle, 100, now=201.0)
+    assert again.packets == 1 and again.first_seen == 201.0
 
 
 # -- end-to-end blocking -------------------------------------------------------------
@@ -217,6 +271,37 @@ def test_meek_classifier_requires_front_and_cadence():
     assert all(
         classifier.classify(FakePacket(poll), fresh, policy) is None
         for _ in range(6))
+
+
+def test_the_firewall_labels_a_polling_flow_and_samples_only_it():
+    """Through ``GreatFirewall.process``: a flow whose handshake names a
+    meek front is labelled ``tor-meek`` once it has polled, and a TLS
+    flow to any other name records no timestamp, so it holds no deque."""
+    from repro.gfw.firewall import GreatFirewall
+    from repro.net import IPv4Address, Packet
+    from repro.sim import Simulator
+
+    gfw = GreatFirewall(Simulator(seed=0), BlockPolicy(),
+                        config=GfwConfig(dns_poisoning=False))
+
+    def send(flow, size, **features):
+        gfw.process(Packet(src=IPv4Address("10.0.0.1"),
+                           dst=IPv4Address("47.88.1.100"), protocol="tcp",
+                           payload=None, size=size,
+                           features=WireFeatures(protocol_tag="tls",
+                                                 **features),
+                           flow=flow), None, None)
+
+    meek = ("tcp", "10.0.0.1", 40000, "47.88.1.100", 443)
+    plain = ("tcp", "10.0.0.1", 40001, "47.88.1.100", 443)
+    for flow, sni in ((meek, "cdn.azureedge.example"), (plain, "cdn.example")):
+        send(flow, 300, handshake=True, sni=sni)
+        for _ in range(4):
+            send(flow, 300, entropy=7.9)
+    meek_state, plain_state = gfw.flows.get(meek), gfw.flows.get(plain)
+    assert meek_state.label == "tor-meek"
+    assert -1.0 in meek_state.recent_times
+    assert plain_state.label is None and plain_state.recent_times == ()
 
 
 def test_interference_drops_scale_with_label():

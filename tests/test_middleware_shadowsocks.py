@@ -6,8 +6,11 @@ from repro.crypto import shannon_entropy
 from repro.errors import MiddlewareError
 from repro.gfw.dpi import SS_FIRST_FRAME_RANGE
 from repro.measure import Testbed
+from repro.transport import TcpConnection
 from repro.middleware.shadowsocks import (
+    SS_PORT,
     ShadowsocksMethod,
+    SsLocal,
     address_block,
     derive_key,
     first_frame,
@@ -160,3 +163,36 @@ def test_active_probing_kills_shadowsocks_but_not_web():
     # Subsequent loads through the blocked server fail.
     result = testbed.run_process(browser.load(testbed.scholar_page))
     assert not result.succeeded
+
+
+def test_a_finalized_auth_exchange_closes_nothing(monkeypatch):
+    """An auth exchange still waiting when its simulation ends is closed
+    when its generator is freed, often by the cyclic collector during a
+    later run.  It must then close nothing: the FIN would be queued on
+    a simulator that has stopped, with a packet id taken from whatever
+    runs next."""
+    closes = []
+    close = TcpConnection.close
+
+    def counting_close(conn):
+        closes.append(conn)
+        close(conn)
+
+    monkeypatch.setattr(TcpConnection, "close", counting_close)
+    testbed = Testbed()
+    # A server that accepts and never answers: the exchange waits for
+    # its challenge with the connection open.
+    testbed.transport_of(testbed.remote_vm).listen_tcp(
+        SS_PORT, lambda conn: None)
+    local = SsLocal(testbed, testbed.remote_vm.address)
+    session = local.ensure_session()
+    sim = testbed.sim
+    sim.process(session)
+    sim.run(until=5.0)
+    (conn,) = testbed.transport_of(testbed.client)._connections.values()
+    assert conn.state == "ESTABLISHED"
+    seq = sim._seq
+    session.close()
+    assert closes == []
+    assert sim._seq == seq
+    assert conn.state == "ESTABLISHED"

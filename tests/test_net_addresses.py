@@ -71,3 +71,12 @@ def test_allocator_exhaustion():
     alloc.allocate()
     with pytest.raises(AddressError):
         alloc.allocate()
+
+
+def test_dotted_text_is_built_once_and_kept():
+    addr = IPv4Address(0xCB007107)
+    text = str(addr)
+    assert text == "203.0.113.7"
+    assert str(addr) is text
+    assert repr(addr) == "IPv4Address('203.0.113.7')"
+    assert str(IPv4Address(addr)) == text

@@ -5,9 +5,10 @@ import tracemalloc
 
 import pytest
 
-from repro.errors import ConnectionReset, ConnectionTimeout, TransportError
+from repro.errors import (ConnectionReset, ConnectionTimeout, SimulationError,
+                          TransportError)
 from repro.middleware.base import Inbox
-from repro.net import MSS, Network, Packet, Verdict, WireFeatures
+from repro.net import IPv4Address, MSS, Network, Packet, Verdict, WireFeatures
 from repro.net.middlebox import Middlebox
 from repro.perf.fluid import PathHop, PathModel
 from repro.sim import Simulator
@@ -863,3 +864,84 @@ def test_a_lost_last_ack_ends_only_the_closing_connection():
     assert list(ta._connections.values()) == [keeper]
     assert list(tb._connections.values()) == [server_keeper]
     assert not closer._inbox._getters and not server_closer._inbox._getters
+
+
+# -- connect deadlines and addresses -----------------------------------------------
+
+@pytest.mark.parametrize("timeout", [5.0, 30.0])
+def test_a_connect_established_within_a_second_queues_no_deadline(timeout):
+    """A connect deadline longer than the first SYN timer is queued only
+    if that timer finds the connect still in SYN_SENT, so a connect
+    established in one 100 ms round trip takes exactly the events of a
+    connect with no deadline, and the run ends with the idle SYN timer."""
+    def run(deadline):
+        sim, _net, ta, tb, _link = two_hosts()
+        tb.listen_tcp(80, lambda conn: None)
+
+        def client(sim):
+            conn = yield ta.connect_tcp("203.0.113.1", 80, timeout=deadline)
+            return conn.state
+
+        assert sim.run(until=sim.process(client(sim))) == "ESTABLISHED"
+        assert all(when <= 1.0 for when, _priority, _seq, _event in sim._queue)
+        sim.run()
+        return sim._seq, sim.now
+
+    without_deadline = run(None)
+    assert without_deadline[1] == 1.0
+    assert run(timeout) == without_deadline
+
+
+class _DropSynAcks(Middlebox):
+    name = "drop-syn-acks"
+
+    def process(self, packet, direction, link):
+        if packet.payload.flags == SYN_ACK_FLAGS:
+            return Verdict.DROP
+        return Verdict.PASS
+
+
+@pytest.mark.parametrize("timeout", [0.5, 1.0, 2.9, 5.0, 30.0])
+def test_a_connect_whose_syn_acks_are_lost_fails_at_its_exact_deadline(timeout):
+    """Every SYN reaches the listener and every SYN-ACK is dropped: the
+    connect fails with ConnectionTimeout at the float ``t0 + timeout``,
+    whether its deadline was queued at the connect (0.5 s, and 1 s, the
+    first SYN timer's own instant) or by the first SYN timer (2.9 s, 5 s,
+    30 s), and the client forgets the connection.  With ``t0`` = 0.3,
+    ``(t0 + 1) + 1.9`` is not the float ``t0 + 2.9``."""
+    sim, _net, ta, tb, link = two_hosts()
+    tb.listen_tcp(80, lambda conn: pytest.fail("a SYN-ACK got through"))
+    link.add_middlebox(_DropSynAcks())
+    t0 = 0.3
+    failed = []
+
+    def client(sim):
+        yield sim.timeout(t0)
+        with pytest.raises(ConnectionTimeout, match="timed out"):
+            yield ta.connect_tcp("203.0.113.1", 80, timeout=timeout)
+        failed.append(sim.now)
+
+    sim.run(until=sim.process(client(sim)))
+    assert failed == [t0 + timeout]
+    assert not ta._connections
+
+
+def test_a_negative_connect_timeout_is_refused():
+    sim, _net, ta, tb, _link = two_hosts()
+    tb.listen_tcp(80, lambda conn: None)
+    with pytest.raises(SimulationError):
+        ta.connect_tcp("203.0.113.1", 80, timeout=-1.0)
+
+
+def test_connect_keeps_the_address_object_it_is_given():
+    sim, _net, ta, tb, _link = two_hosts()
+    tb.listen_tcp(80, lambda conn: None)
+    remote = IPv4Address("203.0.113.1")
+
+    def client(sim):
+        return (yield ta.connect_tcp(remote, 80))
+
+    conn = sim.run(until=sim.process(client(sim)))
+    assert conn.remote_addr is remote
+    assert conn.flow == ("tcp", "10.0.0.1", conn.local_port, "203.0.113.1", 80)
+    assert conn.flow[3] is str(remote)
