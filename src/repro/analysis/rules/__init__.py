@@ -18,7 +18,11 @@ from .flow_rules import (
     RngStreamRegistryRule,
     WireSchemaRule,
 )
-from .process import UninvokedProcessRule, YieldLiteralRule
+from .process import (
+    FinalizedGeneratorRule,
+    UninvokedProcessRule,
+    YieldLiteralRule,
+)
 from .robustness import (
     SilentExceptRule,
     UnboundedCacheFieldRule,
@@ -36,6 +40,7 @@ _ALL_RULES: t.Tuple[t.Type[Rule], ...] = (
     StrBytesMixingRule,
     UninvokedProcessRule,
     YieldLiteralRule,
+    FinalizedGeneratorRule,
     SilentExceptRule,
     UnboundedQueueRule,
     UnboundedCacheFieldRule,
@@ -73,6 +78,7 @@ __all__ = [
     "AmbientRandomRule",
     "BlockingCallRule",
     "DeadlineUnclampedRule",
+    "FinalizedGeneratorRule",
     "ForbiddenImportRule",
     "LeakOnErrorPathRule",
     "OsEntropyRule",

@@ -7,6 +7,12 @@ runtime (see ``repro.sim.kernel``), but only on the first resume of the
 offending process, which in a long scenario can be millions of events
 into a run.  These rules reject the statically visible cases at lint
 time instead.
+
+A third rule guards the end of a process: a generator still suspended
+when its simulation ends is finalized when it is freed, often by the
+cyclic collector long after, and ``GeneratorExit`` runs its cleanup.
+A ``close()`` made then sends a FIN into a dead simulation, at an
+instant the collector picked.
 """
 
 from __future__ import annotations
@@ -87,4 +93,80 @@ class YieldLiteralRule(Rule):
                     self.report(child, f"process body {node.name!r} yields "
                                        f"{child.value.value!r}; only Event "
                                        "instances may be yielded")
+        return self.findings
+
+
+#: Cleanup calls that send on the wire or hand a slot back (a private
+#: ``_release`` helper counts as ``release``).
+_CLEANUP_METHODS = frozenset({"close", "release", "abort"})
+_NESTED_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                  ast.ClassDef)
+
+
+def _own_nodes(statements: t.Sequence[ast.AST]) -> t.Iterator[ast.AST]:
+    """Every node under ``statements``, skipping nested scopes."""
+    stack = list(statements)
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(child for child in ast.iter_child_nodes(node)
+                     if not isinstance(child, _NESTED_SCOPES))
+
+
+def _catches(handler: ast.ExceptHandler, name: str) -> bool:
+    caught = handler.type
+    names = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+    return any(isinstance(item, ast.Name) and item.id == name
+               for item in names)
+
+
+def _cleans_up(statements: t.Sequence[ast.AST]) -> bool:
+    return any(isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr.lstrip("_") in _CLEANUP_METHODS
+               for node in _own_nodes(statements))
+
+
+class FinalizedGeneratorRule(Rule):
+    """A finalized generator sends nothing.
+
+    Flags a ``try`` in a generator whose ``except BaseException``, bare
+    ``except`` or ``finally`` block calls ``close()``, ``release()`` or
+    ``abort()`` (or a private ``_release()`` and the like) when the same
+    ``try`` has no ``except GeneratorExit`` handler to keep that cleanup
+    from running at finalization.
+    """
+
+    id = "generator-exit-sends"
+    description = ("a generator's BaseException/bare-except/finally cleanup "
+                   "calls close()/release()/abort() with no `except "
+                   "GeneratorExit` on the same try; a finalized generator "
+                   "would send into a dead simulation")
+    default_exempt = ("repro.realnet", "repro.analysis")
+
+    def run(self) -> t.List["t.Any"]:
+        for function in ast.walk(self.ctx.tree):
+            if not isinstance(function, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                continue
+            body = list(_own_nodes(function.body))
+            if not any(isinstance(node, (ast.Yield, ast.YieldFrom))
+                       for node in body):
+                continue
+            for node in body:
+                if not isinstance(node, ast.Try) or any(
+                        _catches(handler, "GeneratorExit")
+                        for handler in node.handlers):
+                    continue
+                cleanup = [statement for handler in node.handlers
+                           if handler.type is None
+                           or _catches(handler, "BaseException")
+                           for statement in handler.body]
+                if _cleans_up(cleanup + node.finalbody):
+                    self.report(node, f"generator {function.name!r} cleans "
+                                      "up in a BaseException, bare-except or "
+                                      "finally block with no `except "
+                                      "GeneratorExit` on the same try; a "
+                                      "finalized generator must send "
+                                      "nothing")
         return self.findings

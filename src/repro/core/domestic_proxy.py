@@ -554,8 +554,7 @@ class _EdgeUpstream:
         occupies on the browser leg — or None on a dead upstream.
         """
         if wrapped:
-            records = max(1, (request.size() + 16383) // 16384)
-            length = request.size() + records * tls_sizes.RECORD_OVERHEAD
+            length = tls_sizes.record_length(request.size())
             meta: t.Any = ("tls-app", request)
         else:
             length = request.size()

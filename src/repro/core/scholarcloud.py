@@ -247,12 +247,12 @@ class ScholarCloud(AccessMethod):
         return ScConnector(self, host=host)
         yield  # pragma: no cover - attachment is configuration-only
 
-    def apply_pac(self, browser, direct: t.Optional[DirectConnector] = None) -> None:
+    def apply_pac(self, browser) -> None:
         """Install PAC routing: whitelist → proxy, everything else direct."""
         if self.pac is None:
             raise MiddlewareError("deploy() before applying the PAC")
         testbed = self.testbed
-        direct_connector = direct or DirectConnector(
+        direct_connector = DirectConnector(
             testbed.sim, testbed.transport_of(testbed.client),
             testbed.resolver)
         proxied = self.connector()
@@ -279,6 +279,3 @@ class ScholarCloud(AccessMethod):
             # watermark either, so old-epoch entries are dropped eagerly.
             self.cache.invalidate_all("blinding-rotation")
         return self.agility.epoch
-
-    def teardown(self) -> None:
-        self.deployed = False

@@ -11,11 +11,11 @@ from ..net import IPv4Address
 
 @dataclass(frozen=True)
 class DnsRecord:
-    """A single resource record (A or CNAME)."""
+    """A single resource record."""
 
     name: str
-    rtype: str  # "A" or "CNAME"
-    value: str  # dotted quad for A, target name for CNAME
+    rtype: str  # record type, e.g. "A"
+    value: str  # dotted quad for an A record
     ttl: float = 300.0
 
     def address(self) -> IPv4Address:
@@ -39,21 +39,9 @@ class Zone:
     def add_a(self, name: str, address: t.Union[str, IPv4Address], ttl: float = 300.0) -> DnsRecord:
         return self.add(name, "A", str(IPv4Address(address)), ttl)
 
-    def add_cname(self, name: str, target: str) -> DnsRecord:
-        return self.add(name, "CNAME", target.lower().rstrip("."))
-
     def lookup(self, name: str) -> t.List[DnsRecord]:
-        """Records for ``name``, following at most 8 CNAME hops in-zone."""
-        name = name.lower().rstrip(".")
-        out: t.List[DnsRecord] = []
-        for _ in range(8):
-            records = self._records.get(name, [])
-            out.extend(records)
-            cnames = [r for r in records if r.rtype == "CNAME"]
-            if not cnames:
-                break
-            name = cnames[0].value
-        return out
+        """Records for ``name``."""
+        return list(self._records.get(name.lower().rstrip("."), ()))
 
     def covers(self, name: str) -> bool:
         name = name.lower().rstrip(".")

@@ -47,9 +47,6 @@ class _ResolverCore:
         self.queries_sent = 0
         self.cache_hits = 0
 
-    def flush_cache(self) -> None:
-        self.cache.clear()
-
     def cached(self, name: str) -> t.Optional[_CacheEntry]:
         name = name.lower().rstrip(".")
         entry = self.cache.get(name)

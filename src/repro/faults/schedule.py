@@ -64,14 +64,10 @@ class FaultSchedule:
         return self.add(FaultEvent(at, "link-down", link, duration))
 
     def link_degrade(self, link: str, at: float, duration: float,
-                     loss: t.Optional[float] = None,
-                     latency_scale: t.Optional[float] = None) -> FaultEvent:
-        """Soft failure: raised loss and/or scaled latency, then revert."""
-        if loss is None and latency_scale is None:
-            raise FaultError("link_degrade needs loss and/or latency_scale")
-        return self.add(FaultEvent(
-            at, "link-degrade", link, duration,
-            {"loss": loss, "latency_scale": latency_scale}))
+                     loss: float) -> FaultEvent:
+        """Soft failure: the named link's loss rises, then reverts."""
+        return self.add(FaultEvent(at, "link-degrade", link, duration,
+                                   {"loss": loss}))
 
     def proxy_crash(self, host: str, at: float, downtime: float) -> FaultEvent:
         """Crash every service on ``host``; restart after ``downtime``.
@@ -100,15 +96,13 @@ class FaultSchedule:
 
     def load_spike(self, target: str, at: float, duration: float,
                    clients: int = 20, hostname: str = "scholar.google.com",
-                   port: int = 443, proxy_port: int = 8080,
-                   hold: t.Optional[float] = None) -> FaultEvent:
+                   port: int = 443, proxy_port: int = 8080) -> FaultEvent:
         """A flash crowd against the proxy listening on ``target``.
 
         ``clients`` extra sessions arrive evenly spread over
         ``duration``, each opening a proxied stream for ``hostname``
-        and holding it for ``hold`` seconds (default: until the spike
-        window ends).  Composes with the other fault kinds so overload
-        and faults can hit simultaneously.
+        and holding it until the spike window ends.  Composes with the
+        other fault kinds so overload and faults can hit simultaneously.
         """
         if clients < 1:
             raise FaultError(f"load_spike needs clients >= 1, got {clients}")
@@ -117,7 +111,7 @@ class FaultSchedule:
         return self.add(FaultEvent(
             at, "load-spike", target, duration,
             {"clients": clients, "hostname": hostname, "port": port,
-             "proxy_port": proxy_port, "hold": hold}))
+             "proxy_port": proxy_port}))
 
     # -- installation ------------------------------------------------------------
 
@@ -188,15 +182,11 @@ class FaultInjector:
 
     def _apply_link_degrade(self, event: FaultEvent):
         link = self.testbed.net.link_by_name(event.target)
-        saved_loss, saved_latency = link.loss, link.latency
-        loss = event.params.get("loss")
-        scale = event.params.get("latency_scale")
-        link.set_conditions(
-            loss=loss if loss is not None else saved_loss,
-            latency=saved_latency * scale if scale is not None else saved_latency)
+        saved_loss = link.loss
+        link.set_conditions(event.params["loss"])
 
         def revert() -> None:
-            link.set_conditions(loss=saved_loss, latency=saved_latency)
+            link.set_conditions(saved_loss)
         return revert
 
     def _apply_proxy_crash(self, event: FaultEvent):
@@ -235,14 +225,12 @@ class FaultInjector:
         for index in range(clients):
             source = sources[index % len(sources)]
             offset = index * spacing
-            hold = event.params["hold"]
-            if hold is None:
-                hold = max(0.0, event.duration - offset)
             self.testbed.sim.process(
                 self._spike_session(source, proxy_host.address,
                                     event.params["proxy_port"],
                                     event.params["hostname"],
-                                    event.params["port"], offset, hold),
+                                    event.params["port"], offset,
+                                    max(0.0, event.duration - offset)),
                 name=f"spike-{index}")
 
         def spike_window_closed() -> None:

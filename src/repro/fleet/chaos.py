@@ -9,7 +9,7 @@ fault kinds:
   and reinstatement should restore the membership — the headline
   experiment's mid-sweep event.
 * ``regional-escalation`` — one region's firewall escalates (extra
-  keywords, scaled interference, longer reset penalties) while every
+  keywords, scaled interference) while every
   other region's policy is untouched: regional GFW divergence as a
   *fault*, applied and reverted through the firewall's audited path.
 * ``region-blackout`` — a region's border link goes down outright for
@@ -54,21 +54,19 @@ class FleetSchedule(FaultSchedule):
         duration: float,
         keywords: t.Sequence[str] = (),
         interference_scale: t.Optional[float] = None,
-        penalty_seconds: t.Optional[float] = None,
     ) -> FaultEvent:
         """One region's firewall tightens, then reverts.
 
         ``keywords`` should be keywords *new* to that region's policy —
         the revert removes them outright.
         """
-        if not keywords and interference_scale is None and penalty_seconds is None:
-            raise FaultError("regional_escalation needs keywords, "
-                             "interference_scale, and/or penalty_seconds")
+        if not keywords and interference_scale is None:
+            raise FaultError("regional_escalation needs keywords "
+                             "and/or interference_scale")
         return self.add(FaultEvent(
             at, "regional-escalation", region, duration,
             {"keywords": tuple(keywords),
-             "interference_scale": interference_scale,
-             "penalty_seconds": penalty_seconds}))
+             "interference_scale": interference_scale}))
 
     def region_blackout(self, region: str, at: float,
                         downtime: float) -> FaultEvent:
@@ -106,9 +104,7 @@ class FleetInjector(FaultInjector):
         gfw = self.testbed.region(event.target).gfw
         keywords = tuple(event.params.get("keywords") or ())
         scale = event.params.get("interference_scale")
-        penalty = event.params.get("penalty_seconds")
         saved_rates = dict(gfw.policy.class_interference)
-        saved_penalty = gfw.config.reset_penalty_seconds
 
         def escalate(fw) -> None:
             for keyword in keywords:
@@ -116,8 +112,6 @@ class FleetInjector(FaultInjector):
             if scale is not None:
                 for label, rate in saved_rates.items():
                     fw.policy.set_interference(label, min(1.0, rate * scale))
-            if penalty is not None:
-                fw.config.reset_penalty_seconds = penalty
 
         gfw.apply_policy(escalate, label=f"escalation:{event.target}")
         if not event.duration:
@@ -130,8 +124,6 @@ class FleetInjector(FaultInjector):
                 if scale is not None:
                     for label, rate in saved_rates.items():
                         fw.policy.set_interference(label, rate)
-                if penalty is not None:
-                    fw.config.reset_penalty_seconds = saved_penalty
             gfw.apply_policy(deescalate,
                              label=f"escalation:{event.target}:revert")
         return revert

@@ -101,11 +101,8 @@ class FleetTestbed:
         self.sim = Simulator(seed=seed)
         self.fluid = None
         if fluid is not None:
-            from ..perf.fluid import FluidRegistry, fluid_config_for_mode
-            config = (fluid_config_for_mode(fluid)
-                      if isinstance(fluid, str) else fluid)
-            if config is not None:
-                self.fluid = FluidRegistry(self.sim, config).install()
+            from ..perf.fluid import install_fluid
+            self.fluid = install_fluid(self.sim, fluid)
         self.rng = self.sim.rng
         self.trace = TraceLog(self.sim)
         self.net = Network(self.sim, rng=self.rng, trace=self.trace)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 import typing as t
 
-from ..net import IPv4Address, Prefix
+from ..net import IPv4Address
 
 
 class BlockPolicy:
@@ -24,7 +24,6 @@ class BlockPolicy:
 
     def __init__(self) -> None:
         self._domain_suffixes: t.Set[str] = set()
-        self._ip_prefixes: t.List[Prefix] = []
         self._ip_exact: t.Set[IPv4Address] = set()
         self._keywords: t.Set[str] = set()
         self._keyword_pattern: t.Optional[t.Pattern[str]] = None
@@ -66,18 +65,11 @@ class BlockPolicy:
     def block_ip(self, address: t.Union[str, IPv4Address]) -> None:
         self._ip_exact.add(IPv4Address(address))
 
-    def block_prefix(self, cidr: str) -> None:
-        self._ip_prefixes.append(Prefix(cidr))
-
     def unblock_ip(self, address: t.Union[str, IPv4Address]) -> None:
         self._ip_exact.discard(IPv4Address(address))
 
     def ip_blocked(self, address: IPv4Address) -> bool:
-        if address in self._ip_exact:
-            return True
-        if not self._ip_prefixes:
-            return False
-        return any(address in prefix for prefix in self._ip_prefixes)
+        return address in self._ip_exact
 
     # -- keywords --------------------------------------------------------------------
 

@@ -109,8 +109,8 @@ class GreatFirewall(Middlebox):
 
         All mid-simulation :class:`GfwConfig`/:class:`BlockPolicy`
         changes — arms-race escalations, fault scripts, ablations —
-        should go through here (or :meth:`schedule_policy`) so each
-        change lands in ``policy_log`` and the trace.
+        should go through here so each change lands in ``policy_log``
+        and the trace.
         """
         mutation(self)
         self._dispatch_snapshot = None  # mutation may have swapped classifiers
@@ -126,20 +126,6 @@ class GreatFirewall(Middlebox):
             caches.on_policy_change(label)
         self.policy_log.append((self.sim.now, label))
         self._trace_plain("gfw.policy-change", label=label)
-
-    def schedule_policy(self, at: float,
-                        mutation: t.Callable[["GreatFirewall"], t.Any],
-                        label: str = "policy-change"):
-        """Apply ``mutation(self)`` at simulated time ``at``.
-
-        Returns the timer event, so callers can await the change.
-        """
-        from ..errors import SimulationError
-        if at < self.sim.now:
-            raise SimulationError(
-                f"schedule_policy(at={at}) is in the past (now={self.sim.now})")
-        return self.sim.schedule(at - self.sim.now, self.apply_policy,
-                                 mutation, label)
 
     # -- middlebox entry point ---------------------------------------------------------
 

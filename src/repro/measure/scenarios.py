@@ -324,15 +324,14 @@ CONCURRENCY_LEVELS = (5, 15, 30, 60, 90, 120, 150, 180)
 
 
 def run_scalability_point(method: str, clients: int, cycles: int = 3,
-                          seed: int = 0, mode: str = "packet") -> Summary:
+                          seed: int = 0) -> Summary:
     """Mean PLT with ``clients`` concurrent browsers (one Figure 7 point).
 
-    The PLT summary of :func:`run_overload_point` with every knob off.
-    ``mode`` selects the simulation mode (``packet`` or ``hybrid``, see
-    :mod:`repro.perf.fluid`); ``packet`` is the byte-identical default.
+    The PLT summary of :func:`run_overload_point` with every knob off,
+    in packet mode.
     """
     plt = run_overload_point(method, clients=clients, cycles=cycles,
-                             seed=seed, mode=mode).plt
+                             seed=seed).plt
     if plt is None:
         raise MeasurementError(f"{method}: no scalability samples")
     return plt

@@ -39,10 +39,10 @@ class Respondent:
     method: t.Optional[str]  # None when not bypassing
 
 
-def expected_counts(total: int = TOTAL_RESPONDENTS) -> t.Dict[str, float]:
+def expected_counts() -> t.Dict[str, float]:
     """Expected respondent counts per category."""
-    bypassers = total * BYPASS_SHARE
-    counts: t.Dict[str, float] = {"no-bypass": total - bypassers}
+    bypassers = TOTAL_RESPONDENTS * BYPASS_SHARE
+    counts: t.Dict[str, float] = {"no-bypass": TOTAL_RESPONDENTS - bypassers}
     for method, share in METHOD_SHARES.items():
         if method == "vpn":
             for flavor, flavor_share in VPN_FLAVOR_SHARES.items():

@@ -20,7 +20,7 @@ from __future__ import annotations
 import typing as t
 
 from ..dns import AuthoritativeServer, RecursiveResolver, StubResolver, Zone
-from ..gfw import ActiveProber, BlockPolicy, GfwConfig, GreatFirewall, default_china_policy
+from ..gfw import ActiveProber, GfwConfig, GreatFirewall, default_china_policy
 from ..http import Browser, DirectConnector, Page, WebServer, google_scholar_home
 from ..net import Host, Link, Network, PacketCapture
 from ..sim import ProcessorSharingServer, Simulator, TraceLog
@@ -59,10 +59,7 @@ class Testbed:
     def __init__(
         self,
         seed: int = 0,
-        policy: t.Optional[BlockPolicy] = None,
         gfw_config: t.Optional[GfwConfig] = None,
-        baseline_loss: float = 0.002,
-        pacific_one_way: float = ms(75),
         extra_clients: int = 0,
         gfw_enabled: bool = True,
         remote_replicas: int = 0,
@@ -74,11 +71,8 @@ class Testbed:
         self.sim = Simulator(seed=seed)
         self.fluid = None
         if fluid is not None:
-            from ..perf.fluid import FluidRegistry, fluid_config_for_mode
-            config = (fluid_config_for_mode(fluid)
-                      if isinstance(fluid, str) else fluid)
-            if config is not None:
-                self.fluid = FluidRegistry(self.sim, config).install()
+            from ..perf.fluid import install_fluid
+            self.fluid = install_fluid(self.sim, fluid)
         self.rng = self.sim.rng
         self.trace = TraceLog(self.sim)
         self.net = Network(self.sim, rng=self.rng, trace=self.trace)
@@ -119,8 +113,8 @@ class Testbed:
         net.connect(self.prober_host, self.border_cn, latency=ms(2),
                     bandwidth=Mbps(100))
         self.border_link: Link = net.connect(
-            self.border_cn, self.border_us, latency=pacific_one_way,
-            bandwidth=Mbps(1000), loss=baseline_loss, name="border")
+            self.border_cn, self.border_us, latency=ms(75),
+            bandwidth=Mbps(1000), loss=0.002, name="border")
         net.connect(self.border_us, self.us_core, latency=ms(5), bandwidth=Mbps(1000))
         net.connect(self.us_core, self.remote_vm, latency=ms(2), bandwidth=Mbps(100),
                     loss=0.0002)
@@ -208,7 +202,7 @@ class Testbed:
         _install_echo(self.sim, self.transport_of(self.control_site))
 
         # -- the GFW ------------------------------------------------------------------------
-        self.policy = policy if policy is not None else default_china_policy()
+        self.policy = default_china_policy()
         self.gfw_config = gfw_config or GfwConfig(inside_name="border-cn")
         self.prober = ActiveProber(
             self.sim, t.cast(TransportLayer, self.prober_host.transport))

@@ -305,6 +305,3 @@ class AccessMethod:
         raise NotImplementedError(
             f"{self.display_name} does not support multi-client attachment")
         yield  # pragma: no cover
-
-    def teardown(self) -> None:
-        """Undo host hooks so methods can be swapped within one world."""

@@ -61,11 +61,6 @@ class HostsFileMethod(AccessMethod):
             raise MiddlewareError("hosts-file pin not installed; run setup()")
         return self.testbed.direct_connector()
 
-    def teardown(self) -> None:
-        if self.installed:
-            self.testbed.resolver.flush_cache()
-            self.installed = False
-
 
 class WebProxyConnector(Connector):
     """Connector that tunnels requests through the public gateway.

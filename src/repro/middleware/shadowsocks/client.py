@@ -201,6 +201,3 @@ class ShadowsocksMethod(AccessMethod):
                         host=host)
         yield from local.ensure_session()
         return SsConnector(local)
-
-    def teardown(self) -> None:
-        self.connected = False

@@ -2,18 +2,18 @@
 
 from .cells import CELL_PAYLOAD, CELL_SIZE, cells_for, wire_bytes
 from .client import DIRECTORY_BYTES, FRONT_DOMAIN, TorConnector, TorMethod, TorNetwork
-from .meek import CdnFront, DEFAULT_POLL_INTERVAL, MeekChannel
+from .meek import CdnFront, MeekChannel, POLL_INTERVAL
 from .relay import OR_PORT, TorRelay
 
 __all__ = [
     "CELL_PAYLOAD",
     "CELL_SIZE",
     "CdnFront",
-    "DEFAULT_POLL_INTERVAL",
     "DIRECTORY_BYTES",
     "FRONT_DOMAIN",
     "MeekChannel",
     "OR_PORT",
+    "POLL_INTERVAL",
     "TorConnector",
     "TorMethod",
     "TorNetwork",

@@ -143,9 +143,8 @@ class TorMethod(AccessMethod):
     display_name = "Tor"
     requires_client_software = True
 
-    def __init__(self, testbed, poll_interval: float = 0.08) -> None:
+    def __init__(self, testbed) -> None:
         super().__init__(testbed)
-        self.poll_interval = poll_interval
         self.network: t.Optional[TorNetwork] = None
         self.meek: t.Optional[MeekChannel] = None
         self.circuit_id: t.Optional[int] = None
@@ -182,8 +181,7 @@ class TorMethod(AccessMethod):
         try:
             tls = TlsSession(conn, sni=FRONT_DOMAIN)
             yield from tls.client_handshake()
-            self.meek = MeekChannel(testbed.sim, tls,
-                                    poll_interval=self.poll_interval)
+            self.meek = MeekChannel(testbed.sim, tls)
             testbed.sim.process(self._demux_loop(), name="tor-demux")
 
             # 2. Circuit: CREATE to the bridge, EXTEND twice.
@@ -237,11 +235,6 @@ class TorMethod(AccessMethod):
         if not self.connected:
             raise MiddlewareError("tor is not bootstrapped; run setup() first")
         return TorConnector(self)
-
-    def teardown(self) -> None:
-        if self.meek is not None:
-            self.meek.close()
-        self.connected = False
 
     # -- streams ----------------------------------------------------------------------------
 

@@ -27,7 +27,7 @@ POST_OVERHEAD = 160
 RESPONSE_OVERHEAD = 80
 #: Client poll cadence while idle.  meek's real poller backs off when
 #: idle but polls aggressively (~100 ms) while traffic is flowing.
-DEFAULT_POLL_INTERVAL = 0.08
+POLL_INTERVAL = 0.08
 #: Longest the front holds a POST's response waiting for bridge data.
 MAX_HOLD = 0.35
 
@@ -125,11 +125,9 @@ def _bridge_frame(message: t.Any) -> Frame:
 class MeekChannel(MessageChannel):
     """Client side: a cell channel tunneled through HTTPS polling."""
 
-    def __init__(self, sim: Simulator, tls: TlsSession,
-                 poll_interval: float = DEFAULT_POLL_INTERVAL) -> None:
+    def __init__(self, sim: Simulator, tls: TlsSession) -> None:
         self.sim = sim
         self.tls = tls
-        self.poll_interval = poll_interval
         self.session_id = next(_session_ids)
         self._outbound: t.List[t.Tuple[int, t.Any]] = []
         self._inbox = Store(sim)
@@ -166,7 +164,7 @@ class MeekChannel(MessageChannel):
         # meek's poller: aggressive while traffic flows, exponential
         # backoff (up to ~5 s) while idle — otherwise the idle channel
         # would cost hundreds of empty POSTs a minute.
-        interval = self.poll_interval
+        interval = POLL_INTERVAL
         while not self._closed:
             if not self._outbound:
                 # Idle: wait for data or the poll timer, whichever first.
@@ -176,7 +174,7 @@ class MeekChannel(MessageChannel):
                 if self._closed:
                     return
             if self._outbound:
-                interval = self.poll_interval  # traffic: reset cadence
+                interval = POLL_INTERVAL  # traffic: reset cadence
             else:
                 interval = min(interval * 1.7, 5.0)
             batch, self._outbound = self._outbound, []
@@ -199,7 +197,7 @@ class MeekChannel(MessageChannel):
                 self._fail(MiddlewareError(f"meek bridge failure: {status}"))
                 return
             if downstream:
-                interval = self.poll_interval  # downstream flowing: stay hot
+                interval = POLL_INTERVAL  # downstream flowing: stay hot
             for _length, cell in downstream:
                 self._inbox.put(cell)
 

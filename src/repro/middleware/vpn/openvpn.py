@@ -140,13 +140,6 @@ class OpenVpn(AccessMethod):
                                 upstream=GOOGLE_DNS_ADDR, port=5361)
         return DirectConnector(testbed.sim, transport, resolver)
 
-    def teardown(self) -> None:
-        if self.client is not None:
-            self.client.remove()
-        if self.server is not None:
-            self.server.remove()
-        self.connected = False
-
     def _accept_control(self, conn) -> None:
         from ...transport import TlsSession
         sim = self.testbed.sim

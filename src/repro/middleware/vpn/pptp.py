@@ -142,14 +142,6 @@ class NativeVpn(AccessMethod):
                                 upstream=GOOGLE_DNS_ADDR, port=5360)
         return DirectConnector(testbed.sim, transport, resolver)
 
-    def teardown(self) -> None:
-        if self.client is not None:
-            self.client.remove()
-        if self.server is not None:
-            self.server.remove()
-        self._keepalive_on = False
-        self.connected = False
-
     # -- internals ---------------------------------------------------------------------
 
     def _accept_control(self, conn) -> None:
@@ -196,7 +188,7 @@ class NativeVpn(AccessMethod):
             server_transport.listen_udp(5999, echo_reply)
 
         def keepalive(sim):
-            while self._keepalive_on:
+            while True:
                 client_transport.send_udp(server_addr, 5999,
                                           payload=("lcp", "echo"),
                                           length=KEEPALIVE_SIZE, sport=5998)

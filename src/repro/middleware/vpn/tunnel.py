@@ -39,10 +39,6 @@ class VpnTunnelServer:
     def attach_client(self, client_addr: IPv4Address) -> None:
         self.clients.add(str(client_addr))
 
-    def remove(self) -> None:
-        if self._hook in self.host.inbound_hooks:
-            self.host.inbound_hooks.remove(self._hook)
-
     def _hook(self, packet: Packet) -> t.Optional[Packet]:
         # Tunneled packet from a client: decapsulate, NAT, forward.
         if (packet.protocol == self.protocol and packet.is_tunneled
@@ -84,12 +80,6 @@ class VpnTunnelClient:
         self.packets_tunneled = 0
         host.outbound_hooks.append(self._outbound)
         host.inbound_hooks.append(self._inbound)
-
-    def remove(self) -> None:
-        if self._outbound in self.host.outbound_hooks:
-            self.host.outbound_hooks.remove(self._outbound)
-        if self._inbound in self.host.inbound_hooks:
-            self.host.inbound_hooks.remove(self._inbound)
 
     def _outbound(self, packet: Packet) -> t.Optional[Packet]:
         if packet.is_tunneled or packet.dst == self.server_addr:

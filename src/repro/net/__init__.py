@@ -15,7 +15,7 @@ hosts via ``repro.transport``::
     net.build_routes()
 """
 
-from .addresses import AddressAllocator, IPv4Address, Prefix
+from .addresses import IPv4Address, Prefix
 from .link import Direction, Link
 from .middlebox import Middlebox, Verdict
 from .node import Host, Node, Router
@@ -32,7 +32,6 @@ from .pcap import CapturedPacket, PacketCapture
 from .topology import Network
 
 __all__ = [
-    "AddressAllocator",
     "CapturedPacket",
     "Direction",
     "Host",

@@ -1,8 +1,8 @@
-"""IPv4 addresses, prefixes, and address allocation.
+"""IPv4 addresses and prefixes.
 
 The simulator uses real dotted-quad IPv4 semantics (int-backed) so that
-GFW IP-blocklist behaviour — prefix blocking, collateral damage from
-shared hosting — works exactly as it does in the wild.
+the GFW's IP blocklist and the VPNs' routed prefixes behave as they do
+in the wild.
 """
 
 from __future__ import annotations
@@ -118,23 +118,3 @@ class Prefix:
 
     def __hash__(self) -> int:
         return hash((self.network, self.length))
-
-    def hosts(self) -> int:
-        """Number of addresses covered by this prefix."""
-        return 1 << (32 - self.length)
-
-
-class AddressAllocator:
-    """Sequentially allocates host addresses out of a prefix."""
-
-    def __init__(self, cidr: str) -> None:
-        self.prefix = Prefix(cidr)
-        self._next = 1  # skip the network address
-
-    def allocate(self) -> IPv4Address:
-        """Return the next unused address in the prefix."""
-        if self._next >= self.prefix.hosts() - 1:
-            raise AddressError(f"prefix {self.prefix} exhausted")
-        address = IPv4Address(int(self.prefix.network) + self._next)
-        self._next += 1
-        return address

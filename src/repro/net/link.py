@@ -113,17 +113,11 @@ class Link:
             self.trace.emit("link.admin", link=self.name,
                             state="up" if up else "down")
 
-    def set_conditions(self, loss: t.Optional[float] = None,
-                       latency: t.Optional[float] = None) -> None:
-        """Audited mid-sim change of loss and/or latency (degradation)."""
-        if loss is not None:
-            if not 0.0 <= loss < 1.0:
-                raise NetworkError(f"loss must be in [0,1): {loss}")
-            self.loss = loss
-        if latency is not None:
-            if latency < 0:
-                raise NetworkError(f"negative latency: {latency}")
-            self.latency = latency
+    def set_conditions(self, loss: float) -> None:
+        """Audited mid-sim change of loss (degradation)."""
+        if not 0.0 <= loss < 1.0:
+            raise NetworkError(f"loss must be in [0,1): {loss}")
+        self.loss = loss
         self._notify_fluid()
         if self.trace is not None:
             self.trace.emit("link.conditions", link=self.name,

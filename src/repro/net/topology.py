@@ -15,7 +15,6 @@ import typing as t
 
 from ..errors import NetworkError
 from ..sim import RngRegistry, Simulator, TraceLog
-from .addresses import AddressAllocator, IPv4Address
 from .link import Link
 from .node import Host, Node, Router
 
@@ -36,55 +35,25 @@ class Network:
         # once traffic flows — bounded by the experiment's host count.
         self.nodes: t.Dict[str, Node] = {}  # reprolint: disable=unbounded-cache-field
         self.links: t.List[Link] = []
-        self._by_address: t.Dict[IPv4Address, Node] = {}  # reprolint: disable=unbounded-cache-field
-        self._allocators: t.Dict[str, AddressAllocator] = {}  # reprolint: disable=unbounded-cache-field
 
     # -- construction -----------------------------------------------------------
 
-    def region(self, name: str, cidr: str) -> None:
-        """Declare an address region (e.g. ``cernet``, ``us-west``)."""
-        self._allocators[name] = AddressAllocator(cidr)
-
-    def _register(self, node: Node, address: t.Optional[str], region: t.Optional[str]) -> None:
+    def _register(self, node: Node, address: t.Optional[str]) -> None:
         if node.name in self.nodes:
             raise NetworkError(f"duplicate node name {node.name!r}")
         self.nodes[node.name] = node
         if address is not None:
-            addr = node.add_address(address)
-        elif region is not None:
-            allocator = self._allocators.get(region)
-            if allocator is None:
-                raise NetworkError(f"unknown region {region!r}")
-            addr = node.add_address(allocator.allocate())
-        else:
-            return
-        self._by_address[addr] = node
+            node.add_address(address)
 
-    def add_host(
-        self,
-        name: str,
-        address: t.Optional[str] = None,
-        region: t.Optional[str] = None,
-    ) -> Host:
+    def add_host(self, name: str, address: t.Optional[str] = None) -> Host:
         host = Host(self.sim, name, trace=self.trace)
-        self._register(host, address, region)
+        self._register(host, address)
         return host
 
-    def add_router(
-        self,
-        name: str,
-        address: t.Optional[str] = None,
-        region: t.Optional[str] = None,
-    ) -> Router:
+    def add_router(self, name: str, address: t.Optional[str] = None) -> Router:
         router = Router(self.sim, name, trace=self.trace)
-        self._register(router, address, region)
+        self._register(router, address)
         return router
-
-    def add_address(self, node: Node, address: t.Union[str, IPv4Address]) -> IPv4Address:
-        """Attach an extra address to an existing node."""
-        addr = node.add_address(address)
-        self._by_address[addr] = node
-        return addr
 
     def connect(
         self,
@@ -113,12 +82,6 @@ class Network:
         found = self.nodes.get(ref)
         if found is None:
             raise NetworkError(f"unknown node {ref!r}")
-        return found
-
-    def node_by_address(self, address: t.Union[str, IPv4Address]) -> Node:
-        found = self._by_address.get(IPv4Address(address))
-        if found is None:
-            raise NetworkError(f"no node owns address {address}")
         return found
 
     def link_between(self, a: t.Union[str, Node], b: t.Union[str, Node]) -> Link:

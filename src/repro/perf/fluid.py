@@ -143,6 +143,19 @@ def fluid_config_for_mode(mode: str) -> t.Optional[FluidConfig]:
     raise ValueError(f"unknown simulation mode {mode!r}; pick one of {MODES}")
 
 
+def install_fluid(sim: Simulator,
+                  fluid: t.Union[str, FluidConfig]) -> t.Optional["FluidRegistry"]:
+    """Install on ``sim`` the registry that ``fluid`` asks for.
+
+    ``fluid`` is a :class:`FluidConfig` or a mode string from
+    :data:`MODES`; ``"packet"`` installs nothing and returns None.
+    """
+    config = fluid_config_for_mode(fluid) if isinstance(fluid, str) else fluid
+    if config is None:
+        return None
+    return FluidRegistry(sim, config).install()
+
+
 @dataclass(frozen=True)
 class PathHop:
     """One directed link traversal on a connection's forward path."""

@@ -256,20 +256,11 @@ class ReferenceProcessorSharingServer:
         self.name = name
         self._jobs: t.List[_ReferencePsJob] = []
         self._wakeup: t.Optional[Event] = None
-        self._busy_time = 0.0
-        self._last_busy_update = 0.0
 
     @property
     def load(self) -> int:
         """Number of jobs currently in service."""
         return len(self._jobs)
-
-    def utilization(self, horizon: float) -> float:
-        """Fraction of ``[0, horizon]`` during which the CPU was busy."""
-        self._account_busy()
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self._busy_time / horizon)
 
     def submit(self, demand: float) -> Event:
         """Submit a job of ``demand`` work-units; event fires at completion."""
@@ -286,15 +277,8 @@ class ReferenceProcessorSharingServer:
 
     # -- internals ---------------------------------------------------------
 
-    def _account_busy(self) -> None:
-        now = self.sim._now
-        if self._jobs:
-            self._busy_time += now - self._last_busy_update
-        self._last_busy_update = now
-
     def _drain_progress(self) -> None:
         """Apply service accrued since the last event to every job."""
-        self._account_busy()
         now = self.sim._now
         if not self._jobs:
             return

@@ -117,22 +117,15 @@ def scalability_points(
     levels: t.Sequence[int],
     cycles: int = 1,
     seed: int = 0,
-    mode: str = "packet",
 ) -> t.List[SweepPoint]:
-    """The Figure 7 grid as sweep points (one per method × level).
-
-    ``mode`` is the simulation mode axis (see :mod:`repro.perf.fluid`):
-    ``"packet"`` keeps the historical labels, any other mode is folded
-    into the label so mixed-mode sweeps stay uniquely keyed.
-    """
+    """The Figure 7 grid as sweep points (one per method × level)."""
     from ..measure.scenarios import run_scalability_point
 
     return [
-        SweepPoint(label=((method, int(level), int(seed)) if mode == "packet"
-                          else (method, int(level), int(seed), mode)),
+        SweepPoint(label=(method, int(level), int(seed)),
                    function=run_scalability_point,
                    kwargs={"method": method, "clients": int(level),
-                           "cycles": cycles, "seed": seed, "mode": mode})
+                           "cycles": cycles, "seed": seed})
         for method in methods
         for level in levels
     ]

@@ -254,8 +254,8 @@ class FlowEvent(Timeout):
     __slots__ = ("flow", "kind")
 
     def __init__(self, sim: "Simulator", delay: float, flow: t.Any,
-                 kind: str, value: t.Any = None) -> None:
-        super().__init__(sim, delay, value)
+                 kind: str) -> None:
+        super().__init__(sim, delay)
         self.flow = flow
         self.kind = kind
 

@@ -162,10 +162,9 @@ class Simulator:
         """Create an event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
-    def flow_event(self, delay: float, flow: t.Any, kind: str,
-                   value: t.Any = None) -> FlowEvent:
+    def flow_event(self, delay: float, flow: t.Any, kind: str) -> FlowEvent:
         """Create a coarse-grained flow event ``delay`` seconds from now."""
-        return FlowEvent(self, delay, flow, kind, value)
+        return FlowEvent(self, delay, flow, kind)
 
     def process(
         self,

@@ -170,25 +170,11 @@ class ProcessorSharingServer:
         self._jobs: t.List[_PsJob] = []
         self._wakeup: t.Optional[Timeout] = None
         self._drained_at = 0.0
-        # Kept apart from ``_drained_at``: ``utilization`` counts busy
-        # time up to now without draining the jobs.
-        self._busy_time = 0.0
-        self._last_busy_update = 0.0
 
     @property
     def load(self) -> int:
         """Number of jobs currently in service."""
         return len(self._jobs)
-
-    def utilization(self, horizon: float) -> float:
-        """Fraction of ``[0, horizon]`` during which the CPU was busy."""
-        now = self.sim._now
-        if self._jobs:
-            self._busy_time += now - self._last_busy_update
-        self._last_busy_update = now
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self._busy_time / horizon)
 
     def submit(self, demand: float) -> Event:
         """Submit a job of ``demand`` work-units; event fires at completion."""
@@ -206,16 +192,13 @@ class ProcessorSharingServer:
     # -- internals ---------------------------------------------------------
 
     def _drain(self) -> None:
-        """Apply service accrued since the last drain to every job, and
-        count the busy time."""
+        """Apply service accrued since the last drain to every job."""
         now = self.sim._now
         jobs = self._jobs
         if jobs:
-            self._busy_time += now - self._last_busy_update
             served = self.capacity / len(jobs) * (now - self._drained_at)
             for job in jobs:
                 job.remaining -= served
-        self._last_busy_update = now
         self._drained_at = now
 
     def _reschedule(self) -> None:

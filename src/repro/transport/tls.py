@@ -36,6 +36,13 @@ SERVER_FINISHED = 51
 ABBREVIATED_SERVER_HELLO = 110
 
 
+def record_length(length: int) -> int:
+    """Wire length of ``length`` application bytes: one
+    :data:`RECORD_OVERHEAD` per record of up to 16 KiB, and at least one
+    record."""
+    return length + max(1, (length + 16383) // 16384) * RECORD_OVERHEAD
+
+
 @functools.lru_cache(maxsize=256)
 def handshake_features(sni: t.Optional[str]) -> WireFeatures:
     """Wire features of a ClientHello: parseable TLS, SNI in the clear.
@@ -135,10 +142,8 @@ class TlsSession:
         """Send ``length`` application bytes inside TLS records."""
         if not self.established:
             raise TransportError("TLS session not established")
-        records = max(1, (length + 16383) // 16384)
-        self.conn.send_message(
-            length + records * RECORD_OVERHEAD,
-            meta=("tls-app", meta), features=APP_FEATURES)
+        self.conn.send_message(record_length(length), meta=("tls-app", meta),
+                               features=APP_FEATURES)
 
     def recv(self):
         """Event firing with the peer's application meta (unwrapped)."""

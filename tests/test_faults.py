@@ -14,7 +14,6 @@ from repro.errors import (
     FaultError,
     MeasurementError,
     MiddlewareError,
-    SimulationError,
 )
 from repro.faults import (
     CircuitBreaker,
@@ -300,10 +299,6 @@ class TestFaultSchedule:
         with pytest.raises(FaultError):
             FaultSchedule().link_down("border", at=-1.0, duration=5.0)
 
-    def test_link_degrade_needs_a_parameter(self):
-        with pytest.raises(FaultError):
-            FaultSchedule().link_degrade("border", at=1.0, duration=5.0)
-
     def test_gfw_policy_duration_requires_a_revert(self):
         with pytest.raises(FaultError):
             FaultSchedule().gfw_policy(1.0, "burst", lambda gfw: None,
@@ -411,26 +406,6 @@ class TestCloseOnError:
         states = [conn.state
                   for conn in client_transport._connections.values()]
         assert TcpConnection.ESTABLISHED not in states
-
-
-# -- scheduled policy changes ------------------------------------------------------
-
-
-class TestSchedulePolicy:
-    def test_fires_at_the_scheduled_time_and_is_audited(self):
-        testbed = Testbed(seed=0)
-        testbed.gfw.schedule_policy(
-            12.5, lambda gfw: gfw.policy.block_domain("late.example"),
-            label="late-block")
-        testbed.sim.run(until=20.0)
-        assert (12.5, "late-block") in testbed.gfw.policy_log
-        assert testbed.policy.domain_blocked("late.example")
-
-    def test_scheduling_in_the_past_raises(self):
-        testbed = Testbed(seed=0)
-        testbed.sim.run(until=30.0)
-        with pytest.raises(SimulationError):
-            testbed.gfw.schedule_policy(5.0, lambda gfw: None)
 
 
 # -- the availability metric -------------------------------------------------------

@@ -163,7 +163,8 @@ def test_policy_escalation_defluidizes_mid_flow(seed):
         world, page = _pdf_world(mode, seed=seed)
         gfw = world.testbed.gfw
         # Fires while the first PDF response is in flight.
-        gfw.schedule_policy(2.0, lambda g: None, label="escalation-drill")
+        world.testbed.sim.schedule_at(2.0, gfw.apply_policy, lambda g: None,
+                                      "escalation-drill")
         signatures[mode] = [r.succeeded for r in _load_pdfs(world, page)]
         logs[mode] = list(gfw.policy_log)
         if mode == "hybrid":

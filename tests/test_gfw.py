@@ -42,14 +42,6 @@ def test_policy_unblock():
     assert not policy.domain_blocked("scholar.google.com")
 
 
-def test_policy_ip_prefix_blocking():
-    policy = BlockPolicy()
-    policy.block_prefix("47.88.0.0/16")
-    from repro.net import IPv4Address
-    assert policy.ip_blocked(IPv4Address("47.88.1.100"))
-    assert not policy.ip_blocked(IPv4Address("47.89.1.100"))
-
-
 def test_policy_keyword_hit():
     policy = default_china_policy()
     assert policy.keyword_hit("a page about FALUN practice") == "falun"

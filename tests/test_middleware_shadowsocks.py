@@ -16,6 +16,7 @@ from repro.middleware.shadowsocks import (
     first_frame,
     first_frame_features,
 )
+from repro.middleware.shadowsocks.server import AUTH_DEMAND
 
 
 def ss_world(**kwargs):
@@ -124,11 +125,23 @@ def test_gfw_labels_shadowsocks_flows():
 
 
 def test_server_auth_consumes_vm_cpu():
-    testbed, method = ss_world()
+    """Every authentication charges the shared VM's CPU."""
+    testbed = Testbed()
+    cpu = testbed.remote_cpu
+    demands = []
+    submit = cpu.submit
+
+    def counted_submit(demand):
+        demands.append(demand)
+        return submit(demand)
+
+    cpu.submit = counted_submit
+    method = ShadowsocksMethod(testbed)
+    testbed.run_process(method.setup())
     browser = testbed.browser(connector=method.connector())
     testbed.run_process(browser.load(testbed.scholar_page))
-    horizon = max(testbed.sim.now, 1.0)
-    assert testbed.remote_cpu.utilization(horizon) > 0.0
+    assert method.server.auths >= 1
+    assert demands.count(AUTH_DEMAND) == method.server.auths
 
 
 def test_multi_client_attachment():

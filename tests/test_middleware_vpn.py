@@ -137,12 +137,6 @@ def test_native_vpn_full_tunnel_carries_domestic_traffic():
     assert detoured.plt > direct.plt * 3
 
 
-def test_native_vpn_teardown_restores_direct_behaviour():
-    testbed, method = vpn_world()
-    method.teardown()
-    assert testbed.client.outbound_hooks == []
-
-
 def test_l2tp_flavor():
     testbed, method = vpn_world(flavor="l2tp")
     browser = testbed.browser(connector=method.connector())

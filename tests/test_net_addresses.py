@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AddressError
-from repro.net import AddressAllocator, IPv4Address, Prefix
+from repro.net import IPv4Address, Prefix
 
 
 def test_parse_and_str_roundtrip():
@@ -55,22 +55,6 @@ def test_prefix_zero_length_matches_everything():
 def test_malformed_prefixes_rejected(bad):
     with pytest.raises(AddressError):
         Prefix(bad)
-
-
-def test_allocator_sequential_and_in_prefix():
-    alloc = AddressAllocator("10.1.0.0/16")
-    first = alloc.allocate()
-    second = alloc.allocate()
-    assert first != second
-    assert first in alloc.prefix and second in alloc.prefix
-
-
-def test_allocator_exhaustion():
-    alloc = AddressAllocator("10.0.0.0/30")  # 4 addresses, 2 usable
-    alloc.allocate()
-    alloc.allocate()
-    with pytest.raises(AddressError):
-        alloc.allocate()
 
 
 def test_dotted_text_is_built_once_and_kept():

@@ -31,26 +31,6 @@ def test_duplicate_node_name_rejected():
         net.add_host("a", address="10.0.0.2")
 
 
-def test_unknown_region_rejected():
-    net = Network(Simulator())
-    with pytest.raises(NetworkError):
-        net.add_host("h", region="nowhere")
-
-
-def test_region_allocation():
-    net = Network(Simulator())
-    net.region("cernet", "59.66.0.0/16")
-    host = net.add_host("h", region="cernet")
-    assert str(host.address).startswith("59.66.")
-
-
-def test_node_by_address():
-    _sim, net, client, _server = build_line()
-    assert net.node_by_address("10.0.0.1") is client
-    with pytest.raises(NetworkError):
-        net.node_by_address("8.8.8.8")
-
-
 def test_link_between():
     _sim, net, client, _ = build_line()
     link = net.link_between("client", "r1")

@@ -5,11 +5,21 @@ public module-level functions, and of ``__init__`` and the public
 methods of public module-level classes, in every package of
 ``src/repro`` except the linter (``repro.analysis``).  A parameter
 counts as set when a call to a function or method of that name (a
-constructor's name is its class's) passes it positionally, by keyword
-or through ``*``/``**``, or when a dict literal anywhere has it as a
-key, which covers ``SweepPoint`` kwargs.  Callers are every file under
-``src/``, ``benchmarks/``, ``examples/``, ``perfbench/`` and
-``tests/``, and the ```python blocks of README.md.
+constructor's name is its class's) passes it positionally or by
+keyword.  Callers are every file under ``src/``, ``benchmarks/``,
+``examples/``, ``perfbench/`` and ``tests/``, and the ```python blocks
+of README.md.  Three rules decide what reaches a function:
+
+* A dict literal's keys count only for the function the dict reaches:
+  ``SweepPoint(function=F, kwargs={...})``, ``x.pedantic(F,
+  kwargs={...})`` or ``F(**{...})``.  Any other dict sets nothing.
+* A function that passes its own ``**kwargs`` on, as in ``G(...,
+  **kwargs)``, forwards to ``G`` every keyword its callers pass that it
+  does not name itself, through any chain of such helpers.
+* Any other ``*``/``**`` argument sets every positional or named
+  parameter of the function it is passed to, and nothing beyond that
+  function's own ``**`` parameter, so an unknown dict can never hide an
+  option further down.
 
 Deployment settings stay configurable and are exempt: names that are,
 or end in, one of :data:`DEPLOYMENT_SETTINGS`, plus ``argv``.  Any
@@ -32,6 +42,11 @@ DEPLOYMENT_SETTINGS = ("host", "hostname", "port", "addr", "address", "path",
 #: ``(where, call name, positional index or None if keyword-only, name)``
 Parameter = t.Tuple[str, str, t.Optional[int], str]
 Function = t.Union[ast.FunctionDef, ast.AsyncFunctionDef]
+#: One call: ``(positional count, starred?, keywords, unknown ``**``?)``
+Call = t.Tuple[int, bool, t.FrozenSet[str], bool]
+#: An enclosing function: ``(call name, its named parameters, its
+#: ``**`` parameter or None)``
+Scope = t.Tuple[str, t.FrozenSet[str], t.Optional[str]]
 
 
 def exempt(parameter: str) -> bool:
@@ -82,46 +97,146 @@ def defaulted_parameters(module: ast.Module,
                     call_name, bound=not static)
 
 
+def _call_name(function: ast.expr) -> t.Optional[str]:
+    if isinstance(function, ast.Name):
+        return function.id
+    if isinstance(function, ast.Attribute):
+        return function.attr
+    return None
+
+
+def _keyword(call: ast.Call, name: str) -> t.Optional[ast.expr]:
+    for keyword in call.keywords:
+        if keyword.arg == name:
+            return keyword.value
+    return None
+
+
+def _positional(arguments: t.Sequence[ast.expr]) -> t.Tuple[int, bool]:
+    """How many leading arguments are plain, and whether a ``*`` follows."""
+    for index, argument in enumerate(arguments):
+        if isinstance(argument, ast.Starred):
+            return index, True
+    return len(arguments), False
+
+
+def _literal_keys(value: t.Optional[ast.expr]) -> t.Optional[t.Set[str]]:
+    """The keys of a dict literal whose keys are all strings, else None."""
+    if not isinstance(value, ast.Dict):
+        return None
+    keys = set()
+    for key in value.keys:
+        if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
+            return None
+        keys.add(key.value)
+    return keys
+
+
 class Callers:
-    """Every call and dict-literal key in the caller sources."""
+    """Every call in the caller sources, and the keywords that reach it."""
 
     def __init__(self, modules: t.Iterable[ast.Module]) -> None:
-        #: call name -> (positional count, starred?, keywords, ``**``?)
-        self.calls: t.Dict[str, t.List[t.Tuple[int, bool, t.Set[str],
-                                               bool]]] = {}
-        self.dict_keys: t.Set[str] = set()
+        self.calls: t.Dict[str, t.List[Call]] = {}
+        #: ``(helper call name, helper's named parameters, target)``
+        self.forwards: t.Set[t.Tuple[str, t.FrozenSet[str], str]] = set()
+        #: call name -> keywords that reach it through forwarding helpers
+        self.forwarded: t.Dict[str, t.Set[str]] = {}
         for module in modules:
-            for node in ast.walk(module):
-                if isinstance(node, ast.Call):
-                    self._add_call(node)
-                elif isinstance(node, ast.Dict):
-                    self.dict_keys.update(
-                        key.value for key in node.keys
-                        if isinstance(key, ast.Constant)
-                        and isinstance(key.value, str))
+            self._visit(module, (), None)
+        self._propagate()
 
-    def _add_call(self, call: ast.Call) -> None:
-        function = call.func
-        if isinstance(function, ast.Name):
-            name = function.id
-        elif isinstance(function, ast.Attribute):
-            name = function.attr
-        else:
+    def _visit(self, node: ast.AST, scopes: t.Tuple[Scope, ...],
+               class_name: t.Optional[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                self._visit(child, scopes, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                arguments = child.args
+                named = frozenset(
+                    argument.arg for argument in (arguments.posonlyargs
+                                                  + arguments.args
+                                                  + arguments.kwonlyargs))
+                call_name = (class_name if child.name == "__init__"
+                             and class_name else child.name)
+                kwarg = arguments.kwarg.arg if arguments.kwarg else None
+                self._visit(child, scopes + ((call_name, named, kwarg),),
+                            None)
+            else:
+                if isinstance(child, ast.Call):
+                    self._add_call(child, scopes)
+                self._visit(child, scopes, None)
+
+    def _forwarder(self, value: ast.expr,
+                   scopes: t.Tuple[Scope, ...]) -> t.Optional[Scope]:
+        """The enclosing function whose own ``**`` parameter ``value``
+        is, if it is one."""
+        if isinstance(value, ast.Name):
+            for scope in reversed(scopes):
+                if scope[2] == value.id:
+                    return scope
+        return None
+
+    def _add_call(self, call: ast.Call,
+                  scopes: t.Tuple[Scope, ...]) -> None:
+        name = _call_name(call.func)
+        if name == "SweepPoint":
+            function = _keyword(call, "function")
+            if function is not None:
+                self._reach(function, None, _keyword(call, "kwargs"))
+        elif name == "pedantic" and call.args:
+            self._reach(call.args[0], _keyword(call, "args"),
+                        _keyword(call, "kwargs"))
+        if name is None:
             return
-        positional = 0
-        starred = False
-        for argument in call.args:
-            if isinstance(argument, ast.Starred):
-                starred = True
-                break
-            positional += 1
-        keywords = {keyword.arg for keyword in call.keywords if keyword.arg}
-        double_starred = any(keyword.arg is None for keyword in call.keywords)
+        positional, starred = _positional(call.args)
+        keywords: t.Set[str] = set()
+        double_starred = False
+        for keyword in call.keywords:
+            if keyword.arg is not None:
+                keywords.add(keyword.arg)
+                continue
+            literal = _literal_keys(keyword.value)
+            forwarder = self._forwarder(keyword.value, scopes)
+            if literal is not None:
+                keywords |= literal
+            elif forwarder is not None:
+                self.forwards.add((forwarder[0], forwarder[1], name))
+            else:
+                double_starred = True
         self.calls.setdefault(name, []).append(
-            (positional, starred, keywords, double_starred))
+            (positional, starred, frozenset(keywords), double_starred))
+
+    def _reach(self, function: ast.expr, args: t.Optional[ast.expr],
+               kwargs: t.Optional[ast.expr]) -> None:
+        """A call of ``function(*args, **kwargs)`` made by a harness."""
+        name = _call_name(function)
+        if name is None:
+            return
+        if args is None:
+            positional, starred = 0, False
+        elif isinstance(args, ast.Tuple):
+            positional, starred = _positional(args.elts)
+        else:
+            positional, starred = 0, True
+        keywords = _literal_keys(kwargs) if kwargs is not None else set()
+        self.calls.setdefault(name, []).append(
+            (positional, starred, frozenset(keywords or ()), keywords is None))
+
+    def _propagate(self) -> None:
+        changed = True
+        while changed:
+            changed = False
+            for helper, named, target in self.forwards:
+                passed = set(self.forwarded.get(helper, ()))
+                for _, _, keywords, _ in self.calls.get(helper, ()):
+                    passed |= keywords
+                received = self.forwarded.setdefault(target, set())
+                if not passed - named <= received:
+                    received |= passed - named
+                    changed = True
 
     def sets(self, call_name: str, index: t.Optional[int], name: str) -> bool:
-        if name in self.dict_keys:
+        if name in self.forwarded.get(call_name, ()):
             return True
         for positional, starred, keywords, double_starred in self.calls.get(
                 call_name, ()):
@@ -188,11 +303,46 @@ class Pool:
 fetch("a", 1.0)
 pool = Pool(**options)
 pool.drain(*bounds)
-point = {"retries": 2}
 ''']
-    assert unset_parameters(sources, callers) == ["pkg.mod.fetch(backoff)"]
+    assert unset_parameters(sources, callers) == [
+        "pkg.mod.fetch(retries)", "pkg.mod.fetch(backoff)"]
     assert unset_parameters(sources, []) == [
         "pkg.mod.fetch(timeout)", "pkg.mod.fetch(retries)",
         "pkg.mod.fetch(backoff)", "pkg.mod.Pool.__init__(size)",
         "pkg.mod.Pool.__init__(idle)", "pkg.mod.Pool.drain(limit)",
+        "pkg.mod.Pool.drain(force)"]
+    # A dict that reaches no function sets nothing.
+    stray = callers + ['report = {"retries": 2, "backoff": 3.0}']
+    assert unset_parameters(sources, stray) == [
+        "pkg.mod.fetch(retries)", "pkg.mod.fetch(backoff)"]
+    # A sweep point, a benchmark round and a literal ``**`` reach theirs.
+    swept = callers + ['SweepPoint(label=("a",), function=fetch, '
+                       'kwargs={"url": "a", "retries": 2})']
+    assert unset_parameters(sources, swept) == ["pkg.mod.fetch(backoff)"]
+    timed = callers + ['benchmark.pedantic(fetch, args=("a",), '
+                       'kwargs={"backoff": 2.0}, rounds=1)',
+                       'fetch(**{"url": "b", "retries": 1})']
+    assert unset_parameters(sources, timed) == []
+    # A helper forwards the keywords it does not name, down any chain,
+    # but an unknown dict passed to it reaches only its own parameters.
+    forwarding = ['''
+def drain_all(pools, **kwargs):
+    for pool in pools:
+        pool.drain(**kwargs)
+
+def make_pool(size, **kwargs):
+    return Pool(size, **kwargs)
+
+def small_pool(**kwargs):
+    return make_pool(1, **kwargs)
+
+fetch("a", 1.0, 2, backoff=0.5)
+drain_all([], limit=3)
+drain_all([], **extra)
+small_pool(size=2)
+''']
+    assert unset_parameters(sources, forwarding) == [
+        "pkg.mod.Pool.__init__(idle)", "pkg.mod.Pool.drain(force)"]
+    assert unset_parameters(
+        sources, forwarding + ["small_pool(idle=1.0)"]) == [
         "pkg.mod.Pool.drain(force)"]

@@ -143,7 +143,7 @@ def test_ctr_counter_wrap_matches_reference():
 
 def _ps_run(make_cpu, jobs, reads):
     """Submit ``(at, demand)`` jobs to ``make_cpu(sim)`` and read
-    ``utilization`` at each instant of ``reads``; returns the completion
+    ``load`` at each instant of ``reads``; returns the completion
     instants in completion order, the readings, and the number of
     events queued."""
     sim = Simulator()
@@ -156,14 +156,14 @@ def _ps_run(make_cpu, jobs, reads):
             lambda _event: done.append((index, sim.now)))
 
     def read():
-        readings.append((cpu.load, cpu.utilization(sim.now)))
+        readings.append(cpu.load)
 
     for index, (at, demand) in enumerate(jobs):
         sim.schedule_at(at, submit, index, demand)
     for at in reads:
         sim.schedule_at(at, read)
     sim.run()
-    readings.append((cpu.load, cpu.utilization(sim.now)))
+    readings.append(cpu.load)
     return done, readings, sim._seq
 
 

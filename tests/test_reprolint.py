@@ -105,6 +105,7 @@ def test_cli_list_rules():
     assert result.returncode == 0
     for rule_id in ("det-seeded-random", "sim-forbidden-import",
                     "codec-str-bytes", "process-uninvoked",
+                    "generator-exit-sends",
                     "leak-on-error-path", "deadline-unclamped",
                     "rng-stream-registry", "wire-schema",
                     "stale-suppression"):

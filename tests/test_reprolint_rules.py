@@ -261,6 +261,70 @@ def test_plain_generator_yielding_literals_ok():
     """) == []
 
 
+# -- generator-exit-sends ------------------------------------------------------------
+
+ONLY_GENERATOR_EXIT = Config(enabled=frozenset({"generator-exit-sends"}))
+
+
+def test_generator_cleanup_without_generator_exit_flagged():
+    findings = lint("""
+        def open_stream(transport, address):
+            conn = yield transport.connect_tcp(address, 443)
+            try:
+                yield conn.recv_message()
+            except BaseException:
+                conn.close()
+                raise
+            try:
+                yield conn.recv_message()
+            finally:
+                conn.close()
+    """, module="repro.middleware.fixture", config=ONLY_GENERATOR_EXIT)
+    assert rule_ids(findings) == ["generator-exit-sends"] * 2
+    assert [finding.line for finding in findings] == [4, 9]
+    assert "open_stream" in findings[0].message
+
+
+def test_generator_cleanup_after_generator_exit_ok():
+    # The handlers the middleware uses: finalization returns before the
+    # broad handler's close, and a finally checks a flag the
+    # ``GeneratorExit`` handler set.  Plain functions and the loopback
+    # proxies are out of reach.
+    assert lint("""
+        def open_stream(transport, address):
+            conn = yield transport.connect_tcp(address, 443)
+            try:
+                yield conn.recv_message()
+            except GeneratorExit:
+                return None
+            except BaseException:
+                conn.close()
+                raise
+            finalized = False
+            try:
+                yield conn.recv_message()
+            except GeneratorExit:
+                finalized = True
+                raise
+            finally:
+                if not finalized:
+                    conn.close()
+
+        def send_once(conn):
+            try:
+                conn.send_message(12)
+            finally:
+                conn.close()
+    """, module="repro.middleware.fixture", config=ONLY_GENERATOR_EXIT) == []
+    assert lint("""
+        def serve(sock):
+            try:
+                yield sock.recv(1)
+            finally:
+                sock.close()
+    """, module="repro.realnet.fixture", config=ONLY_GENERATOR_EXIT) == []
+
+
 # -- suppressions --------------------------------------------------------------------
 
 def test_line_suppression_applies_to_that_line_only():
@@ -542,6 +606,8 @@ def test_leak_released_on_error_path_clean():
                 remote = yield transport.connect_tcp("host", 443, timeout=5.0)
                 try:
                     conn.send_message(8, meta=("x",))
+                except GeneratorExit:
+                    return
                 except BaseException:
                     remote.close()
                     raise

@@ -259,18 +259,6 @@ def test_ps_negative_demand_rejected():
         cpu.submit(-1.0)
 
 
-def test_ps_utilization_accounting():
-    sim = Simulator()
-    cpu = ProcessorSharingServer(sim, capacity=1.0)
-
-    def body(sim):
-        yield cpu.submit(2.0)
-        yield sim.timeout(2.0)  # idle period
-
-    sim.run(until=sim.process(body(sim)))
-    assert cpu.utilization(horizon=4.0) == pytest.approx(0.5)
-
-
 def test_ps_response_time_grows_with_load():
     """Mean response time must increase monotonically with concurrency —
     the mechanism behind the paper's Figure 7."""
