@@ -35,7 +35,6 @@ EXCEPTION_HIERARCHY: t.Dict[str, str] = {
     "AddressError": "NetworkError",
     "RoutingError": "NetworkError",
     "TransportError": "ReproError",
-    "ConnectionRefused": "TransportError",
     "ConnectionReset": "TransportError",
     "ConnectionTimeout": "TransportError",
     "OverloadError": "TransportError",

@@ -45,10 +45,6 @@ class TransportError(ReproError):
     """Errors raised by the simulated transport layer."""
 
 
-class ConnectionRefused(TransportError):
-    """No listener on the destination port."""
-
-
 class ConnectionReset(TransportError):
     """The connection was torn down by a RST segment.
 
