@@ -5,7 +5,6 @@ routing, and service legalization.
 """
 
 from .blinding import (
-    AffineCodec,
     BlindingAgility,
     BlindingCodec,
     ByteMapCodec,
@@ -24,11 +23,10 @@ from .deployment import (
 from .domestic_proxy import DOMESTIC_PROXY_PORT, DomesticProxy
 from .pac import DIRECT, PacFile, proxy_decision
 from .remote_proxy import REMOTE_PROXY_PORT, RemoteProxy
-from .scholarcloud import ICP_NUMBER, ScConnector, ScholarCloud
+from .scholarcloud import ScConnector, ScholarCloud
 from .whitelist import Whitelist, WhitelistEntry, scholar_whitelist
 
 __all__ = [
-    "AffineCodec",
     "BlindingAgility",
     "BlindingCodec",
     "ByteMapCodec",
@@ -36,7 +34,6 @@ __all__ = [
     "DOMESTIC_PROXY_PORT",
     "DeploymentReport",
     "DomesticProxy",
-    "ICP_NUMBER",
     "PAPER_DEPLOYMENT",
     "PacFile",
     "PaddedCodec",

@@ -104,84 +104,6 @@ class ByteMapCodec(BlindingCodec):
         return data.translate(self._inverse)
 
 
-#: Rotation tables ROT[k][y] = (y + k) mod 256, built once per process on
-#: first use.  Position-dependent codecs derive their per-offset tables
-#: from a base table with one 256-byte translate instead of 256 Python
-#: multiplications.
-_ROT: t.List[bytes] = []
-
-
-def _rotation_tables() -> t.List[bytes]:
-    if not _ROT:
-        _ROT.extend(bytes((y + k) % 256 for y in range(256))
-                    for k in range(256))
-    return _ROT
-
-
-class AffineCodec(BlindingCodec):
-    """Per-position affine transform: b' = (a*b + c + i) mod 256, a odd.
-
-    The position term cycles mod 256, so bytes at positions congruent
-    to ``k`` share one substitution table: large messages are encoded
-    as 256 strided :meth:`bytes.translate` passes over cached tables
-    rather than a per-byte Python loop.
-    """
-
-    codec_name = "affine"
-    padding_overhead = 0
-
-    #: Below this length the strided path's per-table overhead loses to
-    #: a single translate-then-add loop.
-    _STRIDE_THRESHOLD = 1024
-
-    def __init__(self, multiplier: int, offset: int) -> None:
-        if multiplier % 2 == 0:
-            raise BlindingError("affine multiplier must be odd (invertible mod 256)")
-        self.multiplier = multiplier % 256
-        self.offset = offset % 256
-        self._inverse_multiplier = pow(self.multiplier, -1, 256)
-        self._enc_base = bytes((self.multiplier * b + self.offset) % 256
-                               for b in range(256))
-        self._dec_base = bytes(
-            (self._inverse_multiplier * (y - self.offset)) % 256
-            for y in range(256))
-        self._enc_tables: t.Dict[int, bytes] = {0: self._enc_base}
-        self._dec_tables: t.Dict[int, bytes] = {0: self._dec_base}
-
-    def _enc_table(self, k: int) -> bytes:
-        table = self._enc_tables.get(k)
-        if table is None:
-            table = self._enc_base.translate(_rotation_tables()[k])
-            self._enc_tables[k] = table
-        return table
-
-    def _dec_table(self, k: int) -> bytes:
-        table = self._dec_tables.get(k)
-        if table is None:
-            # dec_k[y] = dec_base[(y - k) mod 256]: rotate the inputs.
-            table = _rotation_tables()[(256 - k) % 256].translate(self._dec_base)
-            self._dec_tables[k] = table
-        return table
-
-    def encode(self, data: bytes) -> bytes:
-        if len(data) < self._STRIDE_THRESHOLD:
-            base = self._enc_base
-            return bytes((base[b] + i) % 256 for i, b in enumerate(data))
-        out = bytearray(len(data))
-        for k in range(256):
-            out[k::256] = data[k::256].translate(self._enc_table(k))
-        return bytes(out)
-
-    def decode(self, data: bytes) -> bytes:
-        if len(data) < self._STRIDE_THRESHOLD:
-            base = self._dec_base
-            return bytes(base[(b - i) % 256] for i, b in enumerate(data))
-        out = bytearray(len(data))
-        for k in range(256):
-            out[k::256] = data[k::256].translate(self._dec_table(k))
-        return bytes(out)
-
-
 @functools.lru_cache(maxsize=4096)
 def _length_digest(length: int) -> int:
     """First digest byte of SHA-256(length) — the padding die roll.

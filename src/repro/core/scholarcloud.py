@@ -19,8 +19,8 @@ from ..dns import StubResolver
 from ..errors import MiddlewareError, OverloadError, TransportError
 from ..faults import RetryPolicy
 from ..overload import Deadline, OverloadConfig
-from ..http.client import Connector, DirectConnector, TlsStream
-from ..middleware.base import AccessMethod, ChannelStream, RelayedChannel
+from ..http.client import Connector, DirectConnector
+from ..middleware.base import AccessMethod, RelayedChannel
 from ..net import WireFeatures
 from ..transport import TlsSession
 from .blinding import BlindingAgility
@@ -28,9 +28,6 @@ from .domestic_proxy import DOMESTIC_PROXY_PORT, DomesticProxy
 from .pac import PacFile
 from .remote_proxy import RemoteProxy
 from .whitelist import scholar_whitelist
-
-#: The deployed service's ICP registration number (from the paper).
-ICP_NUMBER = "ICP-15063437"
 
 
 @functools.lru_cache(maxsize=256)
@@ -124,21 +121,21 @@ class ScConnector(Connector):
             if reply != ("sc-ready",):
                 raise MiddlewareError(
                     f"ScholarCloud refused {hostname}: {reply!r}")
-            channel = RelayedChannel(testbed.sim, conn, overhead=4,
-                                     features=None, name="sc-client")
-            if not use_tls:
-                return ChannelStream(channel)
-            session = TlsSession(channel, sni=hostname)
-            resumed = hostname in self.session_tickets
-            yield from session.client_handshake(resumed=resumed)
         except GeneratorExit:
             return None  # finalized, not failed: send nothing
         except BaseException:
             # Close-on-error: a failed open must not strand the dial.
             conn.close()
             raise
+        channel = RelayedChannel(testbed.sim, conn, overhead=4,
+                                 features=None, name="sc-client")
+        if not use_tls:
+            return channel
+        session = TlsSession(channel, sni=hostname)
+        yield from session.client_handshake(
+            resumed=hostname in self.session_tickets)
         self.session_tickets.add(hostname)
-        return TlsStream(session)
+        return session
 
 
 class ScholarCloud(AccessMethod):

@@ -1,7 +1,8 @@
 """Pure-Python AES (FIPS-197) block cipher.
 
-Implements AES-128/192/256 encryption and decryption of single 16-byte
-blocks.  The round functions are table-driven (the classic 32-bit
+Implements AES-128/192/256 encryption of single 16-byte blocks; CFB
+and CTR run the forward cipher in both directions, so nothing here
+decrypts a block.  The round function is table-driven (the classic 32-bit
 T-table formulation) with flattened, unrolled column updates — roughly
 an order of magnitude faster than the textbook per-byte pipeline the
 repo started with, which is preserved verbatim in
@@ -22,7 +23,7 @@ from ..errors import CryptoError
 # -- tables -------------------------------------------------------------------
 
 
-def _build_sbox() -> t.Tuple[t.List[int], t.List[int]]:
+def _build_sbox() -> t.List[int]:
     """Construct the S-box from the finite-field definition."""
     # Multiplicative inverse table via exp/log over GF(2^8) with
     # generator 3.
@@ -39,7 +40,6 @@ def _build_sbox() -> t.Tuple[t.List[int], t.List[int]]:
         exp[i] = exp[i - 255]
 
     sbox = [0] * 256
-    inv_sbox = [0] * 256
     for value in range(256):
         inverse = 0 if value == 0 else exp[255 - log[value]]
         # Affine transform.
@@ -54,11 +54,10 @@ def _build_sbox() -> t.Tuple[t.List[int], t.List[int]]:
                 ^ ((0x63 >> bit) & 1)
             ) << bit
         sbox[value] = result
-        inv_sbox[result] = value
-    return sbox, inv_sbox
+    return sbox
 
 
-SBOX, INV_SBOX = _build_sbox()
+SBOX = _build_sbox()
 RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36,
         0x6C, 0xD8, 0xAB, 0x4D]
 
@@ -85,31 +84,24 @@ def _rotr8(word: int) -> int:
     return ((word >> 8) | (word << 24)) & 0xFFFFFFFF
 
 
-def _build_t_tables() -> t.Tuple[t.List[t.List[int]], t.List[t.List[int]]]:
-    """Encryption tables T0..T3 and decryption tables D0..D3.
+def _build_t_tables() -> t.List[t.List[int]]:
+    """Encryption tables T0..T3.
 
     T0[x] packs one column of MixColumns(SubBytes(x)) — rows 0..3 in the
     high-to-low bytes of a 32-bit word (the state is column-major, row 0
-    in the most significant byte).  T1..T3 are byte rotations of T0;
-    D0..D3 likewise pack InvMixColumns over INV_SBOX.
+    in the most significant byte).  T1..T3 are byte rotations of T0.
     """
     t0 = [0] * 256
-    d0 = [0] * 256
     for x in range(256):
         s = SBOX[x]
         t0[x] = (_mul(s, 2) << 24) | (s << 16) | (s << 8) | _mul(s, 3)
-        i = INV_SBOX[x]
-        d0[x] = ((_mul(i, 14) << 24) | (_mul(i, 9) << 16)
-                 | (_mul(i, 13) << 8) | _mul(i, 11))
     enc = [t0]
-    dec = [d0]
     for _ in range(3):
         enc.append([_rotr8(w) for w in enc[-1]])
-        dec.append([_rotr8(w) for w in dec[-1]])
-    return enc, dec
+    return enc
 
 
-_T_ENC, _T_DEC = _build_t_tables()
+_T_ENC = _build_t_tables()
 
 #: Key schedules are pure functions of the key bytes; Shadowsocks-style
 #: protocols build a fresh cipher per connection from the *same* key,
@@ -130,14 +122,12 @@ class AES:
         if cached is None:
             self._round_keys = self._expand_key()
             self._enc_words = self._pack_words(self._round_keys)
-            self._dec_words = self._inv_mixed_words()
             if len(_SCHEDULE_CACHE) >= _SCHEDULE_CACHE_MAX:
                 for stale in list(_SCHEDULE_CACHE)[:_SCHEDULE_CACHE_MAX // 2]:
                     del _SCHEDULE_CACHE[stale]
-            _SCHEDULE_CACHE[self.key] = (
-                self._round_keys, self._enc_words, self._dec_words)
+            _SCHEDULE_CACHE[self.key] = (self._round_keys, self._enc_words)
         else:
-            self._round_keys, self._enc_words, self._dec_words = cached
+            self._round_keys, self._enc_words = cached
 
     # -- key schedule ------------------------------------------------------------
 
@@ -167,25 +157,6 @@ class AES:
                   for c in range(4))
             for rk in round_keys
         ]
-
-    def _inv_mixed_words(self) -> t.List[t.Tuple[int, ...]]:
-        """Decryption round keys for the equivalent inverse cipher.
-
-        ``dk[0]`` is the last encryption key, ``dk[rounds]`` the first;
-        the middle keys get InvMixColumns applied (computed via the
-        D-tables: D[SBOX[x]] is InvMixColumns of a bare byte x).
-        """
-        d0, d1, d2, d3 = _T_DEC
-        sbox = SBOX
-        enc = self._enc_words
-        dec = [enc[self.rounds]]
-        for r in range(self.rounds - 1, 0, -1):
-            dec.append(tuple(
-                d0[sbox[(w >> 24) & 0xFF]] ^ d1[sbox[(w >> 16) & 0xFF]]
-                ^ d2[sbox[(w >> 8) & 0xFF]] ^ d3[sbox[w & 0xFF]]
-                for w in enc[r]))
-        dec.append(enc[0])
-        return dec
 
     # -- single-block operations -----------------------------------------------------
 
@@ -230,47 +201,4 @@ class AES:
             sbox[(c0 >> 16) & 0xFF] ^ (k3 >> 16) & 0xFF,
             sbox[(c1 >> 8) & 0xFF] ^ (k3 >> 8) & 0xFF,
             sbox[c2 & 0xFF] ^ k3 & 0xFF,
-        ))
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        if len(block) != 16:
-            raise CryptoError(f"block must be 16 bytes, got {len(block)}")
-        d0, d1, d2, d3 = _T_DEC
-        words = self._dec_words
-        k0, k1, k2, k3 = words[0]
-        c0 = ((block[0] << 24) | (block[1] << 16) | (block[2] << 8) | block[3]) ^ k0
-        c1 = ((block[4] << 24) | (block[5] << 16) | (block[6] << 8) | block[7]) ^ k1
-        c2 = ((block[8] << 24) | (block[9] << 16) | (block[10] << 8) | block[11]) ^ k2
-        c3 = ((block[12] << 24) | (block[13] << 16) | (block[14] << 8) | block[15]) ^ k3
-        for round_index in range(1, self.rounds):
-            k0, k1, k2, k3 = words[round_index]
-            n0 = (d0[(c0 >> 24) & 0xFF] ^ d1[(c3 >> 16) & 0xFF]
-                  ^ d2[(c2 >> 8) & 0xFF] ^ d3[c1 & 0xFF] ^ k0)
-            n1 = (d0[(c1 >> 24) & 0xFF] ^ d1[(c0 >> 16) & 0xFF]
-                  ^ d2[(c3 >> 8) & 0xFF] ^ d3[c2 & 0xFF] ^ k1)
-            n2 = (d0[(c2 >> 24) & 0xFF] ^ d1[(c1 >> 16) & 0xFF]
-                  ^ d2[(c0 >> 8) & 0xFF] ^ d3[c3 & 0xFF] ^ k2)
-            n3 = (d0[(c3 >> 24) & 0xFF] ^ d1[(c2 >> 16) & 0xFF]
-                  ^ d2[(c1 >> 8) & 0xFF] ^ d3[c0 & 0xFF] ^ k3)
-            c0, c1, c2, c3 = n0, n1, n2, n3
-        # Final round (InvShiftRows + InvSubBytes + AddRoundKey).
-        inv = INV_SBOX
-        k0, k1, k2, k3 = words[self.rounds]
-        return bytes((
-            inv[(c0 >> 24) & 0xFF] ^ (k0 >> 24) & 0xFF,
-            inv[(c3 >> 16) & 0xFF] ^ (k0 >> 16) & 0xFF,
-            inv[(c2 >> 8) & 0xFF] ^ (k0 >> 8) & 0xFF,
-            inv[c1 & 0xFF] ^ k0 & 0xFF,
-            inv[(c1 >> 24) & 0xFF] ^ (k1 >> 24) & 0xFF,
-            inv[(c0 >> 16) & 0xFF] ^ (k1 >> 16) & 0xFF,
-            inv[(c3 >> 8) & 0xFF] ^ (k1 >> 8) & 0xFF,
-            inv[c2 & 0xFF] ^ k1 & 0xFF,
-            inv[(c2 >> 24) & 0xFF] ^ (k2 >> 24) & 0xFF,
-            inv[(c1 >> 16) & 0xFF] ^ (k2 >> 16) & 0xFF,
-            inv[(c0 >> 8) & 0xFF] ^ (k2 >> 8) & 0xFF,
-            inv[c3 & 0xFF] ^ k2 & 0xFF,
-            inv[(c3 >> 24) & 0xFF] ^ (k3 >> 24) & 0xFF,
-            inv[(c2 >> 16) & 0xFF] ^ (k3 >> 16) & 0xFF,
-            inv[(c1 >> 8) & 0xFF] ^ (k3 >> 8) & 0xFF,
-            inv[c0 & 0xFF] ^ k3 & 0xFF,
         ))

@@ -79,10 +79,14 @@ class FleetTestbed:
         regions: t.Optional[t.Sequence[RegionSpec]] = None,
         pops: int = 3,
         clients_per_region: int = 0,
-        fluid: t.Optional[t.Any] = None,
+        fluid: t.Optional[str] = None,
         domestic_backbone: bool = False,
     ) -> None:
-        """``domestic_backbone`` (default off) links every region's
+        """``fluid`` is a mode string from
+        :data:`~repro.perf.fluid.MODES`; None, like ``"packet"``, keeps
+        the simulation purely packet-level.
+
+        ``domestic_backbone`` (default off) links every region's
         campus router through a shared ``cn-backbone`` router — inland
         inter-province paths that never cross a border firewall.  It is
         what lets a client in an escalated/blacked-out region re-enter

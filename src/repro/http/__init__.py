@@ -6,7 +6,7 @@ from .browser import (
     MAX_CONNECTIONS_PER_ORIGIN,
     PageLoadResult,
 )
-from .client import Connector, DirectConnector, Stream, TcpStream, TlsStream, fetch
+from .client import Connector, DirectConnector, PlainHttpChannel, fetch
 from .messages import (
     HttpRequest,
     HttpResponse,
@@ -36,11 +36,9 @@ __all__ = [
     "Page",
     "PageLoadResult",
     "PageObject",
+    "PlainHttpChannel",
     "REQUEST_SIZE",
     "RESPONSE_HEADER_SIZE",
-    "Stream",
-    "TcpStream",
-    "TlsStream",
     "WebServer",
     "fetch",
     "google_scholar_home",

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from ..errors import HttpError, OverloadError, ReproError, TransportError
 from ..overload import Deadline
 from ..sim import Resource, Simulator
-from .client import Connector, Stream, fetch
+from ..transport import MessageChannel
+from .client import Connector, fetch
 from .messages import HttpRequest, HttpResponse
 from .page import Page, PageObject
 from .server import ACCOUNT_RECORD_PATH
@@ -69,7 +70,7 @@ class _Origin:
     """Pool state for one (connector, host, port, tls) tuple."""
 
     slots: Resource
-    idle: t.List[t.Tuple[Stream, float]] = field(default_factory=list)
+    idle: t.List[t.Tuple[MessageChannel, float]] = field(default_factory=list)
 
 
 class Browser:
@@ -225,7 +226,7 @@ class Browser:
         try:
             attempt = 0
             while True:
-                stream: t.Optional[Stream] = None
+                stream: t.Optional[MessageChannel] = None
                 try:
                     stream = yield from self._checkout(
                         origin, connector, host, port, use_tls, counters,
@@ -272,7 +273,8 @@ class Browser:
         origin.slots.release()
         return response
 
-    def _fetch_with_deadline(self, stream: Stream, request: HttpRequest,
+    def _fetch_with_deadline(self, stream: MessageChannel,
+                             request: HttpRequest,
                              deadline: t.Optional[Deadline] = None):
         timeout = self.read_timeout
         if deadline is not None:
@@ -303,7 +305,8 @@ class Browser:
                   deadline: t.Optional[Deadline] = None):
         while origin.idle:
             stream, idle_since = origin.idle.pop()
-            if stream.alive and self.sim.now - idle_since <= KEEPALIVE_SECONDS:
+            if (stream.state == "ESTABLISHED"
+                    and self.sim.now - idle_since <= KEEPALIVE_SECONDS):
                 return stream
             stream.close()
         if deadline is not None and getattr(connector, "supports_deadline",
@@ -316,6 +319,6 @@ class Browser:
         self.connections_opened += 1
         return stream
 
-    def _checkin(self, origin: _Origin, stream: Stream) -> None:
-        if stream.alive:
+    def _checkin(self, origin: _Origin, stream: MessageChannel) -> None:
+        if stream.state == "ESTABLISHED":
             origin.idle.append((stream, self.sim.now))

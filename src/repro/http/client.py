@@ -1,11 +1,12 @@
-"""Client-side streams and connectors.
+"""Client-side channels and connectors.
 
-A :class:`Stream` is the browser's view of one open connection: send a
-message, await a reply, close.  A :class:`Connector` knows how to
-produce a stream to a named origin — directly (:class:`DirectConnector`)
-or through some circumvention middleware (each access method in
+The browser's view of one open connection is a
+:class:`~repro.transport.MessageChannel`: send a message, await a
+reply, close.  A :class:`Connector` knows how to open a channel to a
+named origin — directly (:class:`DirectConnector`) or through some
+circumvention middleware (each access method in
 ``repro.middleware``/``repro.core`` ships its own connector).  The
-browser is agnostic: it speaks to whatever stream it is handed, so
+browser is agnostic: it speaks to whatever channel it is handed, so
 every access method is measured by identical browser logic.
 """
 
@@ -17,35 +18,20 @@ from ..dns import StubResolver
 from ..errors import HttpError
 from ..net import WireFeatures
 from ..sim import Event, Simulator
-from ..transport import TcpConnection, TlsSession, TransportLayer
+from ..transport import MessageChannel, TcpConnection, TlsSession, TransportLayer
 from .messages import HttpRequest
 
 
-class Stream:
-    """Duplex message stream; concrete transports subclass this."""
-
-    def send(self, length: int, meta: t.Any) -> None:
-        raise NotImplementedError
-
-    def recv(self) -> Event:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-    @property
-    def alive(self) -> bool:
-        return True
-
-
-class TcpStream(Stream):
-    """Plain-HTTP stream over a TcpConnection; payloads are visible."""
+class PlainHttpChannel(MessageChannel):
+    """Plain HTTP over a TcpConnection: each request's URL is on the
+    wire in the clear, where the keyword filter reads it."""
 
     def __init__(self, conn: TcpConnection, hostname: str) -> None:
         self.conn = conn
         self.hostname = hostname
 
-    def send(self, length: int, meta: t.Any) -> None:
+    def send_message(self, length: int, meta: t.Any = None,
+                     features: t.Optional[WireFeatures] = None) -> None:
         plaintext = self.hostname
         if isinstance(meta, HttpRequest):
             plaintext = meta.url
@@ -54,39 +40,19 @@ class TcpStream(Stream):
             features=WireFeatures(protocol_tag="plain-http",
                                   plaintext=plaintext, entropy=4.5))
 
-    def recv(self) -> Event:
+    def recv_message(self) -> Event:
         return self.conn.recv_message()
 
     def close(self) -> None:
         self.conn.close()
 
     @property
-    def alive(self) -> bool:
-        return self.conn.state == TcpConnection.ESTABLISHED
-
-
-class TlsStream(Stream):
-    """HTTPS stream over an established TlsSession."""
-
-    def __init__(self, session: TlsSession) -> None:
-        self.session = session
-
-    def send(self, length: int, meta: t.Any) -> None:
-        self.session.send(length, meta=meta)
-
-    def recv(self) -> Event:
-        return self.session.recv()
-
-    def close(self) -> None:
-        self.session.conn.close()
-
-    @property
-    def alive(self) -> bool:
-        return self.session.conn.state == TcpConnection.ESTABLISHED
+    def state(self) -> str:
+        return self.conn.state
 
 
 class Connector:
-    """Produces streams toward named origins."""
+    """Opens channels toward named origins."""
 
     #: Human-readable name used in reports.
     name = "abstract"
@@ -97,7 +63,8 @@ class Connector:
     supports_deadline = False
 
     def open(self, hostname: str, port: int, use_tls: bool):
-        """Generator process returning a :class:`Stream`."""
+        """Generator process returning a
+        :class:`~repro.transport.MessageChannel`."""
         raise NotImplementedError
         yield  # pragma: no cover
 
@@ -127,24 +94,18 @@ class DirectConnector(Connector):
             address, port, features=features, timeout=30.0)
         self.connections_opened += 1
         if not use_tls:
-            return TcpStream(conn, hostname)
+            return PlainHttpChannel(conn, hostname)
         session = TlsSession(conn, sni=hostname)
-        resumed = hostname in self.session_tickets
-        try:
-            yield from session.client_handshake(resumed=resumed)
-        except GeneratorExit:
-            return None  # finalized, not failed: send nothing
-        except BaseException:
-            conn.close()  # a failed handshake must not strand the dial
-            raise
+        yield from session.client_handshake(
+            resumed=hostname in self.session_tickets)
         self.session_tickets.add(hostname)
-        return TlsStream(session)
+        return session
 
 
-def fetch(stream: Stream, request: HttpRequest):
-    """Generator: one request/response exchange on ``stream``."""
-    stream.send(request.size(), meta=request)
-    response = yield stream.recv()
+def fetch(channel: MessageChannel, request: HttpRequest):
+    """Generator: one request/response exchange on ``channel``."""
+    channel.send_message(request.size(), meta=request)
+    response = yield channel.recv_message()
     if response is None:
         raise HttpError(f"{request.url}: connection closed before response")
     return response

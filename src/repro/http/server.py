@@ -95,7 +95,7 @@ class WebServer:
         try:
             yield from session.server_handshake()
             while True:
-                request = yield session.recv()
+                request = yield session.recv_message()
                 if request is None:
                     conn.close()  # the client closed: close our half
                     return
@@ -104,7 +104,7 @@ class WebServer:
                 response = self._respond(request)
                 yield self.cpu.submit(
                     BASE_REQUEST_DEMAND + PER_BYTE_DEMAND * response.body_size)
-                session.send(response.size(), meta=response)
+                session.send_message(response.size(), meta=response)
         except ConnectionReset:
             return
 

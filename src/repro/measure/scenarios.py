@@ -147,8 +147,8 @@ def run_rtt_experiment(method: str, probes: int = 20,
                                            use_tls=False)
         for _ in range(probes):
             started = sim.now
-            stream.send(64, meta=("ping", started))
-            reply = yield stream.recv()
+            stream.send_message(64, meta=("ping", started))
+            reply = yield stream.recv_message()
             if reply is None:
                 break
             rtts.append(sim.now - started)
@@ -318,10 +318,6 @@ def run_fault_experiment(method: str, attempts: int = 18, seed: int = 0,
 
 
 # -- Figure 7: scalability --------------------------------------------------------------------------
-
-#: The paper's x-axis.
-CONCURRENCY_LEVELS = (5, 15, 30, 60, 90, 120, 150, 180)
-
 
 def run_scalability_point(method: str, clients: int, cycles: int = 3,
                           seed: int = 0) -> Summary:

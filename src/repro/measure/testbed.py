@@ -63,11 +63,11 @@ class Testbed:
         extra_clients: int = 0,
         gfw_enabled: bool = True,
         remote_replicas: int = 0,
-        fluid: t.Optional[t.Any] = None,
+        fluid: t.Optional[str] = None,
     ) -> None:
-        """``fluid`` accepts a :class:`~repro.perf.fluid.FluidConfig`
-        (or a mode string from :data:`~repro.perf.fluid.MODES`); None
-        keeps the simulation purely packet-level."""
+        """``fluid`` is a mode string from
+        :data:`~repro.perf.fluid.MODES`; None, like ``"packet"``, keeps
+        the simulation purely packet-level."""
         self.sim = Simulator(seed=seed)
         self.fluid = None
         if fluid is not None:

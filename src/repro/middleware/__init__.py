@@ -6,8 +6,6 @@ ScholarCloud itself lives in :mod:`repro.core`; the common
 
 from .base import (
     AccessMethod,
-    ChannelStream,
-    MessageChannel,
     RelayedChannel,
     estimate_meta_length,
     relay,
@@ -22,10 +20,8 @@ from .vpn import NativeVpn, OpenVpn
 
 __all__ = [
     "AccessMethod",
-    "ChannelStream",
     "DirectMethod",
     "HostsFileMethod",
-    "MessageChannel",
     "NativeVpn",
     "OpenVpn",
     "PublicWebProxy",

@@ -1,11 +1,10 @@
 """Shared machinery for access-method middleware.
 
 Every access method ultimately hands the browser a
-:class:`~repro.http.client.Stream`.  Proxied methods build those
-streams out of *message channels* — anything with ``send_message`` /
-``recv_message`` (a :class:`~repro.transport.TcpConnection`, or a
-:class:`RelayedChannel` riding across a proxy chain).  TLS-in-tunnel
-works because :class:`~repro.transport.TlsSession` only needs the
+:class:`~repro.transport.MessageChannel`: a
+:class:`~repro.transport.TcpConnection`, a :class:`RelayedChannel`
+riding across a proxy chain, or a :class:`~repro.transport.TlsSession`
+over either.  TLS-in-tunnel works because a TLS session only needs the
 channel interface.
 
 Relay framing: proxies forward application messages wrapped as
@@ -24,9 +23,10 @@ from __future__ import annotations
 import typing as t
 
 from ..errors import MiddlewareError, TransportError
-from ..http.client import Connector, Stream
+from ..http.client import Connector
 from ..net import WireFeatures
 from ..sim import Event, ProcessorSharingServer, Simulator, Store
+from ..transport import MessageChannel
 from ..transport import tls as tls_sizes
 
 if t.TYPE_CHECKING:  # pragma: no cover
@@ -45,22 +45,6 @@ def unwrap_forward(message: t.Any) -> t.Tuple[int, t.Any]:
             and message[0] == FWD):
         raise MiddlewareError(f"malformed relay frame: {message!r}")
     return message[1], message[2]
-
-
-class MessageChannel:
-    """Duck-typed protocol: what a relayed endpoint looks like."""
-
-    sim: Simulator
-
-    def send_message(self, length: int, meta: t.Any = None,
-                     features: t.Optional[WireFeatures] = None) -> None:
-        raise NotImplementedError
-
-    def recv_message(self) -> Event:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
 
 
 class RelayedChannel(MessageChannel):
@@ -103,31 +87,9 @@ class RelayedChannel(MessageChannel):
             self._closed = True
             self.underlying.close()
 
-    # -- state, mirroring TcpConnection enough for TlsStream.alive -------------------
-
     @property
     def state(self) -> str:
-        return getattr(self.underlying, "state", "ESTABLISHED")
-
-
-class ChannelStream(Stream):
-    """Adapt any MessageChannel to the browser's Stream interface."""
-
-    def __init__(self, channel: MessageChannel) -> None:
-        self.channel = channel
-
-    def send(self, length: int, meta: t.Any) -> None:
-        self.channel.send_message(length, meta)
-
-    def recv(self) -> Event:
-        return self.channel.recv_message()
-
-    def close(self) -> None:
-        self.channel.close()
-
-    @property
-    def alive(self) -> bool:
-        return getattr(self.channel, "state", "ESTABLISHED") == "ESTABLISHED"
+        return self.underlying.state
 
 
 def estimate_meta_length(meta: t.Any) -> int:

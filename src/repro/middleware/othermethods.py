@@ -24,8 +24,8 @@ from ..dns.resolver import _CacheEntry
 from ..errors import MiddlewareError
 from ..http.client import Connector, DirectConnector
 from ..net import WireFeatures
-from .base import (AccessMethod, ChannelStream, RelayedChannel, decode_forward,
-                   decode_raw, encode_raw, forward_encoder, relay)
+from .base import (AccessMethod, RelayedChannel, decode_forward, decode_raw,
+                   encode_raw, forward_encoder, relay)
 
 #: Port the public web proxy listens on.
 WEB_PROXY_PORT = 8000
@@ -98,14 +98,13 @@ class WebProxyConnector(Connector):
         except BaseException:
             conn.close()  # a refused or dead gateway must not strand the dial
             raise
-        channel = RelayedChannel(
+        # Web proxies terminate TLS at the gateway: the browser speaks
+        # plain HTTP to the proxy regardless of the target scheme.
+        return RelayedChannel(
             testbed.sim, conn, overhead=24,
             features=WireFeatures(protocol_tag="plain-http",
                                   plaintext=hostname, entropy=4.5),
             name="web-proxy")
-        # Web proxies terminate TLS at the gateway: the browser speaks
-        # plain HTTP to the proxy regardless of the target scheme.
-        return ChannelStream(channel)
 
 
 class PublicWebProxy(AccessMethod):

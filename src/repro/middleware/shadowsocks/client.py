@@ -18,9 +18,9 @@ from __future__ import annotations
 import typing as t
 
 from ...errors import MiddlewareError
-from ...http.client import Connector, TlsStream
+from ...http.client import Connector
 from ...transport import TlsSession
-from ..base import AccessMethod, ChannelStream, RelayedChannel
+from ..base import AccessMethod, RelayedChannel
 from .protocol import (
     DEFAULT_KEEPALIVE,
     SS_PORT,
@@ -139,18 +139,12 @@ class SsConnector(Connector):
     def open(self, hostname: str, port: int, use_tls: bool):
         channel = yield from self.local.open_stream(hostname, port)
         if not use_tls:
-            return ChannelStream(channel)
+            return channel
         session = TlsSession(channel, sni=hostname)
-        resumed = hostname in self.session_tickets
-        try:
-            yield from session.client_handshake(resumed=resumed)
-        except GeneratorExit:
-            return None  # finalized, not failed: send nothing
-        except BaseException:
-            channel.close()  # a failed handshake must not strand the relay
-            raise
+        yield from session.client_handshake(
+            resumed=hostname in self.session_tickets)
         self.session_tickets.add(hostname)
-        return TlsStream(session)
+        return session
 
 
 class ShadowsocksMethod(AccessMethod):

@@ -16,12 +16,12 @@ import typing as t
 
 from ...dns import StubResolver
 from ...errors import MiddlewareError, TransportError
-from ...http.client import Connector, TlsStream
+from ...http.client import Connector
 from ...net import WireFeatures
 from ...sim import Event, Store
-from ...transport import TlsSession
+from ...transport import MessageChannel, TlsSession
 from ...units import ms, Mbps, KB
-from ..base import AccessMethod, ChannelStream, MessageChannel
+from ..base import AccessMethod
 from . import cells
 from .meek import CdnFront, MeekChannel
 from .relay import TorRelay
@@ -119,21 +119,12 @@ class TorConnector(Connector):
     def open(self, hostname: str, port: int, use_tls: bool):
         channel = yield from self.method.open_stream(hostname, port)
         if not use_tls:
-            return ChannelStream(channel)
+            return channel
         session = TlsSession(channel, sni=hostname)
-        resumed = hostname in self.session_tickets
-        try:
-            yield from session.client_handshake(resumed=resumed)
-        except GeneratorExit:
-            return None  # finalized, not failed: send nothing
-        except BaseException:
-            try:
-                channel.close()
-            except (MiddlewareError, TransportError):
-                pass  # circuit already down: nothing left to END
-            raise
+        yield from session.client_handshake(
+            resumed=hostname in self.session_tickets)
         self.session_tickets.add(hostname)
-        return TlsStream(session)
+        return session
 
 
 class TorMethod(AccessMethod):

@@ -17,8 +17,9 @@ import typing as t
 from ...errors import MiddlewareError, TransportError
 from ...net import Host, WireFeatures
 from ...sim import Event, Simulator, Store
-from ...transport import TcpConnection, TlsSession, TransportLayer
-from ..base import Frame, Inbox, MessageChannel, encode_frame, relay
+from ...transport import (MessageChannel, TcpConnection, TlsSession,
+                          TransportLayer)
+from ..base import Frame, Inbox, encode_frame, relay
 from .cells import CELL_SIZE
 from .relay import OR_PORT, _payload_length, relay_link_features
 
@@ -58,7 +59,7 @@ class CdnFront:
         try:
             yield from session.server_handshake()
             while True:
-                message = yield session.recv()
+                message = yield session.recv_message()
                 if message is None:
                     return
                 if not (isinstance(message, tuple) and message[0] == "meek-post"):
@@ -66,8 +67,9 @@ class CdnFront:
                 _tag, session_id, batch = message
                 state = yield from self._session_state(session_id)
                 if state is None:
-                    session.send(RESPONSE_OVERHEAD,
-                                 meta=("meek-resp", "bridge-unreachable", ()))
+                    session.send_message(
+                        RESPONSE_OVERHEAD,
+                        meta=("meek-resp", "bridge-unreachable", ()))
                     continue
                 for length, meta in batch:
                     state["bridge"].send_message(length, meta=meta,
@@ -88,8 +90,8 @@ class CdnFront:
                         continue  # the bridge leg ended: nothing to carry
                     downstream.append(item)
                     total += item[0]
-                session.send(RESPONSE_OVERHEAD + total,
-                             meta=("meek-resp", "ok", tuple(downstream)))
+                session.send_message(RESPONSE_OVERHEAD + total,
+                                     meta=("meek-resp", "ok", tuple(downstream)))
         except TransportError:
             return
 
@@ -181,9 +183,10 @@ class MeekChannel(MessageChannel):
             body = sum(length for length, _meta in batch)
             self.polls_sent += 1
             try:
-                self.tls.send(POST_OVERHEAD + body,
-                              meta=("meek-post", self.session_id, tuple(batch)))
-                response = yield self.tls.recv()
+                self.tls.send_message(
+                    POST_OVERHEAD + body,
+                    meta=("meek-post", self.session_id, tuple(batch)))
+                response = yield self.tls.recv_message()
             except TransportError as exc:
                 self._fail(exc)
                 return

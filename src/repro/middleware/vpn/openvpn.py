@@ -72,8 +72,8 @@ class OpenVpn(AccessMethod):
         try:
             session = TlsSession(control, sni=None)
             yield from session.client_handshake()
-            session.send(120, meta=("openvpn", "push-request"))
-            pushed = yield session.recv()
+            session.send_message(120, meta=("openvpn", "push-request"))
+            pushed = yield session.recv_message()
             if not (isinstance(pushed, tuple) and pushed[0] == "openvpn"):
                 raise TunnelError(f"OpenVPN push failed: {pushed!r}")
         except GeneratorExit:
@@ -123,8 +123,8 @@ class OpenVpn(AccessMethod):
         try:
             session = TlsSession(control, sni=None)
             yield from session.client_handshake()
-            session.send(120, meta=("openvpn", "push-request"))
-            yield session.recv()
+            session.send_message(120, meta=("openvpn", "push-request"))
+            yield session.recv_message()
         except GeneratorExit:
             return None  # finalized, not failed: send nothing
         except BaseException:
@@ -148,11 +148,11 @@ class OpenVpn(AccessMethod):
             session = TlsSession(conn)
             yield from session.server_handshake()
             while True:
-                message = yield session.recv()
+                message = yield session.recv_message()
                 if message is None:
                     return
                 if message == ("openvpn", "push-request"):
-                    session.send(
+                    session.send_message(
                         240, meta=("openvpn", "push-reply",
                                    tuple(str(p) for p in DEFAULT_ROUTED_PREFIXES)))
         sim.process(control_server(sim), name="openvpn-control")

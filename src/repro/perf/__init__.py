@@ -27,11 +27,9 @@ machinery that keeps the optimized paths honest and the sweeps fast:
 from .fluid import (
     MODES,
     TOLERANCE_BANDS,
-    FluidConfig,
     FluidRegistry,
     aggregate_overload,
     band_failures,
-    fluid_config_for_mode,
 )
 from .runner import (
     SweepPoint,
@@ -40,14 +38,12 @@ from .runner import (
 )
 
 __all__ = [
-    "FluidConfig",
     "FluidRegistry",
     "MODES",
     "SweepPoint",
     "TOLERANCE_BANDS",
     "aggregate_overload",
     "band_failures",
-    "fluid_config_for_mode",
     "run_points",
     "serial_map",
 ]

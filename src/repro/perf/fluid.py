@@ -61,6 +61,10 @@ MIN_FLOW_PACKETS = 12
 REQUALIFY_PACKETS = 4
 #: Route-walk guard.
 MAX_HOPS = 16
+#: Only messages at least this large fluidize; small control messages
+#: stay on the packet path (they are cheap there and the DPI
+#: classifiers key on them).
+MIN_MESSAGE_BYTES = 2 * MSS
 
 #: Declared tolerance bands for hybrid-vs-packet aggregate metrics,
 #: as relative error (or absolute, where noted).  These are the bands
@@ -71,16 +75,6 @@ TOLERANCE_BANDS: t.Dict[str, float] = {
     "shed_rate": 0.10,      # absolute: fraction of sessions shed
     "availability": 0.10,   # absolute: success rate
 }
-
-
-@dataclass
-class FluidConfig:
-    """Tunables for the fluid fast path."""
-
-    #: Only messages at least this large fluidize; small control
-    #: messages stay on the packet path (they are cheap there and the
-    #: DPI classifiers key on them).
-    min_message_bytes: int = 2 * MSS
 
 
 def aggregate_overload(results: t.Sequence[t.Any],
@@ -134,26 +128,15 @@ def band_failures(reference: t.Mapping[str, float],
     return failures
 
 
-def fluid_config_for_mode(mode: str) -> t.Optional[FluidConfig]:
-    """Map a ``mode`` string to a registry config (None = packet)."""
+def install_fluid(sim: Simulator, mode: str) -> t.Optional["FluidRegistry"]:
+    """Install on ``sim`` the registry that ``mode``, one of
+    :data:`MODES`, asks for; ``"packet"`` installs nothing and returns
+    None."""
     if mode == "packet":
         return None
     if mode == "hybrid":
-        return FluidConfig()
+        return FluidRegistry(sim).install()
     raise ValueError(f"unknown simulation mode {mode!r}; pick one of {MODES}")
-
-
-def install_fluid(sim: Simulator,
-                  fluid: t.Union[str, FluidConfig]) -> t.Optional["FluidRegistry"]:
-    """Install on ``sim`` the registry that ``fluid`` asks for.
-
-    ``fluid`` is a :class:`FluidConfig` or a mode string from
-    :data:`MODES`; ``"packet"`` installs nothing and returns None.
-    """
-    config = fluid_config_for_mode(fluid) if isinstance(fluid, str) else fluid
-    if config is None:
-        return None
-    return FluidRegistry(sim, config).install()
 
 
 @dataclass(frozen=True)
@@ -204,10 +187,8 @@ class FluidRegistry:
     ``sim.fluid`` on every ``send_message``.
     """
 
-    def __init__(self, sim: Simulator,
-                 config: t.Optional[FluidConfig] = None) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.config = config or FluidConfig()
         self.rng = sim.rng.stream("fluid.loss")
         self.stats = FluidStats()
         #: Bumped on any world change (policy, fault, probe).  A
@@ -260,8 +241,7 @@ class FluidRegistry:
         run the packet path), False to fall back — with *no* state
         mutated, so the fallback is always safe.
         """
-        cfg = self.config
-        if length < cfg.min_message_bytes:
+        if length < MIN_MESSAGE_BYTES:
             # ``_fallback``, inline: most messages offered stop here.
             fallbacks = self.stats.fallbacks
             fallbacks["small-message"] = fallbacks.get("small-message", 0) + 1

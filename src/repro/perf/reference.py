@@ -3,15 +3,15 @@
 Every hot-path rewrite is held to a *golden-equivalence contract*: the
 optimized code must produce byte-identical output to the original
 implementation on every input.  This module preserves those originals
-verbatim (per-byte codec loops, list-based FIPS-197 AES, per-byte
-stream modes, the processor-sharing CPU that drained each job from its
-own timestamp) so the contract stays checkable forever:
+verbatim (per-byte codec loops, list-based FIPS-197 AES encryption,
+per-byte stream modes, the processor-sharing CPU that drained each job
+from its own timestamp) so the contract stays checkable forever:
 
 * ``tests/test_perf_equivalence.py`` drives optimized and reference
   paths over seeded random corpora and asserts identity;
-* ``benchmarks/test_perf_gates.py`` times the byte-map and affine
-  codecs and the AES block against their references and requires each
-  fast path to be at least 5x faster.
+* ``benchmarks/test_perf_gates.py`` times the byte-map codec and AES
+  block encryption against their references and requires each fast
+  path to be at least 5x faster.
 
 Nothing here is wired into the simulator — the reference paths exist
 only as oracles and baselines.  :func:`patched_reference_paths`
@@ -24,12 +24,12 @@ from __future__ import annotations
 import contextlib
 import typing as t
 
-from ..crypto.aes import AES, INV_SBOX, SBOX, _mul
+from ..crypto.aes import AES, SBOX, _mul
 from ..errors import CryptoError, SimulationError
 from ..sim import Event, Simulator
 
 
-# -- byte-map / affine codecs (original per-byte generator loops) -------------
+# -- byte-map codec (original per-byte generator loops) -----------------------
 
 
 def byte_map_inverse_reference(forward: bytes) -> bytes:
@@ -43,17 +43,6 @@ def byte_map_encode_reference(forward: bytes, data: bytes) -> bytes:
 
 def byte_map_decode_reference(inverse: bytes, data: bytes) -> bytes:
     return bytes(inverse[b] for b in data)
-
-
-def affine_encode_reference(multiplier: int, offset: int, data: bytes) -> bytes:
-    return bytes((multiplier * b + offset + i) % 256
-                 for i, b in enumerate(data))
-
-
-def affine_decode_reference(inverse_multiplier: int, offset: int,
-                            data: bytes) -> bytes:
-    return bytes((inverse_multiplier * (b - offset - i)) % 256
-                 for i, b in enumerate(data))
 
 
 # -- block-policy lookups (original linear scans) ------------------------------
@@ -99,14 +88,6 @@ def _shift_rows(state: t.List[int]) -> t.List[int]:
     return out
 
 
-def _inv_shift_rows(state: t.List[int]) -> t.List[int]:
-    out = [0] * 16
-    for col in range(4):
-        for row in range(4):
-            out[4 * ((col + row) % 4) + row] = state[4 * col + row]
-    return out
-
-
 def _mix_columns(state: t.List[int]) -> t.List[int]:
     out = [0] * 16
     for col in range(4):
@@ -115,17 +96,6 @@ def _mix_columns(state: t.List[int]) -> t.List[int]:
         out[4 * col + 1] = a[0] ^ _mul(a[1], 2) ^ _mul(a[2], 3) ^ a[3]
         out[4 * col + 2] = a[0] ^ a[1] ^ _mul(a[2], 2) ^ _mul(a[3], 3)
         out[4 * col + 3] = _mul(a[0], 3) ^ a[1] ^ a[2] ^ _mul(a[3], 2)
-    return out
-
-
-def _inv_mix_columns(state: t.List[int]) -> t.List[int]:
-    out = [0] * 16
-    for col in range(4):
-        a = state[4 * col: 4 * col + 4]
-        out[4 * col + 0] = _mul(a[0], 14) ^ _mul(a[1], 11) ^ _mul(a[2], 13) ^ _mul(a[3], 9)
-        out[4 * col + 1] = _mul(a[0], 9) ^ _mul(a[1], 14) ^ _mul(a[2], 11) ^ _mul(a[3], 13)
-        out[4 * col + 2] = _mul(a[0], 13) ^ _mul(a[1], 9) ^ _mul(a[2], 14) ^ _mul(a[3], 11)
-        out[4 * col + 3] = _mul(a[0], 11) ^ _mul(a[1], 13) ^ _mul(a[2], 9) ^ _mul(a[3], 14)
     return out
 
 
@@ -144,21 +114,6 @@ def reference_encrypt_block(aes: AES, block: bytes) -> bytes:
     state = _shift_rows(state)
     state = [state[i] ^ round_keys[aes.rounds][i] for i in range(16)]
     return bytes(state)
-
-
-def reference_decrypt_block(aes: AES, block: bytes) -> bytes:
-    if len(block) != 16:
-        raise CryptoError(f"block must be 16 bytes, got {len(block)}")
-    round_keys = aes._round_keys
-    state = [block[i] ^ round_keys[aes.rounds][i] for i in range(16)]
-    state = _inv_shift_rows(state)
-    state = [INV_SBOX[b] for b in state]
-    for round_index in range(aes.rounds - 1, 0, -1):
-        state = [state[i] ^ round_keys[round_index][i] for i in range(16)]
-        state = _inv_mix_columns(state)
-        state = _inv_shift_rows(state)
-        state = [INV_SBOX[b] for b in state]
-    return bytes(state[i] ^ round_keys[0][i] for i in range(16))
 
 
 class ReferenceCfbCipher:
@@ -321,11 +276,11 @@ def patched_reference_paths() -> t.Iterator[None]:
 
     ``tests/test_perf_equivalence.py`` runs a whole Figure 7 point under
     it and asserts the same summary as on the live paths, without
-    keeping two copies of the middleware: AES block ops fall back to
-    the list pipeline, the blinding codecs to their per-byte loops, the
-    stream modes to per-byte processing, and every DPI classifier loses
-    its ``match_tags`` declaration so the firewall runs the full chain
-    per packet.  Purely a test device — never active in production
+    keeping two copies of the middleware: AES block encryption falls
+    back to the list pipeline, the byte-map codec to its per-byte loops,
+    the stream modes to per-byte processing, and every DPI classifier
+    loses its ``match_tags`` declaration so the firewall runs the full
+    chain per packet.  Purely a test device — never active in production
     paths.
     """
     from ..core import blinding
@@ -339,17 +294,10 @@ def patched_reference_paths() -> t.Iterator[None]:
         setattr(obj, name, value)
 
     swap(AES, "encrypt_block", reference_encrypt_block)
-    swap(AES, "decrypt_block", reference_decrypt_block)
     swap(blinding.ByteMapCodec, "encode",
          lambda self, data: byte_map_encode_reference(self._forward, data))
     swap(blinding.ByteMapCodec, "decode",
          lambda self, data: byte_map_decode_reference(self._inverse, data))
-    swap(blinding.AffineCodec, "encode",
-         lambda self, data: affine_encode_reference(
-             self.multiplier, self.offset, data))
-    swap(blinding.AffineCodec, "decode",
-         lambda self, data: affine_decode_reference(
-             self._inverse_multiplier, self.offset, data))
     swap(modes.CfbCipher, "encrypt", ReferenceCfbCipher.encrypt)
     swap(modes.CfbCipher, "decrypt", ReferenceCfbCipher.decrypt)
     swap(modes.CtrCipher, "process", ReferenceCtrCipher.process)

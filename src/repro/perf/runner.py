@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 
 from ..errors import MeasurementError
 
-T = t.TypeVar("T")
-
 
 @dataclass(frozen=True)
 class SweepPoint:

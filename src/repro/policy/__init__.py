@@ -12,7 +12,6 @@ from .icp import (
     APPROVED,
     IcpRegistration,
     IcpRegistry,
-    REJECTED,
     REQUIRED_DOCUMENTS,
     REVOKED,
     SUBMITTED,
@@ -25,7 +24,6 @@ __all__ = [
     "IcpRegistry",
     "Investigation",
     "MIIT",
-    "REJECTED",
     "REQUIRED_DOCUMENTS",
     "REVOKED",
     "RegulatoryEnvironment",

@@ -21,7 +21,6 @@ from ..units import DAY
 SUBMITTED = "submitted"
 UNDER_REVIEW = "under-review"
 APPROVED = "approved"
-REJECTED = "rejected"
 REVOKED = "revoked"
 
 #: Documents the TCA requires (§3 "Service legalization").

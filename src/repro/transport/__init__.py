@@ -1,5 +1,6 @@
 """Simulated transport layer: TCP, UDP, ICMP ping, and simplified TLS."""
 
+from .channel import MessageChannel
 from .sockets import (
     Acceptor,
     Datagram,
@@ -19,7 +20,6 @@ from .tcp import (
 from .tls import (
     RECORD_OVERHEAD,
     TlsSession,
-    app_features,
     handshake_features,
 )
 
@@ -29,6 +29,7 @@ __all__ = [
     "Datagram",
     "INITIAL_CWND",
     "INITIAL_RTO",
+    "MessageChannel",
     "PING_SIZE",
     "RECORD_OVERHEAD",
     "SYN_SIZE",
@@ -37,7 +38,6 @@ __all__ = [
     "TlsSession",
     "TransportLayer",
     "UdpHandler",
-    "app_features",
     "handshake_features",
     "install_transport",
 ]

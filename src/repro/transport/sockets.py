@@ -11,7 +11,7 @@ import itertools
 import typing as t
 
 from ..errors import TransportError
-from ..net import Host, IP_HEADER, IPv4Address, Packet, WireFeatures
+from ..net import Host, IP_HEADER, IPv4Address, Packet, UDP_HEADER, WireFeatures
 from ..sim import Event, Simulator
 from .tcp import ACK_SIZE, RST_FLAGS, Segment, TcpConnection
 
@@ -152,7 +152,7 @@ class TransportLayer:
         datagram = Datagram(source_port, remote_port, payload, length)
         packet = Packet(
             src=self.host.address, dst=remote, protocol="udp",
-            payload=datagram, size=IP_HEADER + 8 + length,
+            payload=datagram, size=IP_HEADER + UDP_HEADER + length,
             features=features or WireFeatures(),
             flow=("udp", str(self.host.address), source_port, str(remote), remote_port))
         self.host.send(packet)

@@ -1,4 +1,4 @@
-"""A simplified TLS 1.2 layer over a :class:`TcpConnection`.
+"""A simplified TLS 1.2 layer over any message channel.
 
 Models exactly what matters for this reproduction:
 
@@ -21,10 +21,10 @@ from __future__ import annotations
 import functools
 import typing as t
 
-from ..errors import TransportError
+from ..errors import ReproError, TransportError
 from ..net import WireFeatures
 from ..sim import Event
-from .tcp import TcpConnection
+from .channel import MessageChannel
 
 #: Per-record overhead: 5-byte header + ~24 bytes MAC/padding (CBC-era).
 RECORD_OVERHEAD = 29
@@ -68,15 +68,14 @@ SERVER_HELLO_FEATURES = WireFeatures(protocol_tag="tls", handshake=True,
                                      entropy=6.0)
 
 
-def app_features() -> WireFeatures:
-    """Wire features of TLS application records: opaque but framed."""
-    return APP_FEATURES
+class TlsSession(MessageChannel):
+    """One side of a TLS session bound to an established channel.
 
+    The session owns its channel: closing the session closes it, and so
+    does a failed client handshake.
+    """
 
-class TlsSession:
-    """One side of a TLS session bound to an established connection."""
-
-    def __init__(self, conn: TcpConnection, sni: t.Optional[str] = None) -> None:
+    def __init__(self, conn: MessageChannel, sni: t.Optional[str] = None) -> None:
         self.conn = conn
         self.sni = sni
         self.established = False
@@ -84,27 +83,37 @@ class TlsSession:
     # -- handshakes (generator processes) ------------------------------------------
 
     def client_handshake(self, resumed: bool = False):
-        """Run the client side; yields inside a simulation process."""
-        self.conn.send_message(
-            CLIENT_HELLO, meta=("tls", "client-hello", self.sni, resumed),
-            features=handshake_features(self.sni))
-        reply = yield self.conn.recv_message()
-        if not (isinstance(reply, tuple) and reply[0] == "tls"):
-            raise TransportError(f"unexpected TLS handshake reply: {reply!r}")
-        if resumed:
-            # Abbreviated: ServerHello+Finished came in one flight; we
-            # answer with Finished and may immediately send data.
+        """Run the client side; yields inside a simulation process.
+
+        A failed handshake closes the channel, so no caller strands the
+        dial under it; a finalized one sends nothing.
+        """
+        try:
+            self.conn.send_message(
+                CLIENT_HELLO, meta=("tls", "client-hello", self.sni, resumed),
+                features=handshake_features(self.sni))
+            reply = yield self.conn.recv_message()
+            if not (isinstance(reply, tuple) and reply[0] == "tls"):
+                raise TransportError(f"unexpected TLS handshake reply: {reply!r}")
             self.conn.send_message(
                 CLIENT_KEY_EXCHANGE_FINISHED, meta=("tls", "client-finished"),
                 features=FINISHED_FEATURES)
-            self.established = True
-            return self
-        self.conn.send_message(
-            CLIENT_KEY_EXCHANGE_FINISHED, meta=("tls", "client-finished"),
-            features=FINISHED_FEATURES)
-        finished = yield self.conn.recv_message()
-        if not (isinstance(finished, tuple) and finished[:2] == ("tls", "server-finished")):
-            raise TransportError(f"unexpected TLS finished message: {finished!r}")
+            # Abbreviated (resumed): ServerHello+Finished came in one
+            # flight, so our Finished ends it and data may follow at once.
+            if not resumed:
+                finished = yield self.conn.recv_message()
+                if not (isinstance(finished, tuple)
+                        and finished[:2] == ("tls", "server-finished")):
+                    raise TransportError(
+                        f"unexpected TLS finished message: {finished!r}")
+        except GeneratorExit:
+            raise  # finalized, not failed: send nothing
+        except BaseException:
+            try:
+                self.conn.close()
+            except ReproError:
+                pass  # the channel is already down: nothing left to close
+            raise
         self.established = True
         return self
 
@@ -136,16 +145,18 @@ class TlsSession:
         self.established = True
         return self
 
-    # -- application data -------------------------------------------------------------
+    # -- MessageChannel: application records --------------------------------------
 
-    def send(self, length: int, meta: t.Any = None) -> None:
-        """Send ``length`` application bytes inside TLS records."""
+    def send_message(self, length: int, meta: t.Any = None,
+                     features: t.Optional[WireFeatures] = None) -> None:
+        """Send ``length`` application bytes inside TLS records; records
+        always carry the TLS app features."""
         if not self.established:
             raise TransportError("TLS session not established")
         self.conn.send_message(record_length(length), meta=("tls-app", meta),
                                features=APP_FEATURES)
 
-    def recv(self):
+    def recv_message(self) -> Event:
         """Event firing with the peer's application meta (unwrapped)."""
         inner = self.conn.recv_message()
         unwrapped = Event(self.conn.sim)
@@ -164,15 +175,9 @@ class TlsSession:
         inner.add_callback(on_message)
         return unwrapped
 
-    # -- message channel: a TLS leg can be either end of a relay ----------------------
-
-    def send_message(self, length: int, meta: t.Any = None,
-                     features: t.Optional[WireFeatures] = None) -> None:
-        """:meth:`send`; records always carry the TLS app features."""
-        self.send(length, meta)
-
-    def recv_message(self):
-        return self.recv()
-
     def close(self) -> None:
         self.conn.close()
+
+    @property
+    def state(self) -> str:
+        return self.conn.state

@@ -22,9 +22,7 @@ DAY = 86400.0
 KILOBYTE = 1000
 #: One megabyte.
 MEGABYTE = 1000 * 1000
-#: One kibibyte (for memory accounting).
-KIBIBYTE = 1024
-#: One mebibyte.
+#: One mebibyte (for memory accounting).
 MEBIBYTE = 1024 * 1024
 
 

@@ -335,8 +335,8 @@ def test_admission_slot_spans_the_edge_to_relay_handoff():
     def driver(sim):
         stream = yield from connector.open(SCHOLAR_HOST, ECHO_PORT,
                                            use_tls=False)
-        stream.send(64, meta=("ping", sim.now))
-        seen["reply"] = yield stream.recv()
+        stream.send_message(64, meta=("ping", sim.now))
+        seen["reply"] = yield stream.recv_message()
         seen["open"] = admission.in_use
         stream.close()
         yield sim.timeout(5.0)
@@ -422,8 +422,8 @@ def test_edge_fetch_returns_none_when_the_remote_leg_ends(monkeypatch):
         stream = yield from connector.open(SCHOLAR_HOST, 8081,
                                            use_tls=False)
         request = HttpRequest(SCHOLAR_HOST, "/hang-up")
-        stream.send(request.size(), meta=request)
-        return (yield stream.recv())
+        stream.send_message(request.size(), meta=request)
+        return (yield stream.recv_message())
 
     reply = testbed.run_process(driver(testbed.sim), name="eof-driver")
     assert fetched == [None]

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
-    AffineCodec,
     BlindingAgility,
     ByteMapCodec,
     PaddedCodec,
@@ -39,28 +38,6 @@ def test_byte_map_different_secrets_differ():
 def test_byte_map_roundtrip(data):
     codec = ByteMapCodec(b"roundtrip")
     assert codec.decode(codec.encode(data)) == data
-
-
-# -- affine ----------------------------------------------------------------------
-
-@given(BYTES, st.integers(1, 255).filter(lambda n: n % 2 == 1),
-       st.integers(0, 255))
-@settings(max_examples=50)
-def test_affine_roundtrip(data, multiplier, offset):
-    codec = AffineCodec(multiplier, offset)
-    assert codec.decode(codec.encode(data)) == data
-
-
-def test_affine_rejects_even_multiplier():
-    with pytest.raises(BlindingError):
-        AffineCodec(2, 5)
-
-
-def test_affine_positional_term_breaks_repetition():
-    """Equal input bytes encode differently at different offsets."""
-    codec = AffineCodec(7, 3)
-    encoded = codec.encode(b"\x41" * 64)
-    assert len(set(encoded)) > 16
 
 
 # -- padded ------------------------------------------------------------------

@@ -167,8 +167,8 @@ def test_an_open_stream_keeps_its_codec_across_a_rotation():
 
     def ping(sim, stream, tags):
         for tag in tags:
-            stream.send(64, meta=("ping", tag))
-            replies.append((yield stream.recv()))
+            stream.send_message(64, meta=("ping", tag))
+            replies.append((yield stream.recv_message()))
             yield sim.timeout(1.0)
 
     def body(sim):

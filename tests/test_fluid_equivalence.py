@@ -26,11 +26,11 @@ from repro.overload import OverloadConfig
 from repro.perf.fluid import (
     MODES,
     TOLERANCE_BANDS,
-    FluidConfig,
     aggregate_overload,
     band_failures,
-    fluid_config_for_mode,
+    install_fluid,
 )
+from repro.sim import Simulator
 
 SEEDS = (0, 1, 2)
 
@@ -70,11 +70,13 @@ def _signature(results):
 
 def test_mode_axis():
     assert MODES == ("packet", "hybrid")
-    assert fluid_config_for_mode("packet") is None
-    assert isinstance(fluid_config_for_mode("hybrid"), FluidConfig)
+    assert install_fluid(Simulator(), "packet") is None
+    sim = Simulator()
+    registry = install_fluid(sim, "hybrid")
+    assert registry is not None and sim.fluid is registry
     for unknown in ("fluid", "warp"):
         with pytest.raises(ValueError):
-            fluid_config_for_mode(unknown)
+            install_fluid(Simulator(), unknown)
 
 
 def test_packet_mode_installs_no_registry():
@@ -87,7 +89,7 @@ def test_packet_mode_installs_no_registry():
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_dormant_registry_is_byte_identical_to_packet(seed):
+def test_dormant_registry_is_byte_identical_to_packet(seed, monkeypatch):
     """A registry that never fluidizes must not perturb the trace.
 
     This exercises every hook on the packet path (send_message, close,
@@ -98,8 +100,8 @@ def test_dormant_registry_is_byte_identical_to_packet(seed):
     world, page = _pdf_world("packet", seed=seed)
     baseline = _signature(_load_pdfs(world, page))
 
-    never = FluidConfig(min_message_bytes=10**9)
-    world2, page2 = _pdf_world(never, seed=seed)
+    monkeypatch.setattr("repro.perf.fluid.MIN_MESSAGE_BYTES", 10**9)
+    world2, page2 = _pdf_world("hybrid", seed=seed)
     results = _load_pdfs(world2, page2)
     assert _signature(results) == baseline
     registry = world2.testbed.fluid

@@ -303,8 +303,8 @@ def edge_passthrough() -> str:
                                            use_tls=False)
         for _ in range(6):
             started = sim.now
-            stream.send(64, meta=("ping", started))
-            reply = yield stream.recv()
+            stream.send_message(64, meta=("ping", started))
+            reply = yield stream.recv_message()
             outcomes.append(None if reply is None else sim.now - started)
             yield sim.timeout(1.0)
         stream.close()

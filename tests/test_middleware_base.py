@@ -3,17 +3,21 @@
 import pytest
 
 from repro.errors import MiddlewareError, TransportError
-from repro.http import HttpRequest, HttpResponse
+from repro.http import HttpRequest, HttpResponse, fetch
+from repro.measure import Testbed
+from repro.measure.scenarios import prepare
+from repro.measure.testbed import SCHOLAR_HOST
 from repro.middleware import (
+    PublicWebProxy,
     estimate_meta_length,
     relay,
     unwrap_forward,
     wrap_forward,
 )
-from repro.middleware.base import RELAY_END, ChannelStream, RelayedChannel
+from repro.middleware.base import RELAY_END, RelayedChannel
 from repro.net import Network, OPAQUE_STREAM
 from repro.sim import Simulator
-from repro.transport import install_transport
+from repro.transport import MessageChannel, install_transport
 from repro.units import Mbps, ms
 
 
@@ -119,22 +123,52 @@ def test_relayed_channel_read_after_reset_gets_eof():
     assert sim.run(until=sim.process(body(sim)))
 
 
-def test_channel_stream_adapts_channel():
+def test_relayed_channel_state_follows_its_connection():
     sim, ta, server_conns = relayed_pair()
 
     def body(sim):
         conn = yield ta.connect_tcp("10.0.0.2", 9)
         channel = RelayedChannel(sim, conn, overhead=0, features=None)
-        stream = ChannelStream(channel)
-        assert stream.alive
-        stream.send(64, meta="ping")
+        assert channel.state == "ESTABLISHED"
+        channel.send_message(64, meta="ping")
         yield sim.timeout(0.05)
         framed = yield server_conns[0].recv_message()
         assert unwrap_forward(framed)[1] == "ping"
-        stream.close()
-        return stream.alive
+        channel.close()
+        return channel.state, conn.state
 
-    assert sim.run(until=sim.process(body(sim))) in (True, False)
+    assert sim.run(until=sim.process(body(sim))) == ("CLOSED", "CLOSED")
+
+
+@pytest.mark.parametrize("method", ["native-vpn", "openvpn", "tor",
+                                    "shadowsocks", "scholarcloud",
+                                    "web-proxy"])
+def test_every_connector_opens_a_message_channel(method):
+    """What a connector opens is the channel the browser reads: up when
+    opened, carrying a fetch, and down once closed."""
+    if method == "web-proxy":
+        # The keyword filter resets the proxy's cleartext CONNECT.
+        testbed = Testbed(seed=0, gfw_enabled=False)
+        access = PublicWebProxy(testbed)
+        testbed.run_process(access.setup())
+    else:
+        world = prepare(method, seed=0)
+        testbed, access = world.testbed, world.method
+    connector = access.connector()
+    request = HttpRequest(SCHOLAR_HOST, testbed.scholar_page.path,
+                          scheme="https")
+
+    def body(sim):
+        channel = yield from connector.open(SCHOLAR_HOST, 443, True)
+        assert isinstance(channel, MessageChannel)
+        opened = channel.state
+        response = yield from fetch(channel, request)
+        channel.close()
+        return opened, response.status, channel.state
+
+    opened, status, closed = testbed.run_process(body(testbed.sim))
+    assert (opened, status) == ("ESTABLISHED", 200)
+    assert closed != "ESTABLISHED"
 
 
 class ScriptedChannel:

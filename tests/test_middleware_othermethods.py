@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import MiddlewareError
 from repro.measure import Testbed
+from repro.measure.testbed import SCHOLAR_ADDR, SCHOLAR_HOST
 from repro.middleware import HostsFileMethod, PublicWebProxy
 
 
@@ -70,3 +71,22 @@ def test_web_proxy_works_without_censorship():
 def test_web_proxy_requires_setup():
     with pytest.raises(MiddlewareError):
         PublicWebProxy(Testbed()).connector()
+
+
+def test_web_proxy_gateway_closes_the_origin_leg_of_a_failed_handshake():
+    """The gateway owns its TLS leg to the origin: when the origin hangs
+    up mid-handshake, no connection to it stays open on the gateway."""
+    testbed = Testbed(seed=0, gfw_enabled=False)
+    method = PublicWebProxy(testbed)
+    testbed.run_process(method.setup())
+    origin = testbed.transport_of(testbed.scholar_origin)
+    origin._tcp_listeners[443] = lambda conn: conn.close()
+
+    with pytest.raises(MiddlewareError):
+        testbed.run_process(method.connector().open(SCHOLAR_HOST, 443, True))
+    testbed.sim.run(until=testbed.sim.now + 60.0)
+
+    gateway = testbed.transport_of(testbed.remote_vm)
+    assert [conn.state for conn in gateway._connections.values()
+            if str(conn.remote_addr) == SCHOLAR_ADDR
+            and conn.remote_port == 443] == []

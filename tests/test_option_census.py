@@ -25,6 +25,13 @@ Deployment settings stay configurable and are exempt: names that are,
 or end in, one of :data:`DEPLOYMENT_SETTINGS`, plus ``argv``.  Any
 other parameter that no caller sets is an option with one value in
 use; make it a constant.
+
+Beside the census, a dead-name check: every public module-level
+function, class and assigned name in the same scope must be referenced
+by some caller source, as a name, an attribute or an import.  Its
+definition does not count, and neither does a package ``__init__``'s
+import of it, which only re-exports it.  A name nothing references is
+dead code; delete it.
 """
 
 from __future__ import annotations
@@ -259,23 +266,73 @@ def unset_parameters(sources: t.Mapping[str, str],
             if not exempt(name) and not census.sets(call_name, index, name)]
 
 
-def repository_sources() -> t.Tuple[t.Dict[str, str], t.List[str]]:
-    """The census scope (module name -> code) and every caller source."""
+def public_names(module: ast.Module) -> t.Iterator[str]:
+    """The public functions, classes and assigned names a module defines
+    at its top level."""
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [name.id for target in targets
+                     for name in ast.walk(target)
+                     if isinstance(name, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if not name.startswith("_"))
+
+
+def references(module: ast.Module, package_init: bool) -> t.Iterator[str]:
+    """Every name a module reads, every attribute and, unless it is a
+    package ``__init__`` (whose imports are re-exports), every name it
+    imports."""
+    for node in ast.walk(module):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and not package_init:
+            for alias in node.names:
+                yield alias.name.rsplit(".", 1)[-1]
+
+
+def dead_names(sources: t.Mapping[str, str],
+               callers: t.Mapping[str, str]) -> t.List[str]:
+    """``module.name`` for every public name of ``sources`` (module name
+    -> code) that no caller (path -> code) references."""
+    referenced: t.Set[str] = set()
+    for path, code in callers.items():
+        referenced.update(references(ast.parse(code),
+                                     path.endswith("__init__.py")))
+    return [f"{module_name}.{name}"
+            for module_name, code in sorted(sources.items())
+            for name in public_names(ast.parse(code))
+            if name not in referenced]
+
+
+def repository_sources() -> t.Tuple[t.Dict[str, str], t.Dict[str, str]]:
+    """The census scope (module name -> code) and every caller source
+    (path -> code)."""
     scope: t.Dict[str, str] = {}
     for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
         parts = path.relative_to(ROOT / "src").with_suffix("").parts
         if parts[1] != "analysis":
             scope[".".join(parts)] = path.read_text()
-    callers = [path.read_text() for directory in CALLER_DIRS
-               for path in sorted((ROOT / directory).rglob("*.py"))]
+    callers = {str(path.relative_to(ROOT)): path.read_text()
+               for directory in CALLER_DIRS
+               for path in sorted((ROOT / directory).rglob("*.py"))}
     readme = (ROOT / "README.md").read_text()
-    callers += re.findall(r"```python\n(.*?)```", readme, re.S)
+    for index, block in enumerate(
+            re.findall(r"```python\n(.*?)```", readme, re.S)):
+        callers[f"README.md#{index}"] = block
     return scope, callers
 
 
 def test_every_defaulted_parameter_has_a_caller_that_sets_it():
     scope, callers = repository_sources()
-    unset = unset_parameters(scope, callers)
+    unset = unset_parameters(scope, callers.values())
     assert not unset, (
         f"{len(unset)} defaulted parameter(s) no caller sets; make each a "
         "constant:\n  " + "\n  ".join(unset))
@@ -346,3 +403,39 @@ small_pool(size=2)
     assert unset_parameters(
         sources, forwarding + ["small_pool(idle=1.0)"]) == [
         "pkg.mod.Pool.drain(force)"]
+
+
+def test_every_public_name_is_referenced():
+    scope, callers = repository_sources()
+    dead = dead_names(scope, callers)
+    assert not dead, (
+        f"{len(dead)} public name(s) nothing references; delete each:\n  "
+        + "\n  ".join(dead))
+
+
+def test_dead_name_rules():
+    module = '''
+RETRIES = 3
+TIMEOUT: float = 5.0
+_CACHE = {}
+
+def fetch(url, retries=RETRIES):
+    return url
+
+class Pool:
+    pass
+'''
+    sources = {"pkg.mod": module}
+    # The module's own definitions and a package's re-exports count for
+    # nothing; a name read in the module itself counts.
+    callers = {"src/pkg/mod.py": module,
+               "src/pkg/__init__.py": "from .mod import Pool, TIMEOUT, fetch"}
+    assert dead_names(sources, callers) == [
+        "pkg.mod.TIMEOUT", "pkg.mod.fetch", "pkg.mod.Pool"]
+    # An import elsewhere and an attribute each count.
+    used = {**callers, "tests/test_pkg.py": '''
+from pkg.mod import Pool
+import pkg
+pkg.mod.fetch("a")
+'''}
+    assert dead_names(sources, used) == ["pkg.mod.TIMEOUT"]

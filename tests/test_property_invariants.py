@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache import CacheConfig, ResponseCache
 from repro.core.blinding import BlindingAgility
-from repro.crypto import AES, CfbCipher, CtrCipher, shannon_entropy
+from repro.crypto import CfbCipher, CtrCipher, shannon_entropy
 from repro.faults import Endpoint
 from repro.fleet import SessionRouter
 from repro.gfw.flow_table import canonical_flow
@@ -16,13 +16,6 @@ from repro.sim import ProcessorSharingServer, Simulator, Store
 
 
 # -- crypto round trips ----------------------------------------------------------
-
-@given(st.binary(min_size=16, max_size=16), st.binary(min_size=16, max_size=16))
-@settings(max_examples=30)
-def test_aes_block_roundtrip(key, block):
-    cipher = AES(key)
-    assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
-
 
 @given(st.binary(max_size=512), st.binary(min_size=32, max_size=32),
        st.binary(min_size=16, max_size=16))

@@ -4,7 +4,7 @@ import asyncio
 
 import pytest
 
-from repro.core import AffineCodec, default_codec, scholar_whitelist
+from repro.core import default_codec, scholar_whitelist
 from repro.crypto import shannon_entropy
 from repro.errors import BlindingError
 from repro.realnet import (
@@ -27,7 +27,7 @@ def run(coro):
 
 def test_framed_roundtrip_plain_and_blinded():
     async def scenario():
-        for codec in (None, default_codec(), AffineCodec(7, 13)):
+        for codec in (None, default_codec()):
             server_got = []
 
             async def handle(reader, writer):

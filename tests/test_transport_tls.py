@@ -28,8 +28,8 @@ def run_handshake(sim, ta, tb, resumed=False, sni="scholar.google.com"):
         def server(sim):
             yield from session.server_handshake()
             server_sessions.append(session)
-            meta = yield session.recv()
-            session.send(2000, meta=("response", meta))
+            meta = yield session.recv_message()
+            session.send_message(2000, meta=("response", meta))
         sim.process(server(sim))
     tb.listen_tcp(443, acceptor)
 
@@ -39,8 +39,8 @@ def run_handshake(sim, ta, tb, resumed=False, sni="scholar.google.com"):
         connect_done = sim.now
         yield from session.client_handshake(resumed=resumed)
         handshake_done = sim.now
-        session.send(300, meta="GET /")
-        reply = yield session.recv()
+        session.send_message(300, meta="GET /")
+        reply = yield session.recv_message()
         return (connect_done, handshake_done, reply, session)
 
     result = sim.run(until=sim.process(client(sim)))
@@ -70,7 +70,7 @@ def test_send_before_handshake_rejected():
 
     def client(sim):
         conn = yield ta.connect_tcp("203.0.113.1", 443)
-        TlsSession(conn).send(100)
+        TlsSession(conn).send_message(100)
 
     with pytest.raises(TransportError):
         sim.run(until=sim.process(client(sim)))
